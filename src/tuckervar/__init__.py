@@ -38,13 +38,10 @@ from .solver import (
     StepSizes,
     compute_step_sizes,
     convergence_metrics,
-    grad_partials,
-    grad_Q_full,
     objective,
     palm_step,
     procrustes,
     prox_core,
-    psi_value,
     solve,
     update_u,
 )
@@ -55,10 +52,12 @@ from .var import (
     companion_matrix,
     is_stable,
     mse,
+    one_step_predictions,
     predict_one_step,
     rescale_to_spectral_radius,
     simulate,
     spectral_radius,
+    train_scaler,
 )
 
 __version__ = "0.1.0"

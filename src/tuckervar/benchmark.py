@@ -14,7 +14,15 @@ from .fit import fit_design, fit_panel
 from .initialization import NnmConfig
 from .solver import StdgrConfig
 from .tensor import TuckerFactors, tucker_reconstruct, unfold
-from .var import DesignPair, build_design, is_stable, mse, predict_one_step, simulate
+from .var import (
+    DesignPair,
+    build_design,
+    is_stable,
+    mse,
+    one_step_predictions,
+    simulate,
+    train_scaler,
+)
 
 __all__ = [
     "ScenarioSpec",
@@ -247,20 +255,12 @@ def rolling_eval(
         raise ValueError("no test rows left after the training split")
 
     if standardize:
-        mean = panel[:n_train].mean(axis=0)
-        std = panel[:n_train].std(axis=0)
-        std = np.where(std > 0, std, 1.0)
+        mean, std = train_scaler(panel[:n_train])
         panel = (panel - mean) / std
 
     report = fit_panel(panel[:n_train], p, cfg, nnm_cfg, epsilon)
-    w_hat = report.w_hat
-
-    preds = np.empty((length - n_train, panel.shape[1]))
-    for i, t in enumerate(range(n_train, length)):
-        lags = panel[t - p : t][::-1].ravel()
-        preds[i] = predict_one_step(w_hat, lags)
     return RollingReport(
-        mse=mse(panel[n_train:], preds),
+        mse=mse(panel[n_train:], one_step_predictions(report.w_hat, panel, n_train)),
         n_train=n_train,
         n_test=length - n_train,
         converged=report.result.converged,

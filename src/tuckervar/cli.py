@@ -8,6 +8,7 @@ Exit codes: 0 success (fit converged), 2 fit ran to the iteration cap,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -28,7 +29,7 @@ from .storage import (
     write_panel_csv,
 )
 from .tensor import tucker_reconstruct
-from .var import build_design, mse, predict_one_step, simulate
+from .var import build_design, mse, one_step_predictions, predict_one_step, simulate, train_scaler
 
 __all__ = ["main", "console_main"]
 
@@ -59,8 +60,8 @@ _SCENARIO_KEYS = {
     "burn_in",
     "length",
 }
-_SOLVER_KEYS = {"beta", "alpha", "gamma", "c", "a_bar1", "a_bar2", "tol", "max_iter", "ranks"}
-_NNM_KEYS = {"lambda_nn", "max_iter", "tol"}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(StdgrConfig)}
+_NNM_KEYS = {f.name for f in dataclasses.fields(NnmConfig)}
 
 
 def _load_config(path: str | None) -> dict:
@@ -212,13 +213,24 @@ def _read_panel(path: str) -> np.ndarray:
     return panel
 
 
+def _require_rows(panel: np.ndarray, p: int) -> None:
+    if panel.shape[0] < p + 2:
+        raise PanelFormatError(f"panel has {panel.shape[0]} rows, need at least {p + 2}")
+
+
+def _load_model(path: str) -> dict:
+    try:
+        return load_model(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise PanelFormatError(f"cannot load model: {exc}")
+
+
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     cfg = _solver_config(args, config)
     nnm_cfg = _nnm_config(args, config)
     panel = _read_panel(args.input)
-    if panel.shape[0] < args.p + 2:
-        raise PanelFormatError(f"panel has {panel.shape[0]} rows, need at least {args.p + 2}")
+    _require_rows(panel, args.p)
 
     n_train = panel.shape[0]
     if args.train_fraction is not None:
@@ -231,9 +243,7 @@ def cmd_fit(args) -> int:
 
     scaler = None
     if args.standardize:
-        mean = train.mean(axis=0)
-        std = train.std(axis=0)
-        std = np.where(std > 0, std, 1.0)
+        mean, std = train_scaler(train)
         train = (train - mean) / std
         scaler = {"mean": [float(v) for v in mean], "std": [float(v) for v in std]}
 
@@ -261,10 +271,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK if report.result.converged else EXIT_MAX_ITER
 
 
-def _model_tensor(doc: dict) -> np.ndarray:
-    return tucker_reconstruct(doc["factors"])
-
-
 def _apply_scaler(doc: dict, panel: np.ndarray) -> np.ndarray:
     scaler = doc.get("scaler")
     if not scaler:
@@ -275,10 +281,7 @@ def _apply_scaler(doc: dict, panel: np.ndarray) -> np.ndarray:
 
 
 def cmd_forecast(args) -> int:
-    try:
-        doc = load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        raise PanelFormatError(f"cannot load model: {exc}")
+    doc = _load_model(args.model)
     panel = _read_panel(args.input)
     m, p = doc["m"], doc["p"]
     if panel.shape[1] != m:
@@ -288,7 +291,7 @@ def cmd_forecast(args) -> int:
     if args.horizon < 1:
         raise UsageError("horizon must be >= 1")
 
-    w = _model_tensor(doc)
+    w = tucker_reconstruct(doc["factors"])
     scaled = _apply_scaler(doc, panel)
     history = [scaled[-lag] for lag in range(1, p + 1)]
     preds = []
@@ -314,10 +317,7 @@ def cmd_eval(args) -> int:
         value = mse(truth, pred)
         detail = {"mse": value, "n_test": int(truth.shape[0])}
     elif args.model and args.input:
-        try:
-            doc = load_model(args.model)
-        except (OSError, ValueError, KeyError) as exc:
-            raise PanelFormatError(f"cannot load model: {exc}")
+        doc = _load_model(args.model)
         panel = _read_panel(args.input)
         if panel.shape[1] != doc["m"]:
             raise UsageError(
@@ -333,10 +333,7 @@ def cmd_eval(args) -> int:
             raise UsageError("training split shorter than the lag order")
         if n_train >= scaled.shape[0]:
             raise UsageError("no test rows left after the training split")
-        w = _model_tensor(doc)
-        preds = np.empty((scaled.shape[0] - n_train, scaled.shape[1]))
-        for i, t in enumerate(range(n_train, scaled.shape[0])):
-            preds[i] = predict_one_step(w, scaled[t - p : t][::-1].ravel())
+        preds = one_step_predictions(tucker_reconstruct(doc["factors"]), scaled, n_train)
         value = mse(scaled[n_train:], preds)
         detail = {"mse": value, "n_test": int(preds.shape[0]), "n_train": n_train}
     else:
@@ -350,8 +347,7 @@ def cmd_eval(args) -> int:
 
 def cmd_rank_select(args) -> int:
     panel = _read_panel(args.input)
-    if panel.shape[0] < args.p + 2:
-        raise PanelFormatError(f"panel has {panel.shape[0]} rows, need at least {args.p + 2}")
+    _require_rows(panel, args.p)
     design = build_design(panel, args.p)
     nnm_cfg = _nnm_config(args, _load_config(args.config))
     result = nnm_estimate(design, nnm_cfg)

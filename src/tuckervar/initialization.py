@@ -194,7 +194,7 @@ def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
 
     Per mode i, returns the j in 1..n_i-1 minimizing
     (sigma_{j+1} + c_bar) / (sigma_j + c_bar) over the singular values of the
-    mode-i unfolding (smallest j on ties).
+    mode-i unfolding (smallest j on ties), and 1 for a mode of size n_i = 1.
     """
     if c_bar <= 0:
         raise ValueError("c_bar must be positive")
@@ -202,6 +202,9 @@ def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
     ranks = []
     for i in range(1, 4):
         n_i = w_init.shape[i - 1]
+        if n_i == 1:
+            ranks.append(1)
+            continue
         sigma = np.linalg.svd(unfold(w_init, i), compute_uv=False)
         if sigma.size < n_i:
             sigma = np.concatenate([sigma, np.zeros(n_i - sigma.size)])

@@ -412,7 +412,6 @@ def solve(
     )
     ranks = tuple(int(r) for r in core0.shape)
     steps = compute_step_sizes(design, cfg, ranks)
-    steps.validate()
 
     obj_trace = [objective(state, design, lap, cfg)]
     lambdas = []

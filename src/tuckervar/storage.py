@@ -9,6 +9,7 @@ decimal round-trip precision. All writes are whole-file atomic.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import tempfile
@@ -122,16 +123,8 @@ def model_document(
         "m": int(m),
         "p": int(p),
         "ranks": list(factors.ranks),
-        "config": {
-            "beta": cfg.beta,
-            "alpha": list(cfg.alpha),
-            "gamma": list(cfg.gamma),
-            "c": cfg.c,
-            "a_bar1": cfg.a_bar1,
-            "a_bar2": cfg.a_bar2,
-            "tol": cfg.tol,
-            "max_iter": cfg.max_iter,
-        },
+        # the ranks are echoed at the top level, as fitted
+        "config": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "ranks"},
         "core": {"dims": list(factors.core.shape), "values": _flat(factors.core)},
         "a1": {"rows": int(factors.a1.shape[0]), "cols": int(factors.a1.shape[1]), "values": _flat(factors.a1)},
         "a2": {"rows": int(factors.a2.shape[0]), "cols": int(factors.a2.shape[1]), "values": _flat(factors.a2)},

@@ -32,23 +32,6 @@ def _require_tensor3(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _index_maps(dims: tuple[int, int, int], mode: int):
-    """Row and column index arrays of the mode-k unfolding, built from the
-    explicit column-index formula (0-based)."""
-    others = [m for m in _MODES if m != mode]
-    strides = {}
-    for m in others:
-        length = 1
-        for s in range(1, m):
-            if s != mode:
-                length *= dims[s - 1]
-        strides[m] = length
-    idx = np.indices(dims)
-    rows = idx[mode - 1]
-    cols = idx[others[0] - 1] * strides[others[0]] + idx[others[1] - 1] * strides[others[1]]
-    return rows.ravel(), cols.ravel()
-
-
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-k unfolding: arrange the mode-k fibers as columns.
 
@@ -60,21 +43,20 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
 
     Returns
     -------
-    ndarray of shape (n_k, prod of the other dims).
+    ndarray of shape (n_k, prod of the other dims); it may share memory with ``t``.
     """
     t = _require_tensor3(t)
     if mode not in _MODES:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    dims = t.shape
-    rows, cols = _index_maps(dims, mode)
-    n_cols = t.size // dims[mode - 1]
-    out = np.empty((dims[mode - 1], n_cols))
-    out[rows, cols] = t.ravel()
-    return out
+    # mode k first, then the remaining modes column-major: earlier modes vary fastest
+    return np.moveaxis(t, mode - 1, 0).reshape(t.shape[mode - 1], -1, order="F")
 
 
 def fold(mat: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`unfold`: ``fold(unfold(t, k), k, t.shape) == t`` exactly."""
+    """Inverse of :func:`unfold`: ``fold(unfold(t, k), k, t.shape) == t`` exactly.
+
+    The result may be a view of ``mat``.
+    """
     mat = np.asarray(mat, dtype=float)
     if mode not in _MODES:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
@@ -86,8 +68,8 @@ def fold(mat: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
         raise ValueError(
             f"matrix of shape {mat.shape} does not fold into dims {dims} along mode {mode}"
         )
-    rows, cols = _index_maps(dims, mode)
-    return mat[rows, cols].reshape(dims)
+    moved = (dims[mode - 1],) + tuple(d for i, d in enumerate(dims, start=1) if i != mode)
+    return np.moveaxis(mat.reshape(moved, order="F"), 0, mode - 1)
 
 
 def mode_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:

@@ -17,6 +17,8 @@ __all__ = [
     "DesignPair",
     "build_design",
     "predict_one_step",
+    "one_step_predictions",
+    "train_scaler",
     "companion_matrix",
     "spectral_radius",
     "is_stable",
@@ -91,6 +93,27 @@ def predict_one_step(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.size != m * p:
         raise ValueError(f"lag vector of length {x.size}, expected {m * p}")
     return unfold(w, 1) @ x
+
+
+def one_step_predictions(w: np.ndarray, panel: np.ndarray, start: int) -> np.ndarray:
+    """Noise-free one-step predictions of rows ``start:`` of the panel, each
+    from its true lagged values: the design rows of that tail times W_(1)^T."""
+    w = _require_transition(w)
+    m, _, p = w.shape
+    if start < p:
+        raise ValueError(f"first predicted row {start} precedes the lag order {p}")
+    design = build_design(panel[start - p :], p)
+    if design.m != m:
+        raise ValueError(f"panel has {design.m} variables, transition tensor expects {m}")
+    return design.x @ unfold(w, 1).T
+
+
+def train_scaler(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-variable mean and standard deviation of a training split; a
+    constant variable gets standard deviation 1, so scaling only centres it."""
+    train = _require_panel(train)
+    std = train.std(axis=0)
+    return train.mean(axis=0), np.where(std > 0, std, 1.0)
 
 
 def companion_matrix(w: np.ndarray) -> np.ndarray:

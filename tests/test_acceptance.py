@@ -16,8 +16,6 @@ from tuckervar import (
     build_design,
     error_curve,
     fold,
-    grad_partials,
-    grad_Q_full,
     fit_panel,
     kronecker,
     make_scenario,
@@ -25,7 +23,6 @@ from tuckervar import (
     nnm_estimate,
     procrustes,
     prox_core,
-    psi_value,
     rescale_to_spectral_radius,
     ridge_constant,
     select_ranks,
@@ -34,6 +31,7 @@ from tuckervar import (
     unfold,
 )
 from tuckervar.cli import EXIT_OK, main
+from tuckervar.solver import grad_partials, grad_Q_full, psi_value
 from tuckervar.storage import write_panel_csv
 
 

@@ -139,6 +139,13 @@ class TestRollingEval:
         # one squared-error term scaled by 1/m
         assert report.mse >= 0
 
+    def test_lag_one_auto_ranks(self):
+        # the lag mode has size 1 and gets rank 1
+        rng = np.random.default_rng(4)
+        report = rolling_eval(rng.standard_normal((10, 2)), 0.99, p=1)
+        assert (report.n_train, report.n_test) == (9, 1)
+        assert np.isfinite(report.mse)
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         panel = rng.standard_normal((80, 4))
@@ -168,6 +175,7 @@ class TestRollingEval:
             rolling_eval(np.zeros((50, 2)), 1.2, p=1)
 
     def test_too_few_test_rows_rejected(self):
+        # 9 training rows leave no full lag window for p = 9
         rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            rolling_eval(rng.standard_normal((10, 2)), 0.99, p=1)
+        with pytest.raises(ValueError, match="training split too short"):
+            rolling_eval(rng.standard_normal((10, 2)), 0.99, p=9)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from tuckervar import (
     ScenarioSpec,
@@ -9,6 +10,7 @@ from tuckervar import (
     build_laplacians,
     make_scenario,
     predict_one_step,
+    rolling_eval,
     simulate,
 )
 from tuckervar.cli import EXIT_DATA, EXIT_MAX_ITER, EXIT_OK, EXIT_USAGE, main
@@ -172,6 +174,15 @@ class TestFitCommand:
         # standardized MSE is enormous; full-panel statistics would shrink it
         assert reported > 100.0
 
+    def test_lag_one_auto_ranks(self, tmp_path):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "p.csv"
+        write_panel_csv(str(path), rng.standard_normal((120, 3)))
+        model = tmp_path / "m.json"
+        code = main(["fit", "--input", str(path), "--output", str(model), "--p", "1", "--ranks", "auto"])
+        assert code == EXIT_OK
+        assert load_model(str(model))["ranks"][2] == 1
+
     def test_repeated_fit_byte_identical(self, tmp_path):
         panel = self._panel(tmp_path, seed=3)
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -235,6 +246,24 @@ class TestEvalCommand:
         code = main(["eval", "--truth", str(panel), "--pred", str(panel)])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["mse"] == 0.0
+
+    def test_held_out_mse_matches_rolling_eval(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sim.json", scenario=small_scenario(length=200))
+        path = tmp_path / "panel.csv"
+        main(["simulate", "--config", cfg, "--output", str(path), "--seed", "4"])
+        model = tmp_path / "m.json"
+        main(
+            [
+                "fit", "--input", str(path), "--output", str(model), "--p", "2",
+                "--ranks", "2,2,1", "--standardize", "--train-fraction", "0.7",
+            ]
+        )
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--input", str(path), "--train-fraction", "0.7"]) == EXIT_OK
+        reported = json.loads(capsys.readouterr().out)["mse"]
+        _, panel = read_panel_csv(str(path))
+        library = rolling_eval(panel, 0.7, p=2, cfg=StdgrConfig(ranks=(2, 2, 1)), standardize=True)
+        assert reported == pytest.approx(library.mse, rel=1e-12)
 
     def test_requires_a_mode(self, tmp_path):
         assert main(["eval"]) == EXIT_USAGE

@@ -4,7 +4,9 @@ import pytest
 from tuckervar import (
     DesignPair,
     NnmConfig,
+    StdgrConfig,
     build_laplacians,
+    fit_panel,
     fold,
     hosvd,
     laplacian_from_rows,
@@ -195,6 +197,24 @@ class TestSelectRanks:
     def test_bad_constant_rejected(self):
         with pytest.raises(ValueError):
             select_ranks(np.zeros((2, 2, 2)), 0.0)
+
+    @pytest.mark.parametrize("shape", [(5, 5, 1), (1, 1, 3), (1, 1, 1)])
+    def test_size_one_modes_get_rank_one(self, shape):
+        w = np.random.default_rng(15).standard_normal(shape)
+        ranks = select_ranks(w, 0.05)
+        for n_i, r in zip(shape, ranks):
+            assert 1 <= r <= max(n_i - 1, 1)
+            if n_i == 1:
+                assert r == 1
+
+    @pytest.mark.parametrize("m, p", [(4, 1), (1, 3), (1, 1)])
+    def test_fit_with_size_one_modes(self, m, p):
+        panel = np.random.default_rng(16).standard_normal((200, m))
+        report = fit_panel(panel, p, StdgrConfig(ranks="auto"))
+        assert report.ranks_selected
+        assert all(r == 1 for n_i, r in zip((m, m, p), report.ranks) if n_i == 1)
+        assert report.result.converged
+        assert np.isfinite(report.w_hat).all()
 
 
 class TestLaplacians:

@@ -9,19 +9,16 @@ from tuckervar import (
     build_laplacians,
     compute_step_sizes,
     convergence_metrics,
-    grad_partials,
-    grad_Q_full,
     hosvd,
     objective,
     palm_step,
     procrustes,
     prox_core,
-    psi_value,
     solve,
     tucker_reconstruct,
     unfold,
 )
-from tuckervar.solver import update_u
+from tuckervar.solver import grad_partials, grad_Q_full, psi_value, update_u
 
 
 def random_orthonormal(rng, n, r):

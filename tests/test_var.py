@@ -5,10 +5,12 @@ from tuckervar import (
     build_design,
     is_stable,
     mse,
+    one_step_predictions,
     predict_one_step,
     rescale_to_spectral_radius,
     simulate,
     spectral_radius,
+    train_scaler,
     unfold,
 )
 
@@ -67,6 +69,33 @@ class TestPredictOneStep:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             predict_one_step(np.zeros((2, 2, 2)), np.ones(3))
+
+
+class TestOneStepPredictions:
+    def test_matches_per_row_loop(self):
+        rng = np.random.default_rng(2)
+        w = rng.standard_normal((3, 3, 2))
+        panel = rng.standard_normal((20, 3))
+        expected = [predict_one_step(w, panel[t - 2 : t][::-1].ravel()) for t in range(5, 20)]
+        np.testing.assert_allclose(
+            one_step_predictions(w, panel, 5), expected, rtol=1e-12, atol=1e-12
+        )
+
+    def test_first_row_needs_full_lags(self):
+        with pytest.raises(ValueError, match="precedes the lag order"):
+            one_step_predictions(np.zeros((2, 2, 3)), np.zeros((10, 2)), 2)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="variables"):
+            one_step_predictions(np.zeros((2, 2, 1)), np.zeros((10, 3)), 5)
+
+
+class TestTrainScaler:
+    def test_constant_column_gets_unit_std(self):
+        train = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
+        mean, std = train_scaler(train)
+        np.testing.assert_array_equal(mean, train.mean(axis=0))
+        np.testing.assert_array_equal(std, [1.0, np.arange(10.0).std()])
 
 
 class TestStability:
