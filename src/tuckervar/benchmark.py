@@ -251,8 +251,6 @@ def rolling_eval(
     n_train = int(train_fraction * length)
     if n_train < p + 1:
         raise ValueError("training split too short for the lag order")
-    if n_train >= length:
-        raise ValueError("no test rows left after the training split")
 
     if standardize:
         mean, std = train_scaler(panel[:n_train])

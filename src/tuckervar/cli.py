@@ -331,8 +331,6 @@ def cmd_eval(args) -> int:
         n_train = int(fraction * scaled.shape[0])
         if n_train < p:
             raise UsageError("training split shorter than the lag order")
-        if n_train >= scaled.shape[0]:
-            raise UsageError("no test rows left after the training split")
         preds = one_step_predictions(tucker_reconstruct(doc["factors"]), scaled, n_train)
         value = mse(scaled[n_train:], preds)
         detail = {"mse": value, "n_test": int(preds.shape[0]), "n_train": n_train}

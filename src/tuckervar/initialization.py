@@ -35,9 +35,15 @@ def svt(mat: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding, the proximal map of tau * nuclear norm."""
     if tau < 0:
         raise ValueError("threshold must be >= 0")
-    mat = np.asarray(mat, dtype=float)
+    return _svt(np.asarray(mat, dtype=float), tau)[0]
+
+
+def _svt(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`svt` plus the thresholded singular values, whose sum is the
+    nuclear norm of the result."""
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    return (u * np.maximum(s - tau, 0.0)) @ vt
+    s = np.maximum(s - tau, 0.0)
+    return (u * s) @ vt, s
 
 
 def default_nuclear_weight(m: int, p: int, T: int) -> float:
@@ -54,7 +60,7 @@ def _auto_nuclear_weight(design: DesignPair) -> float:
     series and leaves large-amplitude ones effectively unpenalized.
     """
     m, p, n = design.m, design.p, design.n_samples
-    scale = float(np.mean(design.y**2))
+    scale = design.yty / design.y.size
     return max(scale, 1e-12) * default_nuclear_weight(m, p, n)
 
 
@@ -94,15 +100,10 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     ``converged=False``.
     """
     cfg = cfg or NnmConfig()
-    x, y = design.x, design.y
-    n, mp = x.shape
-    m = y.shape[1]
-    p = mp // m
+    m, p, n = design.m, design.p, design.n_samples
     lam = cfg.lambda_nn if cfg.lambda_nn is not None else _auto_nuclear_weight(design)
 
-    gram = x.T @ x
-    cross = y.T @ x
-    yty = float(np.sum(y * y))
+    gram, cross, yty = design.gram, design.cross, design.yty
     lip = 2.0 * float(np.linalg.eigvalsh(gram)[-1]) / n
     if lip <= 0:
         # all-zero design: the prox of the nuclear norm at 0 is 0
@@ -116,19 +117,21 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     step = 1.0 / lip
     tau = lam * step
 
-    def objective(w: np.ndarray, w_gram: np.ndarray) -> float:
+    def objective(w: np.ndarray, w_gram: np.ndarray, nuclear: float) -> float:
         quad = (yty - 2.0 * float(np.sum(cross * w)) + float(np.sum(w_gram * w))) / n
-        return quad + lam * float(np.sum(np.linalg.svd(w, compute_uv=False)))
+        return quad + lam * nuclear
 
-    w = np.zeros((m, mp))
-    trace = [objective(w, w @ gram)]
+    w = np.zeros((m, m * p))
+    w_gram = w @ gram
+    trace = [objective(w, w_gram, 0.0)]
     converged = False
     iterations = 0
     for k in range(cfg.max_iter):
-        w_gram = w @ gram
         grad = 2.0 * (w_gram - cross) / n
-        w_next = svt(w - step * grad, tau)
-        trace.append(objective(w_next, w_next @ gram))
+        w_next, s_next = _svt(w - step * grad, tau)
+        # W gram serves this objective and the next iteration's gradient
+        w_gram = w_next @ gram
+        trace.append(objective(w_next, w_gram, float(np.sum(s_next))))
         delta = float(np.linalg.norm(w_next - w))
         denom = float(np.linalg.norm(w))
         w = w_next

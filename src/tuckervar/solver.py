@@ -15,6 +15,15 @@ before it: soft threshold + box clip for G, a polar (Procrustes) step for
 each A_i, and an exact small linear solve for each U_i. Step sizes exceed the
 per-block Lipschitz constants, which makes the objective monotone with a
 quantified sufficient decrease.
+
+The loss is a quadratic in W_(1), so the solver sees the data only through
+the moments X^T X, Y^T X and tr(Y^T Y) that the design computes once:
+
+    loss = (tr(Y^T Y) - 2 <Y^T X, W_(1)> + <W_(1) X^T X, W_(1)>) / 2T
+    grad = (W_(1) X^T X - Y^T X) / T
+
+Each block update forms only its own gradient, at O(m (mp)^2) cost, so a
+sweep costs O(m (mp)^2) whatever the number of samples T.
 """
 
 from __future__ import annotations
@@ -129,11 +138,11 @@ def compute_step_sizes(
 ) -> StepSizes:
     """Lipschitz constants of the smooth coupling and the derived step weights.
 
-    c1 = (1/T) sum ||x_t||^2 bounds the core block; the factor blocks add the
-    core energy bound nu = sqrt(r1 r2 r3) c and the coupling weight.
+    c1 = (1/T) sum ||x_t||^2 = tr(X^T X) / T bounds the core block; the
+    factor blocks add the core energy bound nu = sqrt(r1 r2 r3) c and the
+    coupling weight.
     """
-    n = design.n_samples
-    c1 = float(np.sum(design.x * design.x)) / n
+    c1 = float(np.trace(design.gram)) / design.n_samples
     nu = float(np.sqrt(np.prod(ranks)) * cfg.c)
     g1, g2, g3 = cfg.gamma
     lips = (c1, nu * nu * c1 + g1, nu * nu * c1 + g2, nu * nu * c1 + g3)
@@ -234,14 +243,15 @@ def update_u(
 
 
 def _loss_gradient_mat(w1: np.ndarray, design: DesignPair) -> np.ndarray:
-    """(1/T) sum (W_(1) x_t - y_t) x_t^T as a dense matrix."""
-    residual = design.x @ w1.T - design.y
-    return residual.T @ design.x / design.n_samples
+    """(1/T) sum (W_(1) x_t - y_t) x_t^T = (W_(1) X^T X - Y^T X) / T, from the
+    design's moments in O(m (mp)^2), independent of T."""
+    return (w1 @ design.gram - design.cross) / design.n_samples
 
 
 def _loss_value(w1: np.ndarray, design: DesignPair) -> float:
-    residual = design.x @ w1.T - design.y
-    return float(np.sum(residual * residual)) / (2.0 * design.n_samples)
+    """(1/2T) sum ||y_t - W_(1) x_t||^2 from the design's moments."""
+    quad = float(np.sum((w1 @ design.gram) * w1)) - 2.0 * float(np.sum(design.cross * w1))
+    return (design.yty + quad) / (2.0 * design.n_samples)
 
 
 def _w1(core: np.ndarray, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
@@ -250,7 +260,9 @@ def _w1(core: np.ndarray, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.
 
 def grad_Q_full(w: np.ndarray, design: DesignPair) -> np.ndarray:
     """Gradient of the quadratic loss with respect to the full transition
-    tensor; its mode-1 unfolding is (1/T) sum (W_(1) x_t - y_t) x_t^T."""
+    tensor; its mode-1 unfolding is (1/T) sum (W_(1) x_t - y_t) x_t^T =
+    (W_(1) X^T X - Y^T X) / T, formed from the design's moments in
+    O(m (mp)^2), independent of T."""
     w = np.asarray(w, dtype=float)
     m, _, p = w.shape
     if design.x.shape[1] != m * p or design.y.shape[1] != m:
@@ -258,23 +270,28 @@ def grad_Q_full(w: np.ndarray, design: DesignPair) -> np.ndarray:
     return fold(_loss_gradient_mat(unfold(w, 1), design), 1, (m, m, p))
 
 
-def _factor_gradients(
+def _block_gradient(
+    block: int,
     core: np.ndarray,
     a1: np.ndarray,
     a2: np.ndarray,
     a3: np.ndarray,
     design: DesignPair,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss gradients with respect to (core, a1, a2, a3) at one point."""
-    m = a1.shape[0]
-    p = a3.shape[0]
-    gq1 = _loss_gradient_mat(_w1(core, a1, a2, a3), design)
-    gq = fold(gq1, 1, (m, m, p))
-    g_core = mode_product(mode_product(mode_product(gq, a1.T, 1), a2.T, 2), a3.T, 3)
-    g_a1 = gq1 @ kronecker(a3, a2) @ unfold(core, 1).T
-    g_a2 = unfold(gq, 2) @ kronecker(a3, a1) @ unfold(core, 2).T
-    g_a3 = unfold(gq, 3) @ kronecker(a2, a1) @ unfold(core, 3).T
-    return g_core, g_a1, g_a2, g_a3
+) -> np.ndarray:
+    """Loss gradient with respect to one of (core, a1, a2, a3), numbered
+    0..3, at the Tucker point; no other block's gradient is formed.
+
+    With Q the tensor gradient, the core gradient is Q x1 A1^T x2 A2^T x3 A3^T
+    and the mode-k factor gradient is unfold(Q x_{j!=k} A_j^T, k) G_(k)^T.
+    """
+    m, p = a1.shape[0], a3.shape[0]
+    grad = fold(_loss_gradient_mat(_w1(core, a1, a2, a3), design), 1, (m, m, p))
+    for mode, a in enumerate((a1, a2, a3), start=1):
+        if mode != block:
+            grad = mode_product(grad, a.T, mode)
+    if block == 0:
+        return grad
+    return unfold(grad, block) @ unfold(core, block).T
 
 
 def grad_partials(
@@ -282,8 +299,9 @@ def grad_partials(
 ) -> tuple[np.ndarray, ...]:
     """The seven partial gradients of the smooth part (loss plus coupling)
     at a common point, in block order (G, A1, A2, A3, U1, U2, U3)."""
-    g_core, g_a1, g_a2, g_a3 = _factor_gradients(
-        state.core, state.a1, state.a2, state.a3, design
+    g_core, g_a1, g_a2, g_a3 = (
+        _block_gradient(block, state.core, state.a1, state.a2, state.a3, design)
+        for block in range(4)
     )
     couplings = [
         cfg.gamma[i] * (u - a)
@@ -356,18 +374,18 @@ def palm_step(
     g1, g2, g3 = cfg.gamma
     a1w, a2w, a3w = cfg.alpha
 
-    g_core = _factor_gradients(state.core, state.a1, state.a2, state.a3, design)[0]
+    g_core = _block_gradient(0, state.core, state.a1, state.a2, state.a3, design)
     core = prox_core(state.core - g_core / rho[0], cfg.beta / rho[0], cfg.c)
 
-    g_a1 = _factor_gradients(core, state.a1, state.a2, state.a3, design)[1]
+    g_a1 = _block_gradient(1, core, state.a1, state.a2, state.a3, design)
     g_a1 -= g1 * (state.u1 - state.a1)
     a1 = procrustes(state.a1 - g_a1 / rho[1])
 
-    g_a2 = _factor_gradients(core, a1, state.a2, state.a3, design)[2]
+    g_a2 = _block_gradient(2, core, a1, state.a2, state.a3, design)
     g_a2 -= g2 * (state.u2 - state.a2)
     a2 = procrustes(state.a2 - g_a2 / rho[2])
 
-    g_a3 = _factor_gradients(core, a1, a2, state.a3, design)[3]
+    g_a3 = _block_gradient(3, core, a1, a2, state.a3, design)
     g_a3 -= g3 * (state.u3 - state.a3)
     a3 = procrustes(state.a3 - g_a3 / rho[3])
 

@@ -8,6 +8,7 @@ step per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,16 +49,41 @@ def _require_transition(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass
 class DesignPair:
     """Stacked regression form of a VAR(p) panel.
 
     Row t of ``x`` is the lag vector (y_{t-1}, ..., y_{t-p}) and row t of
     ``y`` is the response y_t, for the T = len(panel) - p usable times.
+
+    The least-squares loss sees the data only through the moments ``gram``,
+    ``cross`` and ``yty``. Each is computed on first use and then kept, so
+    ``x`` and ``y`` must not be modified after that; the cached arrays are
+    read-only.
     """
 
     x: np.ndarray
     y: np.ndarray
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """X^T X, (mp, mp)."""
+        return _read_only(self.x.T @ self.x)
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """Y^T X, (m, mp)."""
+        return _read_only(self.y.T @ self.x)
+
+    @cached_property
+    def yty(self) -> float:
+        """tr(Y^T Y), the sum of squared responses."""
+        return float(np.sum(self.y * self.y))
 
     @property
     def n_samples(self) -> int:

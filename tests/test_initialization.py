@@ -86,6 +86,25 @@ class TestNnmEstimate:
         trace = result.objective_trace
         assert np.all(trace[1:] <= trace[:-1] + 1e-10 * np.maximum(1.0, np.abs(trace[:-1])))
 
+    def test_objective_trace_matches_recomputed_nuclear_norm(self):
+        # iterate k is the result of a k-iteration run; its objective, with
+        # the nuclear norm from a fresh SVD, must match trace entry k
+        rng = np.random.default_rng(6)
+        design, _ = self._design(rng, 40, 3, 2, noise=0.5)
+        lam = 0.05
+        n_iter = 6
+        full = nnm_estimate(design, NnmConfig(lambda_nn=lam, max_iter=n_iter, tol=1e-15))
+        assert full.iterations == n_iter
+        for k in range(1, n_iter + 1):
+            run = nnm_estimate(design, NnmConfig(lambda_nn=lam, max_iter=k, tol=1e-15))
+            np.testing.assert_array_equal(run.objective_trace, full.objective_trace[: k + 1])
+            w1 = unfold(run.w, 1)
+            residual = design.y - design.x @ w1.T
+            expected = np.sum(residual**2) / design.n_samples + lam * np.sum(
+                np.linalg.svd(w1, compute_uv=False)
+            )
+            assert abs(full.objective_trace[k] - expected) <= 1e-12 * abs(expected)
+
     def test_iteration_cap_flags_nonconvergence(self):
         rng = np.random.default_rng(5)
         design, _ = self._design(rng, 60, 3, 2, noise=0.5)

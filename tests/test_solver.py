@@ -9,6 +9,7 @@ from tuckervar import (
     build_laplacians,
     compute_step_sizes,
     convergence_metrics,
+    fold,
     hosvd,
     objective,
     palm_step,
@@ -258,6 +259,90 @@ class TestGradients:
             assert np.max(np.abs(fd - grad)) / scale <= 1e-6, f"block {b}"
 
 
+def residual_block_gradients(core, a1, a2, a3, design):
+    """Reference loss gradients with respect to (core, a1, a2, a3), formed
+    from the T x m residual and explicit Kronecker products."""
+    m, p = a1.shape[0], a3.shape[0]
+    w1 = a1 @ unfold(core, 1) @ np.kron(a3, a2).T
+    residual = design.x @ w1.T - design.y
+    gq1 = residual.T @ design.x / design.n_samples
+    gq = fold(gq1, 1, (m, m, p))
+    return (
+        fold(a1.T @ gq1 @ np.kron(a3, a2), 1, core.shape),
+        gq1 @ np.kron(a3, a2) @ unfold(core, 1).T,
+        unfold(gq, 2) @ np.kron(a3, a1) @ unfold(core, 2).T,
+        unfold(gq, 3) @ np.kron(a2, a1) @ unfold(core, 3).T,
+    )
+
+
+def assert_rel_close(got, ref, rtol=1e-12):
+    assert np.linalg.norm(np.asarray(got) - ref) <= rtol * np.linalg.norm(ref)
+
+
+# (m, p, ranks, T): p=1, m=1, m=p=1, and T < mp
+MOMENT_CASES = [
+    (4, 2, (2, 2, 2), 30),
+    (5, 1, (2, 3, 1), 12),
+    (1, 3, (1, 1, 2), 10),
+    (1, 1, (1, 1, 1), 4),
+    (6, 3, (3, 2, 2), 7),
+]
+
+
+class TestMomentsForm:
+    """The loss and its gradients come from X^T X, Y^T X and tr(Y^T Y); each
+    must match the residual form on the raw design."""
+
+    @pytest.mark.parametrize("m,p,ranks,t", MOMENT_CASES)
+    def test_loss_matches_residual_form(self, m, p, ranks, t):
+        design, state, _, cfg, _ = random_problem(30 + t, m=m, p=p, ranks=ranks, t=t)
+        ref = loss_value(tucker_reconstruct(state.factors()), design)
+        for g, u, a in zip(cfg.gamma, (state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3)):
+            ref += 0.5 * g * np.sum((u - a) ** 2)
+        assert_rel_close(psi_value(state, design, cfg), ref)
+
+    @pytest.mark.parametrize("m,p,ranks,t", MOMENT_CASES)
+    def test_full_gradient_matches_residual_form(self, m, p, ranks, t):
+        rng = np.random.default_rng(40 + t)
+        w = rng.standard_normal((m, m, p))
+        design = DesignPair(x=rng.standard_normal((t, m * p)), y=rng.standard_normal((t, m)))
+        residual = design.x @ unfold(w, 1).T - design.y
+        ref = fold(residual.T @ design.x / t, 1, (m, m, p))
+        assert_rel_close(grad_Q_full(w, design), ref)
+
+    @pytest.mark.parametrize("m,p,ranks,t", MOMENT_CASES)
+    def test_block_gradients_match_residual_form(self, m, p, ranks, t):
+        from tuckervar.solver import _block_gradient
+
+        design, state, _, _, _ = random_problem(50 + t, m=m, p=p, ranks=ranks, t=t)
+        point = (state.core, state.a1, state.a2, state.a3)
+        for block, ref in enumerate(residual_block_gradients(*point, design)):
+            assert_rel_close(_block_gradient(block, *point, design), ref)
+
+    def test_moments_are_read_only(self):
+        design, _, _, _, _ = random_problem(60)
+        for moment in (design.gram, design.cross):
+            with pytest.raises(ValueError):
+                moment[0, 0] = 1.0
+
+    def test_row_permutation_leaves_solve_unchanged(self):
+        # the solver sees the data only through the moments, which do not
+        # depend on the order of the (x_t, y_t) pairs
+        rng = np.random.default_rng(61)
+        design, w = noise_free_problem(61, m=5, p=2, t=60)
+        design = DesignPair(x=design.x, y=design.y + 0.3 * rng.standard_normal(design.y.shape))
+        order = rng.permutation(design.n_samples)
+        shuffled = DesignPair(x=design.x[order], y=design.y[order])
+        init = hosvd(w, (2, 2, 2))
+        lap = build_laplacians(init, 0.2)
+        cfg = StdgrConfig(ranks=(2, 2, 2), tol=1e-3, max_iter=300)
+        base = solve(design, lap, cfg, init)
+        moved = solve(shuffled, lap, cfg, init)
+        assert 1 < base.iterations < cfg.max_iter
+        assert moved.iterations == base.iterations
+        assert_rel_close(moved.w_hat, base.w_hat, rtol=1e-10)
+
+
 class TestStepSizes:
     def test_single_sample_energy(self):
         design = DesignPair(x=np.array([[1.0, 1.0]]), y=np.array([[0.0]]))
@@ -413,14 +498,14 @@ class TestSolve:
         steps = compute_step_sizes(design, cfg, (2, 2, 2))
         new = palm_step(state, design, lap, cfg, steps)
 
-        from tuckervar.solver import _factor_gradients, procrustes as polar
+        from tuckervar.solver import _block_gradient, procrustes as polar
 
-        g_a2_fresh = _factor_gradients(new.core, new.a1, state.a2, state.a3, design)[2]
+        g_a2_fresh = _block_gradient(2, new.core, new.a1, state.a2, state.a3, design)
         g_a2_fresh -= cfg.gamma[1] * (state.u2 - state.a2)
         a2_fresh = polar(state.a2 - g_a2_fresh / steps.rho[2])
         np.testing.assert_array_equal(new.a2, a2_fresh)
 
-        g_a2_stale = _factor_gradients(new.core, state.a1, state.a2, state.a3, design)[2]
+        g_a2_stale = _block_gradient(2, new.core, state.a1, state.a2, state.a3, design)
         g_a2_stale -= cfg.gamma[1] * (state.u2 - state.a2)
         a2_stale = polar(state.a2 - g_a2_stale / steps.rho[2])
         assert np.max(np.abs(a2_stale - new.a2)) > 1e-12
@@ -429,8 +514,6 @@ class TestSolve:
 def grad_free_start(design, w):
     """Least-squares start for noise-free recovery checks."""
     w1, *_ = np.linalg.lstsq(design.x, design.y, rcond=None)
-    from tuckervar import fold
-
     m = design.y.shape[1]
     p = design.x.shape[1] // m
     return fold(w1.T, 1, (m, m, p))
