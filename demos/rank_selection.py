@@ -10,7 +10,6 @@ Run with: python3 demos/rank_selection.py
 import numpy as np
 
 from tuckervar import (
-    NnmConfig,
     ScenarioSpec,
     build_design,
     make_scenario,
@@ -31,7 +30,7 @@ print("true ranks:", spec.ranks)
 for length in (150, 500, 2000):
     panel = simulate(scenario.w, 0.09 * np.eye(12), length=length + 4, seed=1)
     design = build_design(panel, 4)
-    estimate = nnm_estimate(design, NnmConfig(max_iter=600))
+    estimate = nnm_estimate(design)
     c_bar = ridge_constant(12, 4, design.n_samples)
     ranks = select_ranks(estimate.w, c_bar)
     sigma = np.linalg.svd(unfold(estimate.w, 1), compute_uv=False)

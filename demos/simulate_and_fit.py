@@ -28,6 +28,8 @@ print("panel:", panel.shape)
 # core scale (the superdiagonal entries reach 2).
 report = fit_panel(panel, p=3, cfg=StdgrConfig(ranks="auto", c=2.0))
 print("selected ranks:", report.ranks)
+print("initializer converged:", report.nnm.converged,
+      "after", report.nnm.iterations, "iterations")
 print("solver converged:", report.result.converged,
       "after", report.result.iterations, "iterations")
 

@@ -258,14 +258,29 @@ def cmd_fit(args) -> int:
         extra["scaler"] = scaler
     doc = model_document(report.result.factors, report.laplacians, cfg, extra)
     save_model(args.output, doc)
+    nnm = report.nnm
     save_diagnostics(
         args.output + ".diagnostics.jsonl",
         report.result,
-        meta={"ranks": list(report.ranks), "ranks_selected": report.ranks_selected},
+        meta={
+            "ranks": list(report.ranks),
+            "ranks_selected": report.ranks_selected,
+            "nnm_iterations": nnm.iterations,
+            "nnm_converged": nnm.converged,
+            "lambda_nn": nnm.lambda_nn,
+        },
     )
+    if not nnm.converged:
+        print(
+            f"warning: the nuclear-norm initializer stopped after {nnm.iterations}"
+            f" iterations without converging (nnm.max_iter={nnm_cfg.max_iter})",
+            file=sys.stderr,
+        )
     status = "converged" if report.result.converged else "hit the iteration cap"
+    nnm_status = "converged" if nnm.converged else "did not converge"
     print(
         f"fit {status} after {report.result.iterations} iterations;"
+        f" initializer {nnm_status} after {nnm.iterations} iterations;"
         f" ranks {report.ranks}; model written to {args.output}"
     )
     return EXIT_OK if report.result.converged else EXIT_MAX_ITER

@@ -83,7 +83,7 @@ class DesignPair:
     @cached_property
     def yty(self) -> float:
         """tr(Y^T Y), the sum of squared responses."""
-        return float(np.sum(self.y * self.y))
+        return float(np.einsum("ij,ij->", self.y, self.y))
 
     @property
     def n_samples(self) -> int:

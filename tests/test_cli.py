@@ -136,6 +136,38 @@ class TestFitCommand:
         )
         assert code == EXIT_MAX_ITER
 
+    def test_diagnostics_meta_reports_initializer(self, tmp_path, capsys):
+        panel = self._panel(tmp_path)
+        model = tmp_path / "m.json"
+        code = main(["fit", "--input", panel, "--output", str(model), "--p", "2", "--ranks", "auto"])
+        assert code in (EXIT_OK, EXIT_MAX_ITER)
+        captured = capsys.readouterr()
+        assert "initializer converged" in captured.out
+        assert "warning" not in captured.err
+        lines = (tmp_path / "m.json.diagnostics.jsonl").read_text().splitlines()
+        meta = json.loads(lines[0])
+        assert meta["nnm_converged"] is True
+        assert 1 <= meta["nnm_iterations"] < 500
+        assert meta["lambda_nn"] > 0
+
+    def test_initializer_cap_warns(self, tmp_path, capsys):
+        panel = self._panel(tmp_path)
+        cfg = write_config(tmp_path / "nnm.json", nnm={"max_iter": 2})
+        model = tmp_path / "m.json"
+        code = main(
+            ["fit", "--input", panel, "--output", str(model), "--p", "2", "--ranks", "2,2,1",
+             "--config", cfg]
+        )
+        assert code in (EXIT_OK, EXIT_MAX_ITER)
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning")]
+        assert len(warnings) == 1
+        assert "initializer" in warnings[0] and "nnm.max_iter=2" in warnings[0]
+        assert "initializer did not converge" in captured.out
+        meta = json.loads((tmp_path / "m.json.diagnostics.jsonl").read_text().splitlines()[0])
+        assert meta["nnm_converged"] is False
+        assert meta["nnm_iterations"] == 2
+
     def test_model_roundtrip_bit_exact(self, tmp_path):
         panel = self._panel(tmp_path, seed=2)
         model = tmp_path / "m.json"

@@ -4,15 +4,19 @@ import pytest
 from tuckervar import (
     DesignPair,
     NnmConfig,
+    ScenarioSpec,
     StdgrConfig,
+    build_design,
     build_laplacians,
     fit_panel,
     fold,
     hosvd,
     laplacian_from_rows,
+    make_scenario,
     nnm_estimate,
     ridge_constant,
     select_ranks,
+    simulate,
     svt,
     tucker_reconstruct,
     unfold,
@@ -111,6 +115,94 @@ class TestNnmEstimate:
         result = nnm_estimate(design, NnmConfig(lambda_nn=0.05, max_iter=2, tol=1e-14))
         assert not result.converged
         assert result.iterations == 2
+
+
+def scenario_design(m=12, p=3, T=800, seed=1):
+    """Design of a simulated panel whose truth has ranks (2, 2, 2). At
+    (12, 3, 800) and seed 1, 500 plain proximal-gradient steps stop short of
+    the relative-change tolerance 1e-6."""
+    spec = ScenarioSpec(m=m, p=p, ranks=(2, 2, 2), superdiag=(2.0, 2.0), noise_scale=0.5)
+    truth = make_scenario(spec, seed).w
+    return build_design(simulate(truth, 0.25 * np.eye(m), length=T + p, seed=seed), p)
+
+
+def plain_proximal_gradient(design, lam, n_iter):
+    """Reference: n_iter plain proximal-gradient steps from zero. Returns the
+    objective after each step and the relative iterate change of each step."""
+    x, y, n = design.x, design.y, design.n_samples
+    gram, cross = x.T @ x, y.T @ x
+    step = n / (2.0 * np.linalg.eigvalsh(gram)[-1])
+    w = np.zeros_like(cross)
+    objectives, changes = [], []
+    for _ in range(n_iter):
+        w_next = svt(w - step * 2.0 * (w @ gram - cross) / n, lam * step)
+        changes.append(np.linalg.norm(w_next - w) / max(np.linalg.norm(w), 1e-300))
+        w = w_next
+        residual = y - x @ w.T
+        objectives.append(
+            np.sum(residual**2) / n + lam * np.sum(np.linalg.svd(w, compute_uv=False))
+        )
+    return np.array(objectives), np.array(changes)
+
+
+class TestAcceleratedNnm:
+    def test_converges_where_plain_steps_hit_the_cap(self):
+        design = scenario_design()
+        cfg = NnmConfig()
+        result = nnm_estimate(design, cfg)
+        objectives, changes = plain_proximal_gradient(design, result.lambda_nn, 5000)
+        # the premise: the plain iteration is still moving after 500 steps
+        assert np.all(changes[:500] > cfg.tol)
+        assert result.converged
+        assert result.iterations <= 300
+        trace = result.objective_trace
+        assert np.all(np.diff(trace) <= 0.0)
+        f_ref = objectives[-1]
+        gap = (trace[-1] - f_ref) / f_ref
+        # the reference has converged, so no run may end below it
+        assert abs(objectives[-1] - objectives[-1000]) <= 1e-14 * f_ref
+        assert gap >= -1e-12
+        # the stationarity stop ends no farther from the optimum than the
+        # plain iteration stopped by the relative-change rule at the same tol
+        plain_stop = int(np.argmax(changes <= cfg.tol))
+        assert plain_stop > 0
+        assert gap <= (objectives[plain_stop] - f_ref) / f_ref
+        assert gap <= 1e-8
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_stop_is_scale_free(self, scale):
+        # the automatic weight scales with the data variance, so scaling
+        # (X, Y) scales the objective and leaves the minimizer in place
+        design = scenario_design()
+        base = nnm_estimate(design)
+        scaled = nnm_estimate(DesignPair(x=scale * design.x, y=scale * design.y))
+        assert scaled.iterations == base.iterations
+        assert scaled.converged == base.converged
+        assert np.linalg.norm(scaled.w - base.w) <= 1e-10 * np.linalg.norm(base.w)
+
+    def test_unreachable_tolerance_stops_before_the_cap(self):
+        # once rounding in F hides the decrease of a plain step, the step
+        # would repeat unchanged; the run stops there, unconverged
+        design = scenario_design(m=6, p=2, T=300, seed=0)
+        result = nnm_estimate(design, NnmConfig(max_iter=20000, tol=1e-16))
+        assert not result.converged
+        assert result.iterations < 20000
+        assert result.objective_trace.size == result.iterations + 1
+        assert np.all(np.diff(result.objective_trace) <= 0.0)
+
+    def test_zero_design_objective_is_mean_square_response(self):
+        y = np.arange(12.0).reshape(6, 2)
+        result = nnm_estimate(DesignPair(x=np.zeros((6, 4)), y=y))
+        assert result.converged and result.iterations == 0
+        assert np.linalg.norm(result.w) == 0.0
+        np.testing.assert_array_equal(result.objective_trace, [np.sum(y * y) / 6])
+
+    def test_yty_matches_sum_of_squares_on_row_sliced_panel(self):
+        panel = np.random.default_rng(17).standard_normal((400, 7)) * 3.0 + 1.0
+        design = build_design(panel[50:], 3)
+        assert design.y.base is not None
+        expected = float(np.sum(design.y * design.y))
+        assert abs(design.yty - expected) <= 1e-14 * expected
 
 
 class TestHosvd:
