@@ -62,6 +62,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         self.ranks = tuple(int(r) for r in self.ranks)
         self.superdiag = tuple(float(v) for v in self.superdiag)
+        self.seeds = tuple(int(v) for v in self.seeds)
+        self.sample_sizes = tuple(int(v) for v in self.sample_sizes)
         if len(self.ranks) != 3:
             raise ValueError("ranks must be a triple")
         if not (1 <= self.ranks[0] <= self.m and 1 <= self.ranks[1] <= self.m):
@@ -179,11 +181,13 @@ def error_curve(
     nuclear-norm estimate."""
     if not spec.sample_sizes:
         raise ValueError("spec.sample_sizes must be nonempty")
+    # the truth depends on the seed alone, so each is drawn once for all T
+    scenarios = {seed: make_scenario(spec, seed) for seed in spec.seeds}
     rows: list[ErrorCurveRow] = []
     for n_samples in spec.sample_sizes:
         errors = {"graph_tucker": [], "nnm": []}
         for seed in spec.seeds:
-            scenario = make_scenario(spec, seed)
+            scenario = scenarios[seed]
             try:
                 design = _cell_design(spec, scenario, n_samples, seed)
                 report = fit_design(design, cfg, nnm_cfg, epsilon)

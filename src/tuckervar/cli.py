@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import benchmark
+from . import benchmark, var
 from .fit import fit_panel
 from .initialization import NnmConfig, nnm_estimate, ridge_constant, select_ranks
 from .solver import StdgrConfig
@@ -48,18 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_SCENARIO_KEYS = {
-    "m",
-    "p",
-    "ranks",
-    "superdiag",
-    "factor_style",
-    "noise_scale",
-    "seeds",
-    "sample_sizes",
-    "burn_in",
-    "length",
-}
+_SCENARIO_KEYS = {f.name for f in dataclasses.fields(benchmark.ScenarioSpec)} | {"length"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(StdgrConfig)}
 _NNM_KEYS = {f.name for f in dataclasses.fields(NnmConfig)}
 
@@ -90,53 +79,32 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _parse_ranks(text: str):
+# argparse types for --ranks, --alpha and --gamma: they only split and convert,
+# and StdgrConfig checks the count; argparse puts the flag before the message.
+def _ranks_arg(text: str):
     if text == "auto":
-        return "auto"
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError('ranks must be "auto" or r1,r2,r3')
+        return text
     try:
-        return tuple(int(v) for v in parts)
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise UsageError('ranks must be "auto" or three integers r1,r2,r3')
+        raise argparse.ArgumentTypeError('must be "auto" or three integers r1,r2,r3')
 
 
-def _parse_triple(text: str, name: str):
-    parts = text.split(",")
+def _weights_arg(text: str):
     try:
-        values = [float(v) for v in parts]
+        values = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise UsageError(f"{name} must be a number or a comma triple")
-    if len(values) == 1:
-        return values[0]
-    if len(values) == 3:
-        return tuple(values)
-    raise UsageError(f"{name} must be a number or a comma triple")
+        raise argparse.ArgumentTypeError("must be a number or a comma triple")
+    return values[0] if len(values) == 1 else values
 
 
 def _solver_config(args, config: dict) -> StdgrConfig:
+    """The config's solver section; each flag given, whose dest is its field, overrides it."""
     settings = dict(config.get("solver", {}))
-    if "ranks" in settings and isinstance(settings["ranks"], list):
-        settings["ranks"] = tuple(settings["ranks"])
-    for key, flag in (
-        ("beta", "beta"),
-        ("c", "c"),
-        ("a_bar1", "abar1"),
-        ("a_bar2", "abar2"),
-        ("tol", "tol"),
-        ("max_iter", "max_iter"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            settings[key] = value
-    for key in ("alpha", "gamma"):
+    for key in _SOLVER_KEYS:
         value = getattr(args, key, None)
         if value is not None:
-            settings[key] = _parse_triple(value, key)
-    ranks = getattr(args, "ranks", None)
-    if ranks is not None:
-        settings["ranks"] = _parse_ranks(ranks)
+            settings[key] = value
     try:
         return StdgrConfig(**settings)
     except (TypeError, ValueError) as exc:
@@ -161,22 +129,9 @@ def _scenario_spec(config: dict) -> tuple[benchmark.ScenarioSpec, int]:
     section = dict(section)
     length = section.pop("length", None)
     try:
-        spec = benchmark.ScenarioSpec(
-            m=section["m"],
-            p=section["p"],
-            ranks=tuple(section["ranks"]),
-            superdiag=tuple(section["superdiag"]),
-            factor_style=section.get("factor_style", "gaussian-svd"),
-            noise_scale=section.get("noise_scale", 1.0),
-            seeds=tuple(section.get("seeds", (0, 1, 2, 3, 4))),
-            sample_sizes=tuple(section.get("sample_sizes", ())),
-            burn_in=section.get("burn_in", 500),
-        )
-    except KeyError as exc:
-        raise UsageError(f"scenario section is missing {exc}")
-    except ValueError as exc:
+        return benchmark.ScenarioSpec(**section), length
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad scenario: {exc}")
-    return spec, length
 
 
 def cmd_simulate(args) -> int:
@@ -197,7 +152,7 @@ def cmd_simulate(args) -> int:
         "rescale_count": scenario.rescale_count,
         "noise_scale": spec.noise_scale,
         "seed": args.seed,
-        "prng": "pcg64",
+        "prng": var.PRNG_ALGORITHM,
         "w": [float(v) for v in scenario.w.ravel(order="F")],
     }
     atomic_write_text(args.output + ".truth.json", json.dumps(truth, indent=1) + "\n")
@@ -389,13 +344,21 @@ def cmd_bench(args) -> int:
 
 
 def _add_solver_flags(parser) -> None:
-    parser.add_argument("--ranks", help='"auto" or r1,r2,r3')
+    parser.add_argument("--ranks", type=_ranks_arg, help='"auto" or r1,r2,r3')
     parser.add_argument("--beta", type=float, help="core l1 weight")
-    parser.add_argument("--alpha", help="graph weight, scalar or triple a1,a2,a3")
-    parser.add_argument("--gamma", help="coupling weight, scalar or triple g1,g2,g3")
+    parser.add_argument(
+        "--alpha", type=_weights_arg, help="graph weight, scalar or triple a1,a2,a3"
+    )
+    parser.add_argument(
+        "--gamma", type=_weights_arg, help="coupling weight, scalar or triple g1,g2,g3"
+    )
     parser.add_argument("--c", type=float, help="box bound on the core entries")
-    parser.add_argument("--abar1", type=float, help="step multiplier for the gradient blocks")
-    parser.add_argument("--abar2", type=float, help="step multiplier for the auxiliary blocks")
+    parser.add_argument(
+        "--abar1", dest="a_bar1", type=float, help="step multiplier for the gradient blocks"
+    )
+    parser.add_argument(
+        "--abar2", dest="a_bar2", type=float, help="step multiplier for the auxiliary blocks"
+    )
     parser.add_argument("--tol", type=float, help="relative-change stopping threshold")
     parser.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
     parser.add_argument("--lambda-nn", dest="lambda_nn", type=float, help="nuclear-norm weight")

@@ -22,7 +22,6 @@ from .initialization import (
     select_ranks,
 )
 from .solver import FitResult, StdgrConfig, solve
-from .tensor import TuckerFactors
 from .var import DesignPair, build_design
 
 __all__ = ["FitReport", "fit_design", "fit_panel"]
@@ -30,18 +29,16 @@ __all__ = ["FitReport", "fit_design", "fit_panel"]
 
 @dataclass
 class FitReport:
-    """Everything produced by one fit: the solver result plus the
-    initialization artifacts needed to reproduce or persist it."""
+    """Everything produced by one fit: the solver result, the ranks and how
+    they were chosen, the Laplacians the solver used and the nuclear-norm
+    estimate it started from. The HOSVD initializer is
+    ``hosvd(report.nnm.w, report.ranks)``."""
 
     result: FitResult
     ranks: tuple[int, int, int]
     ranks_selected: bool
     laplacians: LaplacianSet
-    init: TuckerFactors
     nnm: NnmResult
-    m: int
-    p: int
-    n_samples: int
 
     @property
     def w_hat(self) -> np.ndarray:
@@ -53,33 +50,23 @@ def fit_design(
     cfg: StdgrConfig | None = None,
     nnm_cfg: NnmConfig | None = None,
     epsilon: float = 0.2,
-    laplacians: LaplacianSet | None = None,
 ) -> FitReport:
-    """Fit the transition tensor from a prepared (X, Y) regression pair."""
+    """Fit the transition tensor from a prepared (X, Y) regression pair.
+    Ranks "auto" need at least 2 samples: the ridge constant is 0 at T = 1."""
     cfg = cfg or StdgrConfig()
-    m, p, n = design.m, design.p, design.n_samples
+    selected = cfg.ranks == "auto"
+    if selected and design.n_samples < 2:
+        raise ValueError("rank selection needs at least 2 samples (p + 2 panel rows)")
 
     nnm = nnm_estimate(design, nnm_cfg)
-    if cfg.ranks == "auto":
-        ranks = select_ranks(nnm.w, ridge_constant(m, p, n))
-        selected = True
+    if selected:
+        ranks = select_ranks(nnm.w, ridge_constant(design.m, design.p, design.n_samples))
     else:
-        ranks = tuple(int(r) for r in cfg.ranks)
-        selected = False
+        ranks = cfg.ranks
     init = hosvd(nnm.w, ranks)
-    lap = laplacians if laplacians is not None else build_laplacians(init, epsilon)
+    lap = build_laplacians(init, epsilon)
     result = solve(design, lap, cfg, init)
-    return FitReport(
-        result=result,
-        ranks=ranks,
-        ranks_selected=selected,
-        laplacians=lap,
-        init=init,
-        nnm=nnm,
-        m=m,
-        p=p,
-        n_samples=n,
-    )
+    return FitReport(result=result, ranks=ranks, ranks_selected=selected, laplacians=lap, nnm=nnm)
 
 
 def fit_panel(
@@ -88,7 +75,6 @@ def fit_panel(
     cfg: StdgrConfig | None = None,
     nnm_cfg: NnmConfig | None = None,
     epsilon: float = 0.2,
-    laplacians: LaplacianSet | None = None,
 ) -> FitReport:
     """Fit the transition tensor of a VAR(p) model from a (T, m) panel."""
-    return fit_design(build_design(panel, p), cfg, nnm_cfg, epsilon, laplacians)
+    return fit_design(build_design(panel, p), cfg, nnm_cfg, epsilon)

@@ -22,12 +22,15 @@ the moments X^T X, Y^T X and tr(Y^T Y) that the design computes once:
     loss = (tr(Y^T Y) - 2 <Y^T X, W_(1)> + <W_(1) X^T X, W_(1)>) / 2T
     grad = (W_(1) X^T X - Y^T X) / T
 
-Each block update forms only its own gradient, at O(m (mp)^2) cost, so a
-sweep costs O(m (mp)^2) whatever the number of samples T.
+Each block update forms only its own partial gradient, at O(m (mp)^2) cost,
+so a sweep costs O(m (mp)^2) whatever the number of samples T. The sweep and
+grad_partials take it from the same function, so the finite-difference checks
+of grad_partials cover the gradients the sweep steps along.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +198,6 @@ class FitResult:
     factors: TuckerFactors
     u: tuple[np.ndarray, np.ndarray, np.ndarray]
     objective_trace: np.ndarray
-    lambda_trace: np.ndarray
     lambdas: np.ndarray
     block_change_sq: np.ndarray
     core_abs_max_trace: np.ndarray
@@ -294,30 +296,28 @@ def _block_gradient(
     return unfold(grad, block) @ unfold(core, block).T
 
 
+def _partial_gradient(
+    block: int, blocks: Sequence[np.ndarray], design: DesignPair, cfg: StdgrConfig
+) -> np.ndarray:
+    """Partial gradient of the smooth part (loss plus coupling) with respect
+    to block 0..6 of (G, A1, A2, A3, U1, U2, U3), at ``blocks`` in that order:
+    the loss gradient for G, the loss gradient minus gamma_k (U_k - A_k) for
+    A_k, and gamma_k (U_k - A_k) for U_k."""
+    if block >= 4:
+        return cfg.gamma[block - 4] * (blocks[block] - blocks[block - 3])
+    grad = _block_gradient(block, *blocks[:4], design)
+    if block == 0:
+        return grad
+    return grad - cfg.gamma[block - 1] * (blocks[block + 3] - blocks[block])
+
+
 def grad_partials(
     state: SolverState, design: DesignPair, cfg: StdgrConfig
 ) -> tuple[np.ndarray, ...]:
     """The seven partial gradients of the smooth part (loss plus coupling)
     at a common point, in block order (G, A1, A2, A3, U1, U2, U3)."""
-    g_core, g_a1, g_a2, g_a3 = (
-        _block_gradient(block, state.core, state.a1, state.a2, state.a3, design)
-        for block in range(4)
-    )
-    couplings = [
-        cfg.gamma[i] * (u - a)
-        for i, (u, a) in enumerate(
-            zip((state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3))
-        )
-    ]
-    return (
-        g_core,
-        g_a1 - couplings[0],
-        g_a2 - couplings[1],
-        g_a3 - couplings[2],
-        couplings[0],
-        couplings[1],
-        couplings[2],
-    )
+    blocks = state.blocks()
+    return tuple(_partial_gradient(block, blocks, design, cfg) for block in range(7))
 
 
 def psi_value(state: SolverState, design: DesignPair, cfg: StdgrConfig) -> float:
@@ -371,29 +371,14 @@ def palm_step(
 ) -> SolverState:
     """One full block sweep; every block sees the freshest previous blocks."""
     rho = steps.rho
-    g1, g2, g3 = cfg.gamma
-    a1w, a2w, a3w = cfg.alpha
-
-    g_core = _block_gradient(0, state.core, state.a1, state.a2, state.a3, design)
-    core = prox_core(state.core - g_core / rho[0], cfg.beta / rho[0], cfg.c)
-
-    g_a1 = _block_gradient(1, core, state.a1, state.a2, state.a3, design)
-    g_a1 -= g1 * (state.u1 - state.a1)
-    a1 = procrustes(state.a1 - g_a1 / rho[1])
-
-    g_a2 = _block_gradient(2, core, a1, state.a2, state.a3, design)
-    g_a2 -= g2 * (state.u2 - state.a2)
-    a2 = procrustes(state.a2 - g_a2 / rho[2])
-
-    g_a3 = _block_gradient(3, core, a1, a2, state.a3, design)
-    g_a3 -= g3 * (state.u3 - state.a3)
-    a3 = procrustes(state.a3 - g_a3 / rho[3])
-
-    u1 = update_u(state.u1, a1, lap.l1, a1w, g1, rho[4])
-    u2 = update_u(state.u2, a2, lap.l2, a2w, g2, rho[5])
-    u3 = update_u(state.u3, a3, lap.l3, a3w, g3, rho[6])
-
-    return SolverState(core=core, a1=a1, a2=a2, a3=a3, u1=u1, u2=u2, u3=u3)
+    blocks = list(state.blocks())
+    grad = _partial_gradient(0, blocks, design, cfg)
+    blocks[0] = prox_core(blocks[0] - grad / rho[0], cfg.beta / rho[0], cfg.c)
+    for k in (1, 2, 3):
+        blocks[k] = procrustes(blocks[k] - _partial_gradient(k, blocks, design, cfg) / rho[k])
+    for k, l, alpha, gamma in zip((4, 5, 6), lap.as_tuple(), cfg.alpha, cfg.gamma):
+        blocks[k] = update_u(blocks[k], blocks[k - 3], l, alpha, gamma, rho[k])
+    return SolverState(*blocks)
 
 
 def solve(
@@ -465,7 +450,6 @@ def solve(
         factors=factors,
         u=(state.u1, state.u2, state.u3),
         objective_trace=np.asarray(obj_trace),
-        lambda_trace=lambdas.max(axis=1) if iterations else np.empty(0),
         lambdas=lambdas,
         block_change_sq=np.asarray(change_sq),
         core_abs_max_trace=np.asarray(core_max),

@@ -179,3 +179,50 @@ class TestRollingEval:
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="training split too short"):
             rolling_eval(rng.standard_normal((10, 2)), 0.99, p=9)
+
+
+class TestOneSampleFits:
+    """One training sample makes the ridge constant 0 (log 1 = 0), so rank
+    selection cannot run; fixed ranks still fit."""
+
+    def test_auto_ranks_on_p_plus_one_rows_rejected(self):
+        from tuckervar import fit_panel
+
+        panel = np.random.default_rng(5).standard_normal((3, 3))
+        with pytest.raises(ValueError, match="rank selection needs at least 2 samples"):
+            fit_panel(panel, 2)
+
+    def test_rolling_eval_at_p_plus_one_training_rows_rejected(self):
+        panel = np.random.default_rng(6).standard_normal((30, 3))
+        with pytest.raises(ValueError, match="rank selection needs at least 2 samples"):
+            rolling_eval(panel, 0.1, p=2)
+
+    def test_fixed_ranks_fit_on_p_plus_one_rows(self):
+        from tuckervar import fit_panel
+
+        panel = np.random.default_rng(6).standard_normal((30, 3))
+        cfg = StdgrConfig(ranks=(1, 1, 1))
+        report = fit_panel(panel[:3], 2, cfg)
+        assert report.ranks == (1, 1, 1)
+        assert np.all(np.isfinite(report.w_hat))
+        assert np.isfinite(rolling_eval(panel, 0.1, p=2, cfg=cfg).mse)
+
+
+class TestScenarioDraws:
+    def test_each_seed_drawn_once(self, monkeypatch):
+        import tuckervar.benchmark as bench
+
+        drawn = []
+
+        def counting(spec, seed):
+            drawn.append(seed)
+            return make_scenario(spec, seed)
+
+        monkeypatch.setattr(bench, "make_scenario", counting)
+        spec = small_spec(seeds=(0, 1), sample_sizes=(40, 60, 80))
+        error_curve(spec, StdgrConfig(ranks=(2, 2, 2), max_iter=5))
+        assert sorted(drawn) == [0, 1]
+
+    def test_seed_and_size_lists_become_int_tuples(self):
+        spec = small_spec(seeds=[0, 1], sample_sizes=[40, 60])
+        assert spec.seeds == (0, 1) and spec.sample_sizes == (40, 60)

@@ -370,3 +370,60 @@ class TestErrorPaths:
         write_panel_csv(str(panel), np.random.default_rng(0).standard_normal((30, 2)))
         code = main(["fit", "--input", str(panel), "--output", str(tmp_path / "m.json"), "--p", "1", "--ranks", "1,2"])
         assert code == EXIT_USAGE
+
+
+class TestConfigsFromDataclasses:
+    def test_bench_config_matches_error_curve(self, tmp_path):
+        from tuckervar import NnmConfig, error_curve
+        from tuckervar.benchmark import curve_csv_lines
+
+        scenario = dict(
+            m=4, p=2, ranks=[2, 2, 2], superdiag=[1.0, 0.8], noise_scale=0.5,
+            factor_style="laplacian-eigenvectors", burn_in=50, seeds=[3, 5], sample_sizes=[60, 90],
+        )
+        solver = dict(c=2.0, ranks=[2, 2, 2], max_iter=20)
+        cfg = write_config(tmp_path / "cfg.json", scenario=scenario, solver=solver)
+        out = tmp_path / "curve.csv"
+        assert main(["bench", "--config", cfg, "--output", str(out), "--gamma", "0.2"]) == EXIT_OK
+        rows = error_curve(
+            ScenarioSpec(**scenario), StdgrConfig(**solver, gamma=0.2), NnmConfig()
+        )
+        assert out.read_text() == "\n".join(curve_csv_lines(rows)) + "\n"
+
+    def test_every_solver_flag_reaches_the_config(self, tmp_path):
+        panel = tmp_path / "p.csv"
+        write_panel_csv(str(panel), np.random.default_rng(0).standard_normal((60, 3)))
+        cfg = write_config(tmp_path / "cfg.json", solver=dict(beta=5e-3, tol=1e-2))
+        model = tmp_path / "m.json"
+        flags = [
+            "--ranks", "2,2,1", "--alpha", "0.001,0.002,0.003", "--gamma", "0.2", "--c", "2.5",
+            "--abar1", "1.3", "--abar2", "12", "--max-iter", "7", "--tol", "1e-9",
+        ]
+        code = main(["fit", "--input", str(panel), "--output", str(model), "--p", "1",
+                     "--config", cfg] + flags)
+        assert code in (EXIT_OK, EXIT_MAX_ITER)
+        doc = json.loads(model.read_text())
+        assert doc["ranks"] == [2, 2, 1]
+        assert doc["config"] == dict(
+            beta=5e-3, alpha=[1e-3, 2e-3, 3e-3], gamma=[0.2, 0.2, 0.2], c=2.5,
+            a_bar1=1.3, a_bar2=12.0, tol=1e-9, max_iter=7,
+        )
+
+    def test_scenario_without_m_names_it(self, tmp_path, capsys):
+        scenario = small_scenario()
+        del scenario["m"]
+        cfg = write_config(tmp_path / "cfg.json", scenario=scenario)
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        assert "'m'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,named",
+        [("--ranks", "a,b,c", "--ranks"), ("--alpha", "x", "--alpha"), ("--alpha", "1,2", "alpha")],
+    )
+    def test_bad_solver_flag_names_it(self, tmp_path, capsys, flag, value, named):
+        panel = tmp_path / "p.csv"
+        write_panel_csv(str(panel), np.random.default_rng(0).standard_normal((30, 2)))
+        args = ["fit", "--input", str(panel), "--output", str(tmp_path / "m.json"), "--p", "1"]
+        assert main(args + [flag, value]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
