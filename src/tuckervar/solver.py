@@ -196,7 +196,6 @@ class FitResult:
 
     w_hat: np.ndarray
     factors: TuckerFactors
-    u: tuple[np.ndarray, np.ndarray, np.ndarray]
     objective_trace: np.ndarray
     lambdas: np.ndarray
     block_change_sq: np.ndarray
@@ -448,7 +447,6 @@ def solve(
     return FitResult(
         w_hat=tucker_reconstruct(factors),
         factors=factors,
-        u=(state.u1, state.u2, state.u3),
         objective_trace=np.asarray(obj_trace),
         lambdas=lambdas,
         block_change_sq=np.asarray(change_sq),

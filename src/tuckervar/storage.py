@@ -1,15 +1,22 @@
 """File formats: CSV panels, JSON model container, JSONL diagnostics.
 
 Panels are CSV with a header row of variable names and one time step per
-row. Models are a single JSON document holding dims, ranks, a config echo
-and every array flattened in i1-fastest (column-major) order with full
-decimal round-trip precision. All writes are whole-file atomic.
+row. Each data row holds one decimal number per variable: a cell may be
+padded with spaces or tabs, quoted, or use ``_`` between digits (anything
+Python's ``float`` accepts), blank lines are skipped, and NaN, infinities,
+empty cells and comment lines are rejected. The whole panel is parsed in one
+``np.loadtxt`` call; a file that call cannot return as a valid panel is
+rescanned row by row only to name the bad row. Models are a single JSON
+document holding dims, ranks, a config echo and every array flattened in
+i1-fastest (column-major) order with full decimal round-trip precision. All
+writes are whole-file atomic.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import tempfile
@@ -55,7 +62,41 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def read_panel_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Parse a panel CSV; raises :class:`PanelFormatError` naming the
-    offending row on malformed input, missing values or non-finite entries."""
+    offending row on malformed input, missing values or non-finite entries,
+    and naming the file when its bytes are not text in the locale's encoding.
+
+    The data rows are parsed in one ``np.loadtxt`` call. A file that call
+    cannot return as a valid panel is read again row by row, which names the
+    first bad row."""
+    try:
+        return _read_panel_block(path) or _read_panel_rows(path)
+    except UnicodeDecodeError as exc:
+        raise PanelFormatError(f"{path}: not {exc.encoding} text") from None
+
+
+def _read_panel_block(path: str) -> tuple[list[str], np.ndarray] | None:
+    """The panel, or None when any check fails (the row-by-row parser then
+    decides what is wrong)."""
+    try:
+        with open(path, newline="") as handle:
+            names = [name.strip() for name in next(csv.reader(handle), [])]
+            first = next(handle, "")
+            # loadtxt warns on input without data, so a header-only file (or
+            # a blank first data line) goes to the row-by-row parser
+            if not names or not all(names) or not first.strip():
+                return None
+            panel = np.loadtxt(
+                itertools.chain([first], handle), delimiter=",", ndmin=2, comments=None
+            )
+    except (ValueError, csv.Error):
+        return None
+    if panel.shape[1] != len(names) or not np.isfinite(panel).all():
+        return None
+    return names, panel
+
+
+def _read_panel_rows(path: str) -> tuple[list[str], np.ndarray]:
+    """Row-by-row parser: slow, but names the first bad row."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -94,8 +135,7 @@ def write_panel_csv(path: str, panel: np.ndarray, names: list[str] | None = None
     if len(names) != panel.shape[1]:
         raise ValueError("one name per variable required")
     lines = [",".join(names)]
-    for row in panel:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in panel.tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -427,3 +427,13 @@ class TestConfigsFromDataclasses:
         assert main(args + [flag, value]) == EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+
+class TestUndecodablePanel:
+    def test_rank_select_reports_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1.0,2.0\n3.0,\xff\n")
+        code = main(["rank-select", "--input", str(bad), "--p", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error:") and str(bad) in err
