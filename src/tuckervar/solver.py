@@ -22,10 +22,21 @@ the moments X^T X, Y^T X and tr(Y^T Y) that the design computes once:
     loss = (tr(Y^T Y) - 2 <Y^T X, W_(1)> + <W_(1) X^T X, W_(1)>) / 2T
     grad = (W_(1) X^T X - Y^T X) / T
 
-Each block update forms only its own partial gradient, at O(m (mp)^2) cost,
-so a sweep costs O(m (mp)^2) whatever the number of samples T. The sweep and
-grad_partials take it from the same function, so the finite-difference checks
-of grad_partials cover the gradients the sweep steps along.
+The sweep works in the Tucker ranks. With B = A3 kron A2 (mp x r2 r3) and
+K = B^T X^T X B, W_(1) = A1 G_(1) B^T, and A1^T A1 = I turns every
+term into one of the small matrices X^T X B, K and A1^T Y^T X B:
+
+    <W_(1) X^T X, W_(1)> = <G_(1) K, G_(1)>,  <Y^T X, W_(1)> = <A1^T Y^T X B, G_(1)>
+
+and likewise for the block gradients (see _block_gradient). B changes only
+at the A2 update, so a sweep forms X^T X B twice and costs
+O((mp)^2 r2 r3) plus terms in m, p and the ranks, whatever the number of
+samples T; the per-sweep objective forms it once more. The identities need
+orthonormal factors: the prox maps make them so, and the objective checks
+them to 1e-10 before it uses them. psi_value keeps the form in W_(1), which
+holds off the orthonormal manifold too. The sweep and grad_partials take
+each gradient from the same function, so the finite-difference checks of
+grad_partials cover the gradients the sweep steps along.
 """
 
 from __future__ import annotations
@@ -239,24 +250,14 @@ def update_u(
     """Exact minimizer of the linearized auxiliary subproblem:
     (2 alpha L + rho I)^{-1} (rho U - gamma (U - A))."""
     n = u_prev.shape[0]
-    rhs = rho * u_prev - gamma * (u_prev - a)
+    rhs = rho * u_prev - _coupling_gradient(gamma, u_prev, a)
     return np.linalg.solve(2.0 * alpha * lap + rho * np.eye(n), rhs)
 
 
-def _loss_gradient_mat(w1: np.ndarray, design: DesignPair) -> np.ndarray:
-    """(1/T) sum (W_(1) x_t - y_t) x_t^T = (W_(1) X^T X - Y^T X) / T, from the
-    design's moments in O(m (mp)^2), independent of T."""
-    return (w1 @ design.gram - design.cross) / design.n_samples
-
-
-def _loss_value(w1: np.ndarray, design: DesignPair) -> float:
-    """(1/2T) sum ||y_t - W_(1) x_t||^2 from the design's moments."""
-    quad = float(np.sum((w1 @ design.gram) * w1)) - 2.0 * float(np.sum(design.cross * w1))
-    return (design.yty + quad) / (2.0 * design.n_samples)
-
-
-def _w1(core: np.ndarray, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
-    return a1 @ unfold(core, 1) @ kronecker(a3, a2).T
+def _coupling_gradient(gamma: float, u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gradient of the coupling (gamma / 2) ||U - A||^2 with respect to U;
+    its negative is the gradient with respect to A."""
+    return gamma * (u - a)
 
 
 def grad_Q_full(w: np.ndarray, design: DesignPair) -> np.ndarray:
@@ -266,9 +267,10 @@ def grad_Q_full(w: np.ndarray, design: DesignPair) -> np.ndarray:
     O(m (mp)^2), independent of T."""
     w = np.asarray(w, dtype=float)
     m, _, p = w.shape
-    if design.x.shape[1] != m * p or design.y.shape[1] != m:
+    if (design.m, design.p) != (m, p):
         raise ValueError("design dimensions do not match the transition tensor")
-    return fold(_loss_gradient_mat(unfold(w, 1), design), 1, (m, m, p))
+    grad = (unfold(w, 1) @ design.gram - design.cross) / design.n_samples
+    return fold(grad, 1, (m, m, p))
 
 
 def _block_gradient(
@@ -278,36 +280,60 @@ def _block_gradient(
     a2: np.ndarray,
     a3: np.ndarray,
     design: DesignPair,
+    gram_b: np.ndarray | None = None,
 ) -> np.ndarray:
     """Loss gradient with respect to one of (core, a1, a2, a3), numbered
-    0..3, at the Tucker point; no other block's gradient is formed.
+    0..3, at a Tucker point with A1^T A1 = I; no other block's gradient is
+    formed, and the costliest product is X^T X B, O((mp)^2 r2 r3).
 
     With Q the tensor gradient, the core gradient is Q x1 A1^T x2 A2^T x3 A3^T
     and the mode-k factor gradient is unfold(Q x_{j!=k} A_j^T, k) G_(k)^T.
+    With B = A3 kron A2 and K = B^T X^T X B these are
+
+        core: (G_(1) K - A1^T Y^T X B) / T, folded
+        A1:   (A1 G_(1) K - Y^T X B) G_(1)^T / T
+        A2:   unfold(fold(A1^T Q_(1)) x3 A3^T, 2) G_(2)^T
+        A3:   unfold(fold(A1^T Q_(1)) x2 A2^T, 3) G_(3)^T
+
+    where A1^T Q_(1) = (G_(1) (X^T X B)^T - A1^T Y^T X) / T. ``gram_b`` is
+    X^T X B, formed here unless the caller passes it.
     """
-    m, p = a1.shape[0], a3.shape[0]
-    grad = fold(_loss_gradient_mat(_w1(core, a1, a2, a3), design), 1, (m, m, p))
-    for mode, a in enumerate((a1, a2, a3), start=1):
-        if mode != block:
-            grad = mode_product(grad, a.T, mode)
+    b = kronecker(a3, a2)
+    if gram_b is None:
+        gram_b = design.gram @ b
+    g1 = unfold(core, 1)
+    n = design.n_samples
     if block == 0:
-        return grad
-    return unfold(grad, block) @ unfold(core, block).T
+        return fold((g1 @ (b.T @ gram_b) - a1.T @ (design.cross @ b)) / n, 1, core.shape)
+    if block == 1:
+        return (a1 @ (g1 @ (b.T @ gram_b)) - design.cross @ b) @ g1.T / n
+    dims = (core.shape[0], a1.shape[0], a3.shape[0])
+    projected = fold((g1 @ gram_b.T - a1.T @ design.cross) / n, 1, dims)
+    if block == 2:
+        projected = mode_product(projected, a3.T, 3)
+    else:
+        projected = mode_product(projected, a2.T, 2)
+    return unfold(projected, block) @ unfold(core, block).T
 
 
 def _partial_gradient(
-    block: int, blocks: Sequence[np.ndarray], design: DesignPair, cfg: StdgrConfig
+    block: int,
+    blocks: Sequence[np.ndarray],
+    design: DesignPair,
+    cfg: StdgrConfig,
+    gram_b: np.ndarray | None = None,
 ) -> np.ndarray:
     """Partial gradient of the smooth part (loss plus coupling) with respect
     to block 0..6 of (G, A1, A2, A3, U1, U2, U3), at ``blocks`` in that order:
     the loss gradient for G, the loss gradient minus gamma_k (U_k - A_k) for
-    A_k, and gamma_k (U_k - A_k) for U_k."""
+    A_k, and gamma_k (U_k - A_k) for U_k. ``gram_b`` is passed on to
+    :func:`_block_gradient`."""
     if block >= 4:
-        return cfg.gamma[block - 4] * (blocks[block] - blocks[block - 3])
-    grad = _block_gradient(block, *blocks[:4], design)
+        return _coupling_gradient(cfg.gamma[block - 4], blocks[block], blocks[block - 3])
+    grad = _block_gradient(block, *blocks[:4], design, gram_b)
     if block == 0:
         return grad
-    return grad - cfg.gamma[block - 1] * (blocks[block + 3] - blocks[block])
+    return grad - _coupling_gradient(cfg.gamma[block - 1], blocks[block + 3], blocks[block])
 
 
 def grad_partials(
@@ -319,12 +345,21 @@ def grad_partials(
     return tuple(_partial_gradient(block, blocks, design, cfg) for block in range(7))
 
 
+def _coupling_value(state: SolverState, cfg: StdgrConfig) -> float:
+    """sum_i (gamma_i / 2) ||U_i - A_i||^2."""
+    return sum(
+        0.5 * g * float(np.sum((u - a) ** 2))
+        for g, u, a in zip(cfg.gamma, (state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3))
+    )
+
+
 def psi_value(state: SolverState, design: DesignPair, cfg: StdgrConfig) -> float:
-    """Smooth part: quadratic loss plus the three coupling penalties."""
-    value = _loss_value(_w1(state.core, state.a1, state.a2, state.a3), design)
-    for g, u, a in zip(cfg.gamma, (state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3)):
-        value += 0.5 * g * float(np.sum((u - a) ** 2))
-    return value
+    """Smooth part: quadratic loss plus the three coupling penalties, at any
+    point (the loss is taken in W_(1), so the factors need not be
+    orthonormal)."""
+    w1 = state.a1 @ unfold(state.core, 1) @ kronecker(state.a3, state.a2).T
+    quad = float(np.sum((w1 @ design.gram) * w1)) - 2.0 * float(np.sum(design.cross * w1))
+    return (design.yty + quad) / (2.0 * design.n_samples) + _coupling_value(state, cfg)
 
 
 def _check_feasible(state: SolverState, cfg: StdgrConfig) -> None:
@@ -338,9 +373,14 @@ def objective(
     state: SolverState, design: DesignPair, lap: LaplacianSet, cfg: StdgrConfig
 ) -> float:
     """Full objective value at a feasible state (box and orthonormality are
-    constraints, not penalty terms)."""
+    constraints, not penalty terms). The loss is taken in the Tucker ranks,
+    which is exact because the feasibility check has passed first."""
     _check_feasible(state, cfg)
-    value = psi_value(state, design, cfg)
+    b = kronecker(state.a3, state.a2)
+    g1 = unfold(state.core, 1)
+    quad = float(np.sum((g1 @ (b.T @ (design.gram @ b))) * g1))
+    quad -= 2.0 * float(np.sum((state.a1.T @ (design.cross @ b)) * g1))
+    value = (design.yty + quad) / (2.0 * design.n_samples) + _coupling_value(state, cfg)
     value += cfg.beta * float(np.sum(np.abs(state.core)))
     for a_w, u, l in zip(cfg.alpha, (state.u1, state.u2, state.u3), lap.as_tuple()):
         value += a_w * float(np.trace(u.T @ l @ u))
@@ -368,13 +408,18 @@ def palm_step(
     cfg: StdgrConfig,
     steps: StepSizes,
 ) -> SolverState:
-    """One full block sweep; every block sees the freshest previous blocks."""
+    """One full block sweep; every block sees the freshest previous blocks.
+
+    B = A3 kron A2 stays the same until the A2 update, so the core, A1 and A2
+    gradients share one X^T X B; the A3 gradient forms its own."""
     rho = steps.rho
     blocks = list(state.blocks())
-    grad = _partial_gradient(0, blocks, design, cfg)
+    gram_b = design.gram @ kronecker(blocks[3], blocks[2])
+    grad = _partial_gradient(0, blocks, design, cfg, gram_b)
     blocks[0] = prox_core(blocks[0] - grad / rho[0], cfg.beta / rho[0], cfg.c)
     for k in (1, 2, 3):
-        blocks[k] = procrustes(blocks[k] - _partial_gradient(k, blocks, design, cfg) / rho[k])
+        grad = _partial_gradient(k, blocks, design, cfg, gram_b if k < 3 else None)
+        blocks[k] = procrustes(blocks[k] - grad / rho[k])
     for k, l, alpha, gamma in zip((4, 5, 6), lap.as_tuple(), cfg.alpha, cfg.gamma):
         blocks[k] = update_u(blocks[k], blocks[k - 3], l, alpha, gamma, rho[k])
     return SolverState(*blocks)
@@ -394,7 +439,7 @@ def solve(
     rules enforced by :func:`compute_step_sizes`.
     """
     init.validate()
-    if design.x.shape[1] != init.a1.shape[0] * init.a3.shape[0]:
+    if (design.m, design.m, design.p) != tuple(a.shape[0] for a in (init.a1, init.a2, init.a3)):
         raise ValueError("design and initializer dimensions do not match")
 
     core0 = init.core

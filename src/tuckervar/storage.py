@@ -63,7 +63,8 @@ def atomic_write_text(path: str, text: str) -> None:
 def read_panel_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Parse a panel CSV; raises :class:`PanelFormatError` naming the
     offending row on malformed input, missing values or non-finite entries,
-    and naming the file when its bytes are not text in the locale's encoding.
+    and naming the file when its bytes are not text in the locale's encoding
+    or a cell exceeds the ``csv`` module's field size limit.
 
     The data rows are parsed in one ``np.loadtxt`` call. A file that call
     cannot return as a valid panel is read again row by row, which names the
@@ -72,6 +73,8 @@ def read_panel_csv(path: str) -> tuple[list[str], np.ndarray]:
         return _read_panel_block(path) or _read_panel_rows(path)
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"{path}: not {exc.encoding} text") from None
+    except csv.Error as exc:
+        raise PanelFormatError(f"{path}: {exc}") from None
 
 
 def _read_panel_block(path: str) -> tuple[list[str], np.ndarray] | None:

@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 _MODES = (1, 2, 3)
+# axis orders that bring mode k to the front (unfold) and put it back (fold);
+# np.moveaxis computes the same permutations at several times the cost
+_TO_FRONT = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
+_FROM_FRONT = {1: (0, 1, 2), 2: (1, 0, 2), 3: (1, 2, 0)}
 
 
 def _require_tensor3(t: np.ndarray) -> np.ndarray:
@@ -49,7 +53,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     if mode not in _MODES:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     # mode k first, then the remaining modes column-major: earlier modes vary fastest
-    return np.moveaxis(t, mode - 1, 0).reshape(t.shape[mode - 1], -1, order="F")
+    return t.transpose(_TO_FRONT[mode]).reshape(t.shape[mode - 1], -1, order="F")
 
 
 def fold(mat: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
@@ -69,7 +73,7 @@ def fold(mat: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
             f"matrix of shape {mat.shape} does not fold into dims {dims} along mode {mode}"
         )
     moved = (dims[mode - 1],) + tuple(d for i, d in enumerate(dims, start=1) if i != mode)
-    return np.moveaxis(mat.reshape(moved, order="F"), 0, mode - 1)
+    return mat.reshape(moved, order="F").transpose(_FROM_FRONT[mode])
 
 
 def mode_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
@@ -90,8 +94,17 @@ def mode_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (block matrix of a_ij * b)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    """Kronecker product of two matrices (block matrix of a_ij * b).
+
+    Equal to ``np.kron`` bit for bit (each entry is one product), at about a
+    third of its cost on the small factor matrices of a solver sweep.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("kronecker expects two matrices")
+    outer = np.multiply.outer(a, b).transpose(0, 2, 1, 3)
+    return outer.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 @dataclass

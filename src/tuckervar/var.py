@@ -7,7 +7,6 @@ step per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,21 +53,23 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass
 class DesignPair:
-    """Stacked regression form of a VAR(p) panel.
+    """Stacked regression form of a VAR(p) fit.
 
     Row t of ``x`` is the lag vector (y_{t-1}, ..., y_{t-p}) and row t of
-    ``y`` is the response y_t, for the T = len(panel) - p usable times.
+    ``y`` is the response y_t, for T samples.
 
-    The least-squares loss sees the data only through the moments ``gram``,
-    ``cross`` and ``yty``. Each is computed on first use and then kept, so
-    ``x`` and ``y`` must not be modified after that; the cached arrays are
-    read-only.
+    The least-squares loss sees the data only through the moments ``gram``
+    (X^T X), ``cross`` (Y^T X) and ``yty`` (tr(Y^T Y)). Each is computed on
+    first use and then kept, so ``x`` and ``y`` must not be modified after
+    that; the cached arrays are read-only. This class forms the moments from
+    ``x`` and ``y``; :func:`build_design` returns a :class:`LaggedDesign`,
+    which forms them from the panel without building ``x``.
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        self.x = x
+        self.y = y
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -87,7 +88,7 @@ class DesignPair:
 
     @property
     def n_samples(self) -> int:
-        return self.x.shape[0]
+        return self.y.shape[0]
 
     @property
     def m(self) -> int:
@@ -98,17 +99,75 @@ class DesignPair:
         return self.x.shape[1] // self.y.shape[1]
 
 
-def build_design(panel: np.ndarray, p: int) -> DesignPair:
-    """Build the (X, Y) regression pair of a VAR(p) fit from a panel."""
+class LaggedDesign(DesignPair):
+    """The design of a VAR(p) fit to a (L, m) panel Z, backed by the panel.
+
+    ``y`` is the view ``Z[p:]``; ``x`` is built only when read. The moments
+    come from the p + 1 lagged products F_k = Z[k:]^T Z[:L-k]: block (i, j),
+    i <= j, of the moment matrix of the lag-embedded panel [Y, X] sums
+    z_{s+k} z_s^T, k = j - i, over s = p-j .. L-1-j, which is F_k less its
+    first p - j and last i terms:
+
+        F_k - Z[k : p-i]^T Z[:p-j] - Z[L-i:]^T Z[L-j : L-k]
+
+    Blocks (0, j >= 1) form ``cross`` and blocks (i, j >= 1) form ``gram``,
+    in O((p+1) L m^2) without any T x mp array. The panel must not be
+    modified after the design is built.
+    """
+
+    def __init__(self, panel: np.ndarray, p: int) -> None:
+        self.panel = panel
+        self.y = panel[p:]
+        self._p = p
+
+    @property
+    def p(self) -> int:
+        return self._p
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The (T, mp) lag matrix, most recent lag first."""
+        length = self.panel.shape[0]
+        return np.hstack([self.panel[self.p - lag : length - lag] for lag in range(1, self.p + 1)])
+
+    @cached_property
+    def _moments(self) -> np.ndarray:
+        """[Y, X]^T [Y, X], ((p+1) m, (p+1) m), from the lagged products."""
+        z, p, m = self.panel, self.p, self.m
+        length = z.shape[0]
+        out = np.empty(((p + 1) * m, (p + 1) * m))
+        for k in range(p + 1):
+            f_k = z[k:].T @ z[: length - k]
+            for i in range(p + 1 - k):
+                j = i + k
+                head = z[k : p - i].T @ z[: p - j]
+                tail = z[length - i :].T @ z[length - j : length - k]
+                block = f_k - head - tail
+                out[j * m : (j + 1) * m, i * m : (i + 1) * m] = block.T
+                out[i * m : (i + 1) * m, j * m : (j + 1) * m] = block
+        return _read_only(out)
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self._moments[self.m :, self.m :]
+
+    @property
+    def cross(self) -> np.ndarray:
+        return self._moments[: self.m, self.m :]
+
+
+def build_design(panel: np.ndarray, p: int) -> LaggedDesign:
+    """The regression pair of a VAR(p) fit to a panel, backed by the panel
+    (see :class:`LaggedDesign`): its moments come from p + 1 lagged products
+    of the panel, ``x`` is built only when read, and the panel must not be
+    modified afterwards."""
     panel = _require_panel(panel)
     if p < 1:
         raise ValueError("lag order p must be >= 1")
     length = panel.shape[0]
     if length < p + 1:
         raise ValueError(f"panel of length {length} is too short for lag order {p}")
-    x = np.hstack([panel[p - lag : length - lag] for lag in range(1, p + 1)])
-    y = panel[p:]
-    return DesignPair(x=x, y=y)
+    return LaggedDesign(panel, p)
 
 
 def predict_one_step(w: np.ndarray, x: np.ndarray) -> np.ndarray:

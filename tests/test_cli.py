@@ -437,3 +437,22 @@ class TestUndecodablePanel:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert err.startswith("data error:") and str(bad) in err
+
+
+class TestOversizedCell:
+    """A cell longer than the csv module's field limit (131072 characters) is
+    a data error naming the file, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a," + "b" * 200_000 + "\n1.0,2.0\n", "a,b\n1.0,2.0\n3.0," + "4" * 200_000 + "\n"],
+        ids=["header", "data"],
+    )
+    def test_rank_select_reports_a_data_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "big.csv"
+        bad.write_text(text)
+        code = main(["rank-select", "--input", str(bad), "--p", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error:") and str(bad) in err
+        assert "field limit" in err

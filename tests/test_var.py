@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuckervar import (
+    DesignPair,
     build_design,
     is_stable,
     mse,
@@ -204,3 +209,78 @@ class TestMse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mse(np.zeros((3, 2)), np.zeros((2, 3)))
+
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def stacked_design(panel, p):
+    """The regression pair with X copied out of the panel, so its moments
+    come from X itself."""
+    length = panel.shape[0]
+    x = np.hstack([panel[p - lag : length - lag] for lag in range(1, p + 1)])
+    return DesignPair(x=x, y=panel[p:])
+
+
+def assert_same_design(panel, p):
+    ours, ref = build_design(panel, p), stacked_design(panel, p)
+    assert (ours.n_samples, ours.m, ours.p) == (ref.n_samples, ref.m, ref.p)
+    for name in ("gram", "cross"):
+        got, want = getattr(ours, name), getattr(ref, name)
+        assert got.shape == want.shape, name
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+    assert abs(ours.yty - ref.yty) <= 1e-13 * ref.yty
+    assert ours.x.tobytes() == ref.x.tobytes() and ours.x.shape == ref.x.shape
+
+
+@st.composite
+def lagged_panels(draw):
+    """(panel, p) with L from p + 1 (one sample) past 3 mp, some columns
+    constant or zero, and amplitudes far from 1."""
+    m, p = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    length = draw(st.integers(p + 1, 3 * m * p + p + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    panel = rng.standard_normal((length, m)) * draw(st.sampled_from([1.0, 1e-6, 1e6]))
+    for column in draw(st.sets(st.integers(0, m - 1))):
+        panel[:, column] = draw(st.sampled_from([0.0, 1.0, -2.5]))
+    return panel, p
+
+
+class TestLaggedMoments:
+    """build_design forms X^T X and Y^T X from p + 1 lagged products of the
+    panel; they must match the moments of the stacked X."""
+
+    @SEEDED
+    @given(case=lagged_panels())
+    def test_moments_match_stacked_design(self, case):
+        assert_same_design(*case)
+
+    @pytest.mark.parametrize(
+        "length,m,p",
+        [(2, 1, 1), (9, 3, 1), (4, 2, 3), (6, 3, 4), (7, 1, 6), (8, 4, 2), (40, 5, 3)],
+        ids=["L=p+1,m=p=1", "p=1", "L=p+1", "L<2p", "m=1,L=p+1", "L<=mp", "L>mp"],
+    )
+    def test_edge_shapes(self, length, m, p):
+        panel = np.random.default_rng(length * m * p).standard_normal((length, m))
+        assert_same_design(panel, p)
+        panel[:, 0] = 0.0
+        panel[:, -1] = 3.0
+        assert_same_design(panel, p)
+
+    def test_moments_are_read_only(self):
+        design = build_design(np.random.default_rng(1).standard_normal((20, 3)), 2)
+        for moment in (design.gram, design.cross):
+            with pytest.raises(ValueError):
+                moment[0, 0] = 1.0
+
+    def test_moments_do_not_form_the_lag_matrix(self):
+        m, p, t = 30, 4, 20000
+        panel = np.random.default_rng(2).standard_normal((t + p, m))
+        tracemalloc.start()
+        try:
+            design = build_design(panel, p)
+            design.gram, design.cross
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t * m * p * 8 / 4
