@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,41 @@ from tuckervar import (
     tucker_reconstruct,
     unfold,
 )
+from tuckervar.initialization import _svt
 from tuckervar.tensor import TuckerFactors
 
 
 def random_orthonormal(rng, n, r):
     q, _ = np.linalg.qr(rng.standard_normal((n, r)))
     return q
+
+
+def svt_cases():
+    """Seeded matrices for the SVT accuracy grid: Gaussian, rank-deficient
+    and ill-conditioned (singular values log-spaced down to 1/cond), in the
+    wide 80 x 400 shape of the nuclear-norm initializer at (m, p) = (80, 5),
+    square (p = 1), tall and single-row or single-column, plus all-zero."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for shape in [(80, 400), (80, 80), (400, 80), (1, 9), (9, 1), (30, 50)]:
+        k = min(shape)
+        cases.append((f"gaussian{shape}", rng.standard_normal(shape)))
+        r = max(1, k // 3)
+        low = rng.standard_normal((shape[0], r)) @ rng.standard_normal((r, shape[1]))
+        cases.append((f"rank{r}{shape}", low))
+        for cond in (1e4, 1e8, 1e12):
+            u = random_orthonormal(rng, shape[0], k)
+            v = random_orthonormal(rng, shape[1], k)
+            cases.append((f"cond{cond:g}{shape}", (u * np.logspace(0, -np.log10(cond), k)) @ v.T))
+    cases.append(("zero(5, 9)", np.zeros((5, 9))))
+    return cases
+
+
+SVT_CASES = svt_cases()
+# threshold as a share of sigma_max; from 1e-3 up the Gram-based SVT is
+# accurate to 1e-12 (its error is about k eps sigma_max^2 / tau); the worst
+# case on this grid is 6e-9 at 1e-12 with cond 1e12
+SVT_RATIOS = [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.3, 0.99, 1.0, 3.0]
 
 
 class TestSvt:
@@ -56,6 +87,40 @@ class TestSvt:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.1)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_magnitudes(self, scale):
+        # squaring 1e200 overflows and squaring 1e-200 underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = svt(np.diag([3.0, 1.0]) * scale, 2.0 * scale)
+        np.testing.assert_allclose(out / scale, np.diag([1.0, 0.0]), atol=1e-12)
+
+    @pytest.mark.parametrize("name, mat", SVT_CASES, ids=[c[0] for c in SVT_CASES])
+    def test_matches_svd_thresholding(self, name, mat):
+        u, sigma, vt = np.linalg.svd(mat, full_matrices=False)
+        sigma_max = sigma[0]
+        size = np.linalg.norm(mat)
+        for ratio in SVT_RATIOS:
+            tau = ratio * sigma_max
+            shrunk_ref = np.maximum(sigma - tau, 0.0)
+            ref = (u * shrunk_ref) @ vt
+            out, shrunk = _svt(mat, tau)
+            np.testing.assert_array_equal(svt(mat, tau), out)
+            tight = ratio >= 1e-3
+            assert np.linalg.norm(out - ref) <= (1e-12 if tight else 2e-8) * size, ratio
+            # the shrunk values sum to the nuclear norm of the result; below
+            # the threshold, a zero singular value reads up to ~sqrt(k eps)
+            # sigma_max, and a rank-deficient matrix has many of them
+            error = abs(np.sum(shrunk) - np.sum(shrunk_ref))
+            assert error <= (1e-12 if tight else 1e-7) * np.sum(sigma), ratio
+            if mat.shape[0] != mat.shape[1]:
+                # both orientations threshold the same wide matrix
+                np.testing.assert_array_equal(svt(mat.T, tau), out.T)
+            if ratio == 0.0:
+                assert np.linalg.norm(out - mat) <= 1e-12 * size
+            if ratio >= 1.0:
+                assert np.linalg.norm(out) <= 1e-12 * size
 
 
 class TestNnmEstimate:
@@ -143,6 +208,73 @@ def plain_proximal_gradient(design, lam, n_iter):
             np.sum(residual**2) / n + lam * np.sum(np.linalg.svd(w, compute_uv=False))
         )
     return np.array(objectives), np.array(changes)
+
+
+def reference_fista(design, lam, tol, max_iter):
+    """Reference: the monotone restarted FISTA of ``nnm_estimate`` written
+    on W itself, with the SVT from ``np.linalg.svd`` and the gradient from
+    ``W @ gram``. Returns (W, iterations)."""
+    x, y, n = design.x, design.y, design.n_samples
+    gram, cross, yty = x.T @ x, y.T @ x, float(np.sum(y * y))
+    step = n / (2.0 * np.linalg.eigvalsh(gram)[-1])
+
+    def objective(w, nuclear):
+        return (yty - 2.0 * np.sum(cross * w) + np.sum((w @ gram) * w)) / n + lam * nuclear
+
+    w = np.zeros_like(cross)
+    v, f_w, t = w, objective(w, 0.0), 1.0
+    for k in range(1, max_iter + 1):
+        u, sigma, vt = np.linalg.svd(v - step * 2.0 * (v @ gram - cross) / n, full_matrices=False)
+        sigma = np.maximum(sigma - lam * step, 0.0)
+        z = (u * sigma) @ vt
+        f_z = objective(z, np.sum(sigma))
+        rel = np.linalg.norm(z - v) / np.linalg.norm(z)
+        accepted = f_z <= f_w
+        if accepted:
+            if np.sum((v - z) * (z - w)) > 0:
+                t = 1.0
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            v = z + (t - 1.0) / t_next * (z - w)
+            w, f_w, t = z, f_z, t_next
+        if rel <= tol:
+            break
+        if not accepted:
+            if t == 1.0:
+                break
+            v, t = w, 1.0
+    return w, k
+
+
+class TestNnmEigenbasis:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_iterates_as_the_svd_loop(self, seed):
+        design = scenario_design(seed=seed)
+        cfg = NnmConfig()
+        result = nnm_estimate(design, cfg)
+        w_ref, iterations = reference_fista(design, result.lambda_nn, cfg.tol, cfg.max_iter)
+        assert result.converged
+        assert result.iterations == iterations
+        w1 = unfold(result.w, 1)
+        assert np.linalg.norm(w1 - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
+        # the last trace entry is the objective of the returned estimate
+        residual = design.y - design.x @ w1.T
+        expected = np.sum(residual**2) / design.n_samples + result.lambda_nn * np.sum(
+            np.linalg.svd(w1, compute_uv=False)
+        )
+        assert abs(result.objective_trace[-1] - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("seed, column", [(1, 0), (1, 5), (2, 17), (3, 35)])
+    def test_zero_predictor_column_stays_zero(self, seed, column):
+        # X^T X is singular; its eigendecomposition returns a zero eigenvalue
+        # up to rounding (here about +-1e-13), whose eigenvector is the
+        # zero column's coordinate
+        design = scenario_design(seed=seed)
+        x = design.x.copy()
+        x[:, column] = 0.0
+        result = nnm_estimate(DesignPair(x=x, y=design.y))
+        assert result.converged
+        w1 = unfold(result.w, 1)
+        assert np.linalg.norm(w1[:, column]) <= 1e-12 * np.linalg.norm(w1)
 
 
 class TestAcceleratedNnm:
