@@ -29,7 +29,15 @@ from .storage import (
     write_panel_csv,
 )
 from .tensor import tucker_reconstruct
-from .var import build_design, mse, one_step_predictions, predict_one_step, simulate, train_scaler
+from .var import (
+    build_design,
+    mse,
+    one_step_predictions,
+    predict_one_step,
+    simulate,
+    spectral_radius,
+    train_scaler,
+)
 
 __all__ = ["main", "console_main"]
 
@@ -223,6 +231,7 @@ def cmd_fit(args) -> int:
             "nnm_iterations": nnm.iterations,
             "nnm_converged": nnm.converged,
             "lambda_nn": nnm.lambda_nn,
+            "spectral_radius": spectral_radius(report.w_hat),
         },
     )
     if not nnm.converged:

@@ -231,6 +231,28 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _unfolding_svds(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Left singular vectors and singular values of the three mode unfoldings
+    (thin SVD): what :func:`hosvd` and the rank rule of :func:`select_ranks`
+    both read, so a fit that runs both takes them once."""
+    return [np.linalg.svd(unfold(w, i), full_matrices=False)[:2] for i in (1, 2, 3)]
+
+
+def _hosvd(w: np.ndarray, ranks: tuple[int, int, int], left) -> TuckerFactors:
+    """:func:`hosvd` from the left singular vectors of each unfolding."""
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != 3 or any(r < 1 for r in ranks):
+        raise ValueError(f"ranks must be three positive integers, got {ranks}")
+    for i, r in enumerate(ranks):
+        if r > w.shape[i]:
+            raise ValueError(f"rank {r} exceeds mode-{i + 1} dimension {w.shape[i]}")
+    factors = [_fix_column_signs(u[:, :r]) for u, r in zip(left, ranks)]
+    core = w
+    for i, a in enumerate(factors, start=1):
+        core = mode_product(core, a.T, i)
+    return TuckerFactors(core=core, a1=factors[0], a2=factors[1], a3=factors[2])
+
+
 def hosvd(w: np.ndarray, ranks: tuple[int, int, int]) -> TuckerFactors:
     """Truncated higher-order SVD at the given multilinear ranks.
 
@@ -239,25 +261,26 @@ def hosvd(w: np.ndarray, ranks: tuple[int, int, int]) -> TuckerFactors:
     factor transposes.
     """
     w = np.asarray(w, dtype=float)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != 3 or any(r < 1 for r in ranks):
-        raise ValueError(f"ranks must be three positive integers, got {ranks}")
-    for i, r in enumerate(ranks):
-        if r > w.shape[i]:
-            raise ValueError(f"rank {r} exceeds mode-{i + 1} dimension {w.shape[i]}")
-    factors = []
-    for i, r in enumerate(ranks, start=1):
-        u, _, _ = np.linalg.svd(unfold(w, i), full_matrices=False)
-        factors.append(_fix_column_signs(u[:, :r]))
-    core = w
-    for i, a in enumerate(factors, start=1):
-        core = mode_product(core, a.T, i)
-    return TuckerFactors(core=core, a1=factors[0], a2=factors[1], a3=factors[2])
+    return _hosvd(w, ranks, [u for u, _ in _unfolding_svds(w)])
 
 
 def ridge_constant(m: int, p: int, T: int) -> float:
     """Ridge offset sqrt(m p log(T) / (50 T)) used by the rank selector."""
     return math.sqrt(m * p * math.log(T) / (50.0 * T))
+
+
+def _ratio_ranks(spectra, dims: tuple[int, ...], c_bar: float) -> tuple[int, int, int]:
+    """:func:`select_ranks` from the singular values of each unfolding."""
+    ranks = []
+    for sigma, n_i in zip(spectra, dims):
+        if n_i == 1:
+            ranks.append(1)
+            continue
+        if sigma.size < n_i:
+            sigma = np.concatenate([sigma, np.zeros(n_i - sigma.size)])
+        ratios = (sigma[1:n_i] + c_bar) / (sigma[: n_i - 1] + c_bar)
+        ranks.append(int(np.argmin(ratios)) + 1)
+    return tuple(ranks)
 
 
 def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
@@ -270,18 +293,8 @@ def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
     if c_bar <= 0:
         raise ValueError("c_bar must be positive")
     w_init = np.asarray(w_init, dtype=float)
-    ranks = []
-    for i in range(1, 4):
-        n_i = w_init.shape[i - 1]
-        if n_i == 1:
-            ranks.append(1)
-            continue
-        sigma = np.linalg.svd(unfold(w_init, i), compute_uv=False)
-        if sigma.size < n_i:
-            sigma = np.concatenate([sigma, np.zeros(n_i - sigma.size)])
-        ratios = (sigma[1:n_i] + c_bar) / (sigma[: n_i - 1] + c_bar)
-        ranks.append(int(np.argmin(ratios)) + 1)
-    return tuple(ranks)
+    spectra = [np.linalg.svd(unfold(w_init, i), compute_uv=False) for i in (1, 2, 3)]
+    return _ratio_ranks(spectra, w_init.shape, c_bar)
 
 
 @dataclass

@@ -43,8 +43,10 @@ def _require_panel(panel: np.ndarray) -> np.ndarray:
 
 def _require_transition(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    if w.ndim != 3 or w.shape[0] != w.shape[1]:
-        raise ValueError("transition tensor must have shape (m, m, p)")
+    if w.ndim != 3 or w.shape[0] != w.shape[1] or w.size == 0:
+        raise ValueError("transition tensor must have shape (m, m, p) with m, p >= 1")
+    if not np.isfinite(w).all():
+        raise ValueError("transition tensor contains non-finite entries")
     return w
 
 
@@ -201,23 +203,60 @@ def train_scaler(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return train.mean(axis=0), np.where(std > 0, std, 1.0)
 
 
-def companion_matrix(w: np.ndarray) -> np.ndarray:
-    """(mp x mp) companion form of the lag polynomial."""
-    w = _require_transition(w)
-    m, _, p = w.shape
-    c = np.zeros((m * p, m * p))
-    c[:m, :] = unfold(w, 1)
+def _companion(top: np.ndarray, p: int) -> np.ndarray:
+    """The (kp x kp) matrix with top block row ``top`` (k x kp) and the
+    identity on its block subdiagonal."""
+    k = top.shape[0]
+    c = np.zeros((k * p, k * p))
+    c[:k, :] = top
     if p > 1:
-        c[m:, : m * (p - 1)] = np.eye(m * (p - 1))
+        c[k:, : k * (p - 1)] = np.eye(k * (p - 1))
     return c
 
 
+def companion_matrix(w: np.ndarray) -> np.ndarray:
+    """(mp x mp) companion form of the lag polynomial."""
+    w = _require_transition(w)
+    return _companion(unfold(w, 1), w.shape[2])
+
+
 def spectral_radius(w: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(w)))))
+    """Spectral radius of the companion matrix C, taken in the rank of W_(1).
+
+    Let r count the singular values of W_(1) = [W_1 ... W_p] above
+    sigma_1 * mp * eps (numpy's ``matrix_rank`` tolerance), Q (m x r) span
+    its numerical range and B be the (rp x rp) companion with top block row
+    [Q^T W_1 Q ... Q^T W_p Q] and the identity on its subdiagonal. With
+    P = I_p (x) Q, C P = P B: the range of P is invariant and C acts on the
+    quotient as a nilpotent shift, so spec(C) is spec(B) and zeros, and the
+    radius is max |eig(B)| (0 when r = 0). The singular values dropped are
+    no larger than the backward error of ``eigvals`` on C itself. Q is the
+    leading left singular vectors when r < m and the identity when r = m,
+    where B is C. A tensor of mode-1 rank r costs a QR of W_(1)^T, SVDs of
+    its m x m triangle and an (rp)-square eigvals, not the (mp)-square one.
+    """
+    w = _require_transition(w)
+    m, _, p = w.shape
+    top = unfold(w, 1)
+    # W_(1)^T = Q_t R, so W_(1) = R^T Q_t^T has the singular values and left
+    # singular vectors of the (m x m) R^T; the vectors are needed only at r < m
+    rt = np.linalg.qr(top.T, mode="r").T
+    sigma = np.linalg.svd(rt, compute_uv=False)
+    r = int(np.count_nonzero(sigma > sigma[0] * m * p * np.finfo(float).eps))
+    if r == 0:
+        return 0.0
+    if r < m:
+        q = np.linalg.svd(rt)[0][:, :r]
+        # block i of the top row is Q^T W_{i+1} Q; W_{i+1} is columns i*m .. (i+1)*m
+        top = ((q.T @ top).reshape(r, p, m) @ q).reshape(r, r * p)
+    return float(np.max(np.abs(np.linalg.eigvals(_companion(top, p)))))
 
 
 def is_stable(w: np.ndarray, margin: float = 1e-8) -> bool:
-    """True iff the companion spectral radius is at most 1 - margin."""
+    """True iff the companion spectral radius is at most 1 - margin. The
+    radius comes from the companion reduced to the numerical rank of W_(1)
+    (see :func:`spectral_radius`), whose spectrum is the full companion's
+    less zeros, so the verdict is the dense one."""
     if not 0 < margin < 1:
         raise ValueError("margin must lie in (0, 1)")
     return spectral_radius(w) <= 1.0 - margin

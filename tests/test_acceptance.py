@@ -169,10 +169,18 @@ def test_criterion_4_prox_oracles():
     scalars = rng.uniform(-3.0, 3.0, size=10_000)
     grid = np.arange(-c, c + 5e-6, 1e-5)
     penalty = tau * np.abs(grid)
+    # coarse-to-fine search of the 1e-5 grid: the objective is strictly
+    # convex, so its grid minimizer lies within one coarse step (every
+    # 1000th grid point) of the coarse minimizer
+    step = 1000
+    window = np.arange(2 * step + 1)
     worst_prox = 0.0
-    for chunk in np.array_split(scalars, 250):
-        objective = penalty[None, :] + 0.5 * (grid[None, :] - chunk[:, None]) ** 2
-        best = grid[np.argmin(objective, axis=1)]
+    for chunk in np.array_split(scalars, 10):
+        coarse = penalty[None, ::step] + 0.5 * (grid[None, ::step] - chunk[:, None]) ** 2
+        start = np.clip(step * (np.argmin(coarse, axis=1) - 1), 0, grid.size - window.size)
+        index = start[:, None] + window[None, :]
+        objective = penalty[index] + 0.5 * (grid[index] - chunk[:, None]) ** 2
+        best = grid[index[np.arange(chunk.size), np.argmin(objective, axis=1)]]
         got = prox_core(chunk.reshape(-1, 1, 1), tau, c).ravel()
         worst_prox = max(worst_prox, float(np.max(np.abs(got - best))))
     prox_ok = worst_prox <= 1e-4

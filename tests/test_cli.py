@@ -12,6 +12,8 @@ from tuckervar import (
     predict_one_step,
     rolling_eval,
     simulate,
+    spectral_radius,
+    tucker_reconstruct,
 )
 from tuckervar.cli import EXIT_DATA, EXIT_MAX_ITER, EXIT_OK, EXIT_USAGE, main
 from tuckervar.storage import (
@@ -149,6 +151,15 @@ class TestFitCommand:
         assert meta["nnm_converged"] is True
         assert 1 <= meta["nnm_iterations"] < 500
         assert meta["lambda_nn"] > 0
+
+    def test_diagnostics_meta_reports_spectral_radius(self, tmp_path):
+        panel = self._panel(tmp_path)
+        model = tmp_path / "m.json"
+        main(["fit", "--input", panel, "--output", str(model), "--p", "2", "--ranks", "auto"])
+        meta = json.loads((tmp_path / "m.json.diagnostics.jsonl").read_text().splitlines()[0])
+        w_hat = tucker_reconstruct(load_model(str(model))["factors"])
+        assert meta["spectral_radius"] == spectral_radius(w_hat)
+        assert 0 < meta["spectral_radius"] < 1
 
     def test_initializer_cap_warns(self, tmp_path, capsys):
         panel = self._panel(tmp_path)

@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 
 from tuckervar import (
     DesignPair,
+    ScenarioSpec,
+    TuckerFactors,
     build_design,
+    companion_matrix,
+    fold,
     is_stable,
+    make_scenario,
     mse,
     one_step_predictions,
     predict_one_step,
@@ -16,8 +21,10 @@ from tuckervar import (
     simulate,
     spectral_radius,
     train_scaler,
+    tucker_reconstruct,
     unfold,
 )
+from tuckervar import benchmark
 
 
 def random_stable(rng, m, p, radius=0.8):
@@ -141,6 +148,149 @@ class TestStability:
         w = rng.standard_normal((3, 3, 2))
         scaled = rescale_to_spectral_radius(w, 0.97)
         assert abs(spectral_radius(scaled) - 0.97) < 1e-10
+
+
+def dense_radius(w):
+    """The reference: max |eig| of the full (mp x mp) companion matrix."""
+    return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(w)))))
+
+
+def orthonormal(rng, n, r):
+    return np.linalg.qr(rng.standard_normal((n, r)))[0]
+
+
+def radius_cases():
+    """Seeded (kind, W) pairs: W_(1) of full rank, of deficient rank without
+    Tucker structure (a random m x r times r x mp product), of rank r with
+    singular values graded from 1 down to 1e-12, and Tucker tensors, over
+    corner and random shapes, scaled so ||W_(1)||_2 spans 1e-6 .. 2."""
+    rng = np.random.default_rng(20)
+    shapes = [(1, 1), (1, 4), (5, 1), (2, 1), (1, 2)]
+    shapes += [(int(rng.integers(1, 13)), int(rng.integers(1, 6))) for _ in range(60)]
+    cases = []
+    for m, p in shapes:
+        for kind in ("full", "deficient", "graded", "tucker"):
+            if kind == "full":
+                w1 = rng.standard_normal((m, m * p))
+            elif kind == "deficient":
+                r = int(rng.integers(1, m + 1))
+                w1 = rng.standard_normal((m, r)) @ rng.standard_normal((r, m * p))
+            elif kind == "graded":
+                r = int(rng.integers(1, m + 1))
+                sigma = np.logspace(0.0, -12.0, r)
+                w1 = (orthonormal(rng, m, r) * sigma) @ orthonormal(rng, m * p, r).T
+            else:
+                ranks = tuple(int(rng.integers(1, n + 1)) for n in (m, m, p))
+                factors = TuckerFactors(
+                    core=rng.standard_normal(ranks),
+                    a1=orthonormal(rng, m, ranks[0]),
+                    a2=orthonormal(rng, m, ranks[1]),
+                    a3=orthonormal(rng, p, ranks[2]),
+                )
+                w1 = unfold(tucker_reconstruct(factors), 1)
+            amplitude = 10.0 ** rng.uniform(-6.0, np.log10(2.0))
+            w1 = w1 * (amplitude / np.linalg.norm(w1, 2))
+            cases.append((kind, fold(w1, 1, (m, m, p))))
+    return cases
+
+
+class TestReducedCompanion:
+    def test_matches_dense_eigvals(self):
+        covered = set()
+        for kind, w in radius_cases():
+            dense = dense_radius(w)
+            got = spectral_radius(w)
+            m, _, p = w.shape
+            full_rank = np.linalg.matrix_rank(unfold(w, 1)) == m
+            if full_rank:
+                # at r = m the reduced companion is the companion itself
+                assert got == dense
+            if dense < 1e-2:
+                # the dense radius of a tiny W is the rounding scatter of its
+                # nilpotent part, ~(eps ||C||)^(1/p), not a reference
+                continue
+            assert abs(got - dense) <= 1e-13 * dense, (kind, w.shape)
+            covered |= {kind} | {
+                tag
+                for tag, hit in [
+                    ("m=1", m == 1),
+                    ("p=1", p == 1),
+                    ("m=p=1", m == p == 1),
+                    ("rank<m", not full_rank),
+                    ("||W_(1)|| < 1e-4", np.linalg.norm(unfold(w, 1), 2) < 1e-4),
+                ]
+                if hit
+            }
+        assert covered == {
+            "full", "deficient", "graded", "tucker", "m=1", "p=1", "m=p=1", "rank<m", "||W_(1)|| < 1e-4"
+        }
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 3, 1), (1, 1, 4), (4, 4, 3)])
+    def test_zero_tensor(self, shape):
+        assert spectral_radius(np.zeros(shape)) == 0.0 == dense_radius(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "m, p, seeds",
+        [
+            (80, 5, (0, 1, 2, 3)),
+            (30, 4, (0, 1, 2, 3)),
+            (30, 3, (0, 1, 1000, 2001)),
+            (12, 3, (0, 1, 2, 3)),
+        ],
+    )
+    def test_make_scenario_matches_dense_check(self, monkeypatch, m, p, seeds):
+        # the benchmark's nnm-bound, solver-bound, cli-roundtrip and bench truths
+        spec = ScenarioSpec(m=m, p=p, ranks=(2, 2, 2), superdiag=(2.0, 2.0), noise_scale=0.5)
+        self._assert_same_scenarios(monkeypatch, spec, seeds)
+
+    def test_shrink_loop_matches_dense_check(self, monkeypatch):
+        spec = ScenarioSpec(m=6, p=2, ranks=(2, 2, 2), superdiag=(100.0, 100.0))
+        assert min(self._assert_same_scenarios(monkeypatch, spec, (0, 1, 2))) > 0
+
+    @staticmethod
+    def _assert_same_scenarios(monkeypatch, spec, seeds):
+        """make_scenario against itself with a dense is_stable; returns the
+        rescale counts."""
+        fast = [make_scenario(spec, seed) for seed in seeds]
+        monkeypatch.setattr(benchmark, "is_stable", lambda w, margin: dense_radius(w) <= 1.0 - margin)
+        for seed, got in zip(seeds, fast):
+            ref = make_scenario(spec, seed)
+            assert got.w.tobytes() == ref.w.tobytes()
+            assert got.rescale_count == ref.rescale_count
+        return [got.rescale_count for got in fast]
+
+    @pytest.mark.parametrize("kind", ["full", "deficient", "graded", "tucker"])
+    def test_near_boundary_verdicts(self, kind):
+        # targets 1e-9 either side of the stability threshold 1 - margin
+        w = next(w for k, w in radius_cases() if k == kind and w.shape[0] > 2 and w.shape[2] > 1)
+        for margin in (1e-8, 1e-12):
+            for sign in (-1.0, 1.0):
+                near = rescale_to_spectral_radius(w, 1.0 - margin + sign * 1e-9)
+                verdict = is_stable(near, margin)
+                assert verdict == (dense_radius(near) <= 1.0 - margin)
+                assert verdict == (sign < 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            spectral_radius,
+            is_stable,
+            companion_matrix,
+            lambda w: rescale_to_spectral_radius(w, 0.5),
+            lambda w: simulate(w, np.eye(3), length=5, seed=0),
+        ],
+    )
+    def test_non_finite_tensor_rejected(self, call, bad):
+        w = np.full((3, 3, 2), 0.1)
+        w[1, 2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            call(w)
+
+    @pytest.mark.parametrize("shape", [(0, 0, 2), (3, 3, 0)])
+    def test_empty_tensor_rejected(self, shape):
+        with pytest.raises(ValueError, match="m, p >= 1"):
+            spectral_radius(np.zeros(shape))
 
 
 class TestSimulate:
