@@ -274,14 +274,21 @@ def cmd_forecast(args) -> int:
     scaled = _apply_scaler(doc, panel)
     history = [scaled[-lag] for lag in range(1, p + 1)]
     preds = []
-    for _ in range(args.horizon):
-        y = predict_one_step(w, np.concatenate(history))
-        preds.append(y)
-        history = [y] + history[: p - 1]
-    preds = np.asarray(preds)
-    scaler = doc.get("scaler")
-    if scaler:
-        preds = preds * np.asarray(scaler["std"]) + np.asarray(scaler["mean"])
+    # an overflowing forecast is reported below as a data error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(args.horizon):
+            y = predict_one_step(w, np.concatenate(history))
+            preds.append(y)
+            history = [y] + history[: p - 1]
+        preds = np.asarray(preds)
+        scaler = doc.get("scaler")
+        if scaler:
+            preds = preds * np.asarray(scaler["std"]) + np.asarray(scaler["mean"])
+    finite = np.isfinite(preds).all(axis=1)
+    if not finite.all():
+        raise PanelFormatError(
+            f"forecast step {int(np.argmin(finite)) + 1} is not finite; nothing written"
+        )
     write_panel_csv(args.output, preds)
     print(f"wrote {args.horizon} forecast rows to {args.output}")
     return EXIT_OK
@@ -445,3 +452,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -6,18 +6,28 @@ padded with spaces or tabs, quoted, or use ``_`` between digits (anything
 Python's ``float`` accepts), blank lines are skipped, and NaN, infinities,
 empty cells and comment lines are rejected. The whole panel is parsed in one
 ``np.loadtxt`` call; a file that call cannot return as a valid panel is
-rescanned row by row only to name the bad row. Models are a single JSON
-document holding dims, ranks, a config echo and every array flattened in
-i1-fastest (column-major) order with full decimal round-trip precision. All
-writes are whole-file atomic.
+rescanned row by row only to name the bad row.
+
+``write_panel_csv`` writes only panels that ``read_panel_csv`` returns
+unchanged, and puts a binary companion ``<path>.tvcache`` beside each: a tag,
+the SHA-256 of the CSV bytes and the array as an ``.npy`` payload. A read
+hashes the CSV and takes the array from the companion when the digest
+matches and the array passes the parser's checks; in every other case it
+parses the CSV. A read never writes a companion, and deleting one is always
+safe. Models are a single JSON document holding dims, ranks, a config echo
+and every array flattened in i1-fastest (column-major) order with full
+decimal round-trip precision. All writes are whole-file atomic.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
+import io
 import itertools
 import json
+import locale
 import os
 import tempfile
 
@@ -41,6 +51,8 @@ __all__ = [
 
 MODEL_FORMAT = "tuckervar-model"
 MODEL_VERSION = 1
+CACHE_SUFFIX = ".tvcache"
+_CACHE_TAG = b"tvcache\x01"
 
 
 class PanelFormatError(ValueError):
@@ -48,11 +60,15 @@ class PanelFormatError(ValueError):
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    _atomic_write(path, "w", text)
+
+
+def _atomic_write(path: str, mode: str, data) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, mode) as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,15 +82,54 @@ def read_panel_csv(path: str) -> tuple[list[str], np.ndarray]:
     and naming the file when its bytes are not text in the locale's encoding
     or a cell exceeds the ``csv`` module's field size limit.
 
-    The data rows are parsed in one ``np.loadtxt`` call. A file that call
-    cannot return as a valid panel is read again row by row, which names the
-    first bad row."""
+    A panel this module wrote comes from its companion file while the CSV
+    bytes still match the companion's digest. Otherwise the data rows are
+    parsed in one ``np.loadtxt`` call, and a file that call cannot return as
+    a valid panel is read again row by row, which names the first bad row."""
     try:
-        return _read_panel_block(path) or _read_panel_rows(path)
+        return _read_panel_cached(path) or _read_panel_block(path) or _read_panel_rows(path)
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"{path}: not {exc.encoding} text") from None
     except csv.Error as exc:
         raise PanelFormatError(f"{path}: {exc}") from None
+
+
+def _read_panel_cached(path: str) -> tuple[list[str], np.ndarray] | None:
+    """The panel from the companion file, or None unless the CSV bytes match
+    its digest, the header is one the writer accepts and the array passes
+    every check the block parser applies."""
+    try:
+        with open(path + CACHE_SUFFIX, "rb") as handle:
+            stamp = handle.read(len(_CACHE_TAG) + 32)
+            with open(path, "rb") as source:
+                header = source.readline()
+                digest = hashlib.sha256(header)
+                digest.update(source.read())
+            if stamp != _CACHE_TAG + digest.digest() or not header.endswith(b"\n"):
+                return None
+            if np.lib.format.read_magic(handle) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+            if dtype != np.dtype(float) or fortran_order or len(shape) != 2:
+                return None
+            names = header[:-1].decode(locale.getpreferredencoding(False)).split(",")
+            if not all(map(_plain_name, names)) or shape[0] < 1 or shape[1] != len(names):
+                return None
+            # a truncated or overlong payload fails the reshape
+            panel = np.fromfile(handle, dtype=float).reshape(shape)
+    except (OSError, ValueError):
+        return None
+    return (names, panel) if np.isfinite(panel).all() else None
+
+
+def _plain_name(name) -> bool:
+    """Whether the header parser returns this variable name unchanged."""
+    return (
+        isinstance(name, str)
+        and name == name.strip() != ""
+        and not any(c in name for c in ',"\r\n')
+        and len(name) <= csv.field_size_limit()
+    )
 
 
 def _read_panel_block(path: str) -> tuple[list[str], np.ndarray] | None:
@@ -130,16 +185,39 @@ def _read_panel_rows(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def write_panel_csv(path: str, panel: np.ndarray, names: list[str] | None = None) -> None:
-    panel = np.asarray(panel, dtype=float)
-    if panel.ndim != 2:
-        raise ValueError("panel must be a (T, m) array")
+    """Write a panel CSV that :func:`read_panel_csv` returns bit-exactly, then
+    its companion ``path + CACHE_SUFFIX``. Raises ``ValueError`` for a panel
+    or names the reader would refuse or change."""
+    panel = np.ascontiguousarray(panel, dtype=float)
+    if panel.ndim != 2 or 0 in panel.shape:
+        raise ValueError("panel must be a (T, m) array with at least one row and one column")
+    if not np.isfinite(panel).all():
+        raise ValueError("panel entries must be finite")
     if names is None:
         names = [f"y{i + 1}" for i in range(panel.shape[1])]
     if len(names) != panel.shape[1]:
         raise ValueError("one name per variable required")
+    bad = [name for name in names if not _plain_name(name)]
+    if bad:
+        raise ValueError(
+            "variable names must be non-empty, unpadded, within the csv field limit"
+            f" and free of commas, quotes and line breaks: {bad[0]!r:.60}"
+        )
+    companion = io.BytesIO()
+    companion.write(_CACHE_TAG + _write_csv(path, panel, names))
+    np.lib.format.write_array(companion, panel, version=(1, 0), allow_pickle=False)
+    _atomic_write(path + CACHE_SUFFIX, "wb", companion.getbuffer())
+
+
+def _write_csv(path: str, panel: np.ndarray, names: list[str]) -> bytes:
+    """Write the CSV and return the SHA-256 of its bytes. The text is freed
+    on return, before the companion is built: holding both raised the peak
+    RSS of a CLI run by ~9 MiB at 20000 x 30."""
     lines = [",".join(names)]
     lines.extend(",".join(map(repr, row)) for row in panel.tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode(locale.getpreferredencoding(False))
+    _atomic_write(path, "wb", data)
+    return hashlib.sha256(data).digest()
 
 
 def _flat(arr: np.ndarray) -> list[float]:

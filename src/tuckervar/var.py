@@ -285,7 +285,10 @@ def _psd_factor(covariance: np.ndarray) -> np.ndarray:
     covariance = np.asarray(covariance, dtype=float)
     if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1]:
         raise ValueError("covariance must be a square matrix")
-    if np.linalg.norm(covariance - covariance.T) > 1e-12 * max(1.0, np.linalg.norm(covariance)):
+    if not np.isfinite(covariance).all():
+        raise ValueError("covariance entries must be finite")
+    # written so that a NaN asymmetry fails the test
+    if not np.linalg.norm(covariance - covariance.T) <= 1e-12 * max(1.0, np.linalg.norm(covariance)):
         raise ValueError("covariance must be symmetric")
     if not covariance.any():
         return np.zeros_like(covariance)
@@ -333,6 +336,8 @@ def simulate(
         lags = np.array(initial, dtype=float)
         if lags.shape != (p, m):
             raise ValueError(f"initial lag stack must have shape ({p}, {m})")
+        if not np.isfinite(lags).all():
+            raise ValueError("initial lag stack entries must be finite")
 
     rng = np.random.default_rng(seed)
     total = burn_in + length

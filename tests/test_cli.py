@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tuckervar
 from tuckervar import (
     ScenarioSpec,
     StdgrConfig,
@@ -71,6 +75,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--output", str(out2), "--seed", "3"]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv.truth.json").exists()
+        assert (tmp_path / "a.csv.tvcache").read_bytes() == (tmp_path / "b.csv.tvcache").read_bytes()
 
     def test_zero_noise_zero_panel(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", scenario=small_scenario(noise_scale=0.0))
@@ -282,6 +287,20 @@ class TestForecastCommand:
         np.testing.assert_allclose(preds[0], expected, atol=1e-12)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_forecast_is_a_data_error(self, tmp_path, capsys):
+        model = identity_model(tmp_path, scale=1e200)
+        panel = tmp_path / "panel.csv"
+        write_panel_csv(str(panel), np.full((2, 2), 1e200))
+        out = tmp_path / "fc.csv"
+        code = main(
+            ["forecast", "--model", model, "--input", str(panel), "--output", str(out), "--horizon", "3"]
+        )
+        assert code == EXIT_DATA
+        assert "forecast step 1 is not finite" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "fc.csv.tvcache").exists()
+
+
 class TestEvalCommand:
     def test_identical_files_zero(self, tmp_path, capsys):
         panel = tmp_path / "a.csv"
@@ -467,3 +486,24 @@ class TestOversizedCell:
         assert code == EXIT_DATA
         assert err.startswith("data error:") and str(bad) in err
         assert "field limit" in err
+
+
+class TestModuleEntryPoints:
+    """``python -m tuckervar`` and ``python -m tuckervar.cli`` run the CLI and
+    return its exit code."""
+
+    @pytest.mark.parametrize("module", ["tuckervar", "tuckervar.cli"])
+    @pytest.mark.parametrize(
+        "argv, code", [(["--help"], EXIT_OK), ([], EXIT_USAGE), (["fit"], EXIT_USAGE)], ids=["help", "no-command", "missing-flags"]
+    )
+    def test_exit_code(self, module, argv, code):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tuckervar.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == code
+        if code == EXIT_OK:
+            assert done.stdout.startswith("usage: tuckervar")
+        else:
+            assert done.stderr.startswith("usage error:")

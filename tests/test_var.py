@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,25 @@ class TestSimulate:
         w = random_stable(rng, 2, 1)
         with pytest.raises(ValueError):
             simulate(w, np.array([[1.0, 2.0], [2.0, 1.0]]), length=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "covariance, initial, message",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], None, "covariance entries must be finite"),
+            ([[1.0, np.nan], [np.nan, 1.0]], None, "covariance entries must be finite"),
+            ([[np.inf, 0.0], [0.0, 1.0]], None, "covariance entries must be finite"),
+            (np.eye(2), [[np.nan, 0.0]], "initial lag stack entries must be finite"),
+            (np.eye(2), [[0.0, -np.inf]], "initial lag stack entries must be finite"),
+        ],
+        ids=["nan-diagonal", "nan-off-diagonal", "inf-covariance", "nan-initial", "inf-initial"],
+    )
+    def test_non_finite_inputs_rejected(self, covariance, initial, message):
+        w = np.zeros((2, 2, 1))
+        w[:, :, 0] = 0.5 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                simulate(w, covariance, length=5, seed=0, initial=initial)
 
     def test_noise_free_design_consistency(self):
         # a noise-free path satisfies the regression identity exactly
