@@ -15,12 +15,11 @@ from .initialization import (
     LaplacianSet,
     NnmConfig,
     NnmResult,
-    _hosvd,
-    _ratio_ranks,
-    _unfolding_svds,
     build_laplacians,
+    hosvd,
     nnm_estimate,
     ridge_constant,
+    select_ranks,
 )
 from .solver import FitResult, StdgrConfig, solve
 from .var import DesignPair, build_design
@@ -60,13 +59,11 @@ def fit_design(
         raise ValueError("rank selection needs at least 2 samples (p + 2 panel rows)")
 
     nnm = nnm_estimate(design, nnm_cfg)
-    left, spectra = zip(*_unfolding_svds(nnm.w))
     if selected:
-        c_bar = ridge_constant(design.m, design.p, design.n_samples)
-        ranks = _ratio_ranks(spectra, nnm.w.shape, c_bar)
+        ranks = select_ranks(nnm.w, ridge_constant(design.m, design.p, design.n_samples))
     else:
         ranks = cfg.ranks
-    init = _hosvd(nnm.w, ranks, left)
+    init = hosvd(nnm.w, ranks)
     lap = build_laplacians(init, epsilon)
     result = solve(design, lap, cfg, init)
     return FitReport(result=result, ranks=ranks, ranks_selected=selected, laplacians=lap, nnm=nnm)

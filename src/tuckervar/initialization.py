@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import TuckerFactors, fold, mode_product, unfold
+from .tensor import TuckerFactors, _require_tensor3, fold, mode_product, unfold
 from .var import DesignPair
 
 __all__ = [
@@ -34,11 +34,19 @@ __all__ = [
 ]
 
 
-def svt(mat: np.ndarray, tau: float) -> np.ndarray:
+def svt(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Singular value thresholding, the proximal map of tau * nuclear norm.
 
-    Computed from the eigendecomposition of the smaller Gram matrix (see
-    :func:`_svt`), which resolves the squared singular values to about
+    Returns the result and its singular values max(sigma - tau, 0) (in
+    ascending order), whose sum is the nuclear norm of the result.
+
+    With A the wide one of M and M^T and A A^T = U diag(sigma^2) U^T, the
+    result is A - U diag(f) U^T A with f = min(sigma, tau) / sigma (1 where
+    sigma <= tau, 0 when tau = 0), which is U diag(max(sigma - tau, 0)) V^T.
+    Components below the rounding floor of sigma^2 are left in A at a zero
+    threshold, not dropped.
+
+    The Gram matrix resolves the squared singular values to about
     eps * sigma_max^2. The result then differs from thresholding an exact
     SVD by about k * eps * sigma_max^2 / tau in Frobenius norm (k the
     smaller dimension). On the seeded grid of the tests that is below
@@ -47,19 +55,7 @@ def svt(mat: np.ndarray, tau: float) -> np.ndarray:
     """
     if tau < 0:
         raise ValueError("threshold must be >= 0")
-    return _svt(np.asarray(mat, dtype=float), tau)[0]
-
-
-def _svt(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`svt` plus the thresholded singular values, whose sum is the
-    nuclear norm of the result.
-
-    With A the wide one of M and M^T and A A^T = U diag(sigma^2) U^T, the
-    result is A - U diag(f) U^T A with f = min(sigma, tau) / sigma (1 where
-    sigma <= tau, 0 when tau = 0), which is U diag(max(sigma - tau, 0)) V^T.
-    Components below the rounding floor of sigma^2 are left in A at a zero
-    threshold, not dropped.
-    """
+    mat = np.asarray(mat, dtype=float)
     tall = mat.shape[0] > mat.shape[1]
     a = mat.T if tall else mat
     # the Gram matrix is taken of A divided by a power of two near its
@@ -94,8 +90,9 @@ def _auto_nuclear_weight(design: DesignPair) -> float:
 
 @dataclass
 class NnmConfig:
-    """Nuclear-norm initializer settings. ``lambda_nn=None`` picks the
-    default rate sqrt(log(m^2 p) / T) at fit time."""
+    """Nuclear-norm initializer settings. ``lambda_nn=None`` picks, at fit
+    time, the rate sqrt(log(m^2 p) / T) times the mean squared response
+    max(||Y||_F^2 / (T m), 1e-12)."""
 
     lambda_nn: float | None = None
     max_iter: int = 500
@@ -185,7 +182,7 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     converged = False
     iterations = 0
     for k in range(cfg.max_iter):
-        z, s_z = _svt(y * shrink + push, tau)
+        z, s_z = svt(y * shrink + push, tau)
         f_z = objective(z, float(np.sum(s_z)))
         delta = float(np.linalg.norm(z - y))
         size = float(np.linalg.norm(z))
@@ -231,56 +228,33 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _unfolding_svds(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Left singular vectors and singular values of the three mode unfoldings
-    (thin SVD): what :func:`hosvd` and the rank rule of :func:`select_ranks`
-    both read, so a fit that runs both takes them once."""
-    return [np.linalg.svd(unfold(w, i), full_matrices=False)[:2] for i in (1, 2, 3)]
+def hosvd(w: np.ndarray, ranks: tuple[int, int, int]) -> TuckerFactors:
+    """Truncated higher-order SVD at the given multilinear ranks.
 
-
-def _hosvd(w: np.ndarray, ranks: tuple[int, int, int], left) -> TuckerFactors:
-    """:func:`hosvd` from the left singular vectors of each unfolding."""
+    Factor i holds the leading left singular vectors of the mode-i unfolding
+    (thin SVD, deterministic sign convention); the core is the tensor
+    multiplied by the factor transposes.
+    """
+    w = _require_tensor3(w)
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != 3 or any(r < 1 for r in ranks):
         raise ValueError(f"ranks must be three positive integers, got {ranks}")
     for i, r in enumerate(ranks):
         if r > w.shape[i]:
             raise ValueError(f"rank {r} exceeds mode-{i + 1} dimension {w.shape[i]}")
-    factors = [_fix_column_signs(u[:, :r]) for u, r in zip(left, ranks)]
+    factors = [
+        _fix_column_signs(np.linalg.svd(unfold(w, i), full_matrices=False)[0][:, :r])
+        for i, r in enumerate(ranks, start=1)
+    ]
     core = w
     for i, a in enumerate(factors, start=1):
         core = mode_product(core, a.T, i)
     return TuckerFactors(core=core, a1=factors[0], a2=factors[1], a3=factors[2])
 
 
-def hosvd(w: np.ndarray, ranks: tuple[int, int, int]) -> TuckerFactors:
-    """Truncated higher-order SVD at the given multilinear ranks.
-
-    Factor i holds the leading left singular vectors of the mode-i unfolding
-    (deterministic sign convention); the core is the tensor multiplied by the
-    factor transposes.
-    """
-    w = np.asarray(w, dtype=float)
-    return _hosvd(w, ranks, [u for u, _ in _unfolding_svds(w)])
-
-
 def ridge_constant(m: int, p: int, T: int) -> float:
     """Ridge offset sqrt(m p log(T) / (50 T)) used by the rank selector."""
     return math.sqrt(m * p * math.log(T) / (50.0 * T))
-
-
-def _ratio_ranks(spectra, dims: tuple[int, ...], c_bar: float) -> tuple[int, int, int]:
-    """:func:`select_ranks` from the singular values of each unfolding."""
-    ranks = []
-    for sigma, n_i in zip(spectra, dims):
-        if n_i == 1:
-            ranks.append(1)
-            continue
-        if sigma.size < n_i:
-            sigma = np.concatenate([sigma, np.zeros(n_i - sigma.size)])
-        ratios = (sigma[1:n_i] + c_bar) / (sigma[: n_i - 1] + c_bar)
-        ranks.append(int(np.argmin(ratios)) + 1)
-    return tuple(ranks)
 
 
 def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
@@ -292,9 +266,18 @@ def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
     """
     if c_bar <= 0:
         raise ValueError("c_bar must be positive")
-    w_init = np.asarray(w_init, dtype=float)
-    spectra = [np.linalg.svd(unfold(w_init, i), compute_uv=False) for i in (1, 2, 3)]
-    return _ratio_ranks(spectra, w_init.shape, c_bar)
+    w_init = _require_tensor3(w_init)
+    ranks = []
+    for i, n_i in enumerate(w_init.shape, start=1):
+        if n_i == 1:
+            ranks.append(1)
+            continue
+        sigma = np.linalg.svd(unfold(w_init, i), compute_uv=False)
+        if sigma.size < n_i:
+            sigma = np.concatenate([sigma, np.zeros(n_i - sigma.size)])
+        ratios = (sigma[1:n_i] + c_bar) / (sigma[: n_i - 1] + c_bar)
+        ranks.append(int(np.argmin(ratios)) + 1)
+    return tuple(ranks)
 
 
 @dataclass

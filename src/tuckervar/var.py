@@ -287,8 +287,12 @@ def _psd_factor(covariance: np.ndarray) -> np.ndarray:
         raise ValueError("covariance must be a square matrix")
     if not np.isfinite(covariance).all():
         raise ValueError("covariance entries must be finite")
-    # written so that a NaN asymmetry fails the test
-    if not np.linalg.norm(covariance - covariance.T) <= 1e-12 * max(1.0, np.linalg.norm(covariance)):
+    # entrywise, on C divided by a power of two above max(1, max|C|), so
+    # that C - C^T cannot overflow
+    top = max(1.0, float(np.max(np.abs(covariance), initial=0.0)))
+    shift = np.frexp(top)[1]
+    scaled = np.ldexp(covariance, -shift)
+    if np.max(np.abs(scaled - scaled.T), initial=0.0) > 1e-12 * np.ldexp(top, -shift):
         raise ValueError("covariance must be symmetric")
     if not covariance.any():
         return np.zeros_like(covariance)

@@ -190,7 +190,7 @@ def test_criterion_4_prox_oracles():
         mat = rng.standard_normal((3, 3))
         u, s, vt = np.linalg.svd(mat)
         direct = (u * np.maximum(s - 0.4, 0.0)) @ vt
-        worst_svt = max(worst_svt, float(np.max(np.abs(svt(mat, 0.4) - direct))))
+        worst_svt = max(worst_svt, float(np.max(np.abs(svt(mat, 0.4)[0] - direct))))
     svt_ok = worst_svt <= 1e-10
 
     mat = rng.standard_normal((4, 2))

@@ -1,17 +1,30 @@
 """fit_panel on small degenerate panels: every case either returns a finite
 estimate or raises a ValueError that tuckervar itself raised, with a message;
-no numpy error or warning escapes."""
+no numpy error or warning escapes. A fit runs the public stage functions:
+its ranks and its solver start can be rebuilt from the report."""
 
 import traceback
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuckervar
-from tuckervar import StdgrConfig, fit_panel
+from tuckervar import (
+    ScenarioSpec,
+    StdgrConfig,
+    build_design,
+    fit_panel,
+    hosvd,
+    make_scenario,
+    ridge_constant,
+    select_ranks,
+    simulate,
+    solve,
+)
 
 PACKAGE = Path(tuckervar.__file__).resolve().parent
 
@@ -50,3 +63,34 @@ def test_small_fits_succeed_or_explain(case):
     m = panel.shape[1]
     assert report.w_hat.shape == (m, m, p)
     assert np.isfinite(report.w_hat).all()
+
+
+class TestStagesFromReport:
+    """What FitReport and the README promise: automatic ranks are
+    ``select_ranks(report.nnm.w, ridge_constant(m, p, T))`` and the solver
+    starts from ``hosvd(report.nnm.w, report.ranks)``."""
+
+    P = 2
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        spec = ScenarioSpec(m=8, p=self.P, ranks=(2, 2, 2), superdiag=(2.0, 1.5), noise_scale=0.5)
+        return simulate(make_scenario(spec, 0).w, 0.25 * np.eye(8), length=400, seed=3)
+
+    def test_auto_ranks_are_select_ranks(self, panel):
+        report = fit_panel(panel, self.P, StdgrConfig(c=2.0))
+        design = build_design(panel, self.P)
+        c_bar = ridge_constant(design.m, design.p, design.n_samples)
+        assert report.ranks_selected
+        assert report.ranks == select_ranks(report.nnm.w, c_bar)
+
+    @pytest.mark.parametrize("ranks", ["auto", (3, 2, 1)])
+    def test_solver_starts_from_hosvd(self, panel, ranks):
+        cfg = StdgrConfig(c=2.0, ranks=ranks)
+        report = fit_panel(panel, self.P, cfg)
+        again = solve(
+            build_design(panel, self.P), report.laplacians, cfg, hosvd(report.nnm.w, report.ranks)
+        )
+        assert report.result.iterations > 1
+        np.testing.assert_array_equal(again.w_hat, report.w_hat)
+        np.testing.assert_array_equal(again.objective_trace, report.result.objective_trace)

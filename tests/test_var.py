@@ -344,6 +344,45 @@ class TestSimulate:
             with pytest.raises(ValueError, match=message):
                 simulate(w, covariance, length=5, seed=0, initial=initial)
 
+    @pytest.mark.parametrize(
+        "covariance",
+        [
+            [[1e155, 1e155], [0.0, 1e155]],
+            [[1e200, 1e200], [0.0, 1e200]],
+            [[1e300, 1e300], [0.0, 1e300]],
+            # C - C^T overflows unless C is scaled first
+            [[1e300, 1e308], [-1e308, 1e300]],
+        ],
+        ids=["1e155", "1e200", "1e300", "opposite-signs"],
+    )
+    def test_huge_asymmetric_covariance_rejected(self, covariance):
+        w = np.zeros((2, 2, 1))
+        w[:, :, 0] = 0.5 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="covariance must be symmetric"):
+                simulate(w, covariance, length=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "covariance",
+        [
+            np.diag([1e200, 1e200]),
+            np.diag([1e300, 1e300]),
+            np.array([[2.0, 1.0], [1.0, 2.0]]) * 1e300,
+            np.array([[1.0, -1.0], [-1.0, 1.5]]) * 1e300,
+        ],
+        ids=["diag-1e200", "diag-1e300", "dense-1e300", "negative-1e300"],
+    )
+    def test_huge_symmetric_covariance_simulates(self, covariance):
+        w = np.zeros((2, 2, 1))
+        w[:, :, 0] = 0.5 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            panel = simulate(w, covariance, length=20, seed=0)
+        assert panel.shape == (20, 2)
+        assert np.isfinite(panel).all()
+        assert panel.any()
+
     def test_noise_free_design_consistency(self):
         # a noise-free path satisfies the regression identity exactly
         rng = np.random.default_rng(8)
