@@ -23,7 +23,6 @@ from .initialization import (
     NnmConfig,
     NnmResult,
     build_laplacians,
-    default_nuclear_weight,
     hosvd,
     laplacian_from_rows,
     nnm_estimate,
@@ -49,7 +48,6 @@ from .tensor import TuckerFactors, fold, kronecker, mode_product, tucker_reconst
 from .var import (
     DesignPair,
     build_design,
-    companion_matrix,
     is_stable,
     mse,
     one_step_predictions,

@@ -184,7 +184,7 @@ def _require_rows(panel: np.ndarray, p: int) -> None:
 def _load_model(path: str) -> dict:
     try:
         return load_model(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise PanelFormatError(f"cannot load model: {exc}")
 
 
@@ -262,7 +262,8 @@ def _apply_scaler(doc: dict, panel: np.ndarray) -> np.ndarray:
 def cmd_forecast(args) -> int:
     doc = _load_model(args.model)
     panel = _read_panel(args.input)
-    m, p = doc["m"], doc["p"]
+    w = tucker_reconstruct(doc["factors"])
+    m, _, p = w.shape
     if panel.shape[1] != m:
         raise UsageError(f"panel has {panel.shape[1]} variables, model expects {m}")
     if panel.shape[0] < p:
@@ -270,7 +271,6 @@ def cmd_forecast(args) -> int:
     if args.horizon < 1:
         raise UsageError("horizon must be >= 1")
 
-    w = tucker_reconstruct(doc["factors"])
     scaled = _apply_scaler(doc, panel)
     history = [scaled[-lag] for lag in range(1, p + 1)]
     preds = []
@@ -305,19 +305,18 @@ def cmd_eval(args) -> int:
     elif args.model and args.input:
         doc = _load_model(args.model)
         panel = _read_panel(args.input)
-        if panel.shape[1] != doc["m"]:
-            raise UsageError(
-                f"panel has {panel.shape[1]} variables, model expects {doc['m']}"
-            )
+        w = tucker_reconstruct(doc["factors"])
+        m, _, p = w.shape
+        if panel.shape[1] != m:
+            raise UsageError(f"panel has {panel.shape[1]} variables, model expects {m}")
         fraction = args.train_fraction if args.train_fraction is not None else 0.6
         if not 0 < fraction < 1:
             raise UsageError("train-fraction must lie in (0, 1)")
-        p = doc["p"]
         scaled = _apply_scaler(doc, panel)
         n_train = int(fraction * scaled.shape[0])
         if n_train < p:
             raise UsageError("training split shorter than the lag order")
-        preds = one_step_predictions(tucker_reconstruct(doc["factors"]), scaled, n_train)
+        preds = one_step_predictions(w, scaled, n_train)
         value = mse(scaled[n_train:], preds)
         detail = {"mse": value, "n_test": int(preds.shape[0]), "n_train": n_train}
     else:

@@ -12,6 +12,7 @@ Laplacians built from factor rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "svt",
     "NnmConfig",
     "NnmResult",
-    "default_nuclear_weight",
     "nnm_estimate",
     "hosvd",
     "ridge_constant",
@@ -70,13 +70,9 @@ def svt(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return (out.T if tall else out), np.maximum(sigma - tau, 0.0)
 
 
-def default_nuclear_weight(m: int, p: int, T: int) -> float:
-    """Rate factor sqrt(log(m^2 p) / T) of the automatic nuclear-norm weight."""
-    return math.sqrt(math.log(m * m * p) / T)
-
-
 def _auto_nuclear_weight(design: DesignPair) -> float:
-    """Automatic weight: the rate factor times the mean squared response.
+    """Automatic weight: the rate factor sqrt(log(m^2 p) / T) times the mean
+    squared response.
 
     The variance factor keeps the weight scale-equivariant (the penalty
     competes against a quadratic loss that scales with the data variance);
@@ -85,7 +81,7 @@ def _auto_nuclear_weight(design: DesignPair) -> float:
     """
     m, p, n = design.m, design.p, design.n_samples
     scale = design.yty / design.y.size
-    return max(scale, 1e-12) * default_nuclear_weight(m, p, n)
+    return max(scale, 1e-12) * math.sqrt(math.log(m * m * p) / n)
 
 
 @dataclass
@@ -99,12 +95,17 @@ class NnmConfig:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.lambda_nn is not None and self.lambda_nn <= 0:
-            raise ValueError("lambda_nn must be positive")
+        # every bound is written so that NaN fails it (each comparison with NaN is false)
+        for name in ("tol",) if self.lambda_nn is None else ("lambda_nn", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -306,8 +307,10 @@ class LaplacianSet:
 def laplacian_from_rows(a: np.ndarray, epsilon: float) -> np.ndarray:
     """Gaussian-kernel graph Laplacian L = D - Z over the rows of ``a``,
     with weights z_lt = exp(-||a_l - a_t||^2 / (2 epsilon^2))."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     a = np.asarray(a, dtype=float)
     diff = a[:, None, :] - a[None, :, :]
     d2 = np.sum(diff * diff, axis=2)

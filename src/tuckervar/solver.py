@@ -33,15 +33,18 @@ at the A2 update, so a sweep forms X^T X B twice and costs
 O((mp)^2 r2 r3) plus terms in m, p and the ranks, whatever the number of
 samples T; the per-sweep objective forms it once more. The identities need
 orthonormal factors: the prox maps make them so, and the objective checks
-them to 1e-10 before it uses them. psi_value keeps the form in W_(1), which
-holds off the orthonormal manifold too. The sweep and grad_partials take
-each gradient from the same function, so the finite-difference checks of
-grad_partials cover the gradients the sweep steps along.
+them to 1e-10 before it uses them.
+
+The sweep is written out block by block: each factor block steps along its
+loss gradient from _block_gradient less its coupling term gamma_k (U_k - A_k),
+and update_u forms its own right-hand side. The tests difference
+_block_gradient directly and hold the sweep to a hand-unrolled copy of it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +62,6 @@ __all__ = [
     "prox_core",
     "procrustes",
     "update_u",
-    "grad_Q_full",
-    "grad_partials",
-    "psi_value",
     "objective",
     "convergence_metrics",
     "palm_step",
@@ -70,12 +70,16 @@ __all__ = [
 
 
 def _triple(value, name: str) -> tuple[float, float, float]:
-    if np.isscalar(value):
-        value = (value, value, value)
-    out = tuple(float(v) for v in value)
-    if len(out) != 3:
-        raise ValueError(f"{name} must be a scalar or a triple")
-    return out
+    items = (value, value, value) if isinstance(value, numbers.Real) else value
+    try:
+        items = tuple(items)
+    except TypeError:
+        items = ()
+    if len(items) != 3 or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items
+    ):
+        raise ValueError(f"{name} must be a number or a triple of numbers, got {value!r}")
+    return tuple(float(v) for v in items)
 
 
 @dataclass
@@ -100,27 +104,35 @@ class StdgrConfig:
     def __post_init__(self) -> None:
         self.alpha = _triple(self.alpha, "alpha")
         self.gamma = _triple(self.gamma, "gamma")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if any(a < 0 for a in self.alpha):
-            raise ValueError("alpha weights must be >= 0")
-        if any(g <= 0 for g in self.gamma):
-            raise ValueError("gamma weights must be positive")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.a_bar1 <= 1 or self.a_bar2 <= 1:
-            raise ValueError("step multipliers a_bar1 and a_bar2 must exceed 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # every bound is written so that NaN fails it (each comparison with NaN is false)
+        for name, low in (("beta", 0), ("c", 0), ("a_bar1", 1), ("a_bar2", 1), ("tol", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not low < value < math.inf:
+                raise ValueError(f"{name} must be finite and exceed {low}, got {value!r}")
+        if not all(0 <= a < math.inf for a in self.alpha):
+            raise ValueError(f"alpha weights must be finite and >= 0, got {self.alpha}")
+        if not all(0 < g < math.inf for g in self.gamma):
+            raise ValueError(f"gamma weights must be finite and positive, got {self.gamma}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if isinstance(self.ranks, str):
             if self.ranks != "auto":
-                raise ValueError('ranks must be "auto" or a triple of positive integers')
+                raise ValueError(f'ranks must be "auto" or three positive integers, got {self.ranks!r}')
+        elif not (
+            np.ndim(self.ranks) == 1
+            and len(self.ranks) == 3
+            and all(
+                isinstance(r, numbers.Integral) and not isinstance(r, bool) and r >= 1
+                for r in self.ranks
+            )
+        ):
+            raise ValueError(f"ranks must be three positive integers, got {self.ranks!r}")
         else:
             self.ranks = tuple(int(r) for r in self.ranks)
-            if len(self.ranks) != 3 or any(r < 1 for r in self.ranks):
-                raise ValueError("ranks must be three positive integers")
 
 
 @dataclass
@@ -250,27 +262,8 @@ def update_u(
     """Exact minimizer of the linearized auxiliary subproblem:
     (2 alpha L + rho I)^{-1} (rho U - gamma (U - A))."""
     n = u_prev.shape[0]
-    rhs = rho * u_prev - _coupling_gradient(gamma, u_prev, a)
+    rhs = rho * u_prev - gamma * (u_prev - a)
     return np.linalg.solve(2.0 * alpha * lap + rho * np.eye(n), rhs)
-
-
-def _coupling_gradient(gamma: float, u: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Gradient of the coupling (gamma / 2) ||U - A||^2 with respect to U;
-    its negative is the gradient with respect to A."""
-    return gamma * (u - a)
-
-
-def grad_Q_full(w: np.ndarray, design: DesignPair) -> np.ndarray:
-    """Gradient of the quadratic loss with respect to the full transition
-    tensor; its mode-1 unfolding is (1/T) sum (W_(1) x_t - y_t) x_t^T =
-    (W_(1) X^T X - Y^T X) / T, formed from the design's moments in
-    O(m (mp)^2), independent of T."""
-    w = np.asarray(w, dtype=float)
-    m, _, p = w.shape
-    if (design.m, design.p) != (m, p):
-        raise ValueError("design dimensions do not match the transition tensor")
-    grad = (unfold(w, 1) @ design.gram - design.cross) / design.n_samples
-    return fold(grad, 1, (m, m, p))
 
 
 def _block_gradient(
@@ -316,52 +309,6 @@ def _block_gradient(
     return unfold(projected, block) @ unfold(core, block).T
 
 
-def _partial_gradient(
-    block: int,
-    blocks: Sequence[np.ndarray],
-    design: DesignPair,
-    cfg: StdgrConfig,
-    gram_b: np.ndarray | None = None,
-) -> np.ndarray:
-    """Partial gradient of the smooth part (loss plus coupling) with respect
-    to block 0..6 of (G, A1, A2, A3, U1, U2, U3), at ``blocks`` in that order:
-    the loss gradient for G, the loss gradient minus gamma_k (U_k - A_k) for
-    A_k, and gamma_k (U_k - A_k) for U_k. ``gram_b`` is passed on to
-    :func:`_block_gradient`."""
-    if block >= 4:
-        return _coupling_gradient(cfg.gamma[block - 4], blocks[block], blocks[block - 3])
-    grad = _block_gradient(block, *blocks[:4], design, gram_b)
-    if block == 0:
-        return grad
-    return grad - _coupling_gradient(cfg.gamma[block - 1], blocks[block + 3], blocks[block])
-
-
-def grad_partials(
-    state: SolverState, design: DesignPair, cfg: StdgrConfig
-) -> tuple[np.ndarray, ...]:
-    """The seven partial gradients of the smooth part (loss plus coupling)
-    at a common point, in block order (G, A1, A2, A3, U1, U2, U3)."""
-    blocks = state.blocks()
-    return tuple(_partial_gradient(block, blocks, design, cfg) for block in range(7))
-
-
-def _coupling_value(state: SolverState, cfg: StdgrConfig) -> float:
-    """sum_i (gamma_i / 2) ||U_i - A_i||^2."""
-    return sum(
-        0.5 * g * float(np.sum((u - a) ** 2))
-        for g, u, a in zip(cfg.gamma, (state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3))
-    )
-
-
-def psi_value(state: SolverState, design: DesignPair, cfg: StdgrConfig) -> float:
-    """Smooth part: quadratic loss plus the three coupling penalties, at any
-    point (the loss is taken in W_(1), so the factors need not be
-    orthonormal)."""
-    w1 = state.a1 @ unfold(state.core, 1) @ kronecker(state.a3, state.a2).T
-    quad = float(np.sum((w1 @ design.gram) * w1)) - 2.0 * float(np.sum(design.cross * w1))
-    return (design.yty + quad) / (2.0 * design.n_samples) + _coupling_value(state, cfg)
-
-
 def _check_feasible(state: SolverState, cfg: StdgrConfig) -> None:
     if float(np.max(np.abs(state.core))) > cfg.c + 1e-12:
         raise ValueError("core violates the box bound")
@@ -380,9 +327,13 @@ def objective(
     g1 = unfold(state.core, 1)
     quad = float(np.sum((g1 @ (b.T @ (design.gram @ b))) * g1))
     quad -= 2.0 * float(np.sum((state.a1.T @ (design.cross @ b)) * g1))
-    value = (design.yty + quad) / (2.0 * design.n_samples) + _coupling_value(state, cfg)
+    us, factors = (state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3)
+    coupling = sum(
+        0.5 * g * float(np.sum((u - a) ** 2)) for g, u, a in zip(cfg.gamma, us, factors)
+    )
+    value = (design.yty + quad) / (2.0 * design.n_samples) + coupling
     value += cfg.beta * float(np.sum(np.abs(state.core)))
-    for a_w, u, l in zip(cfg.alpha, (state.u1, state.u2, state.u3), lap.as_tuple()):
+    for a_w, u, l in zip(cfg.alpha, us, lap.as_tuple()):
         value += a_w * float(np.trace(u.T @ l @ u))
     return value
 
@@ -413,16 +364,29 @@ def palm_step(
     B = A3 kron A2 stays the same until the A2 update, so the core, A1 and A2
     gradients share one X^T X B; the A3 gradient forms its own."""
     rho = steps.rho
-    blocks = list(state.blocks())
-    gram_b = design.gram @ kronecker(blocks[3], blocks[2])
-    grad = _partial_gradient(0, blocks, design, cfg, gram_b)
-    blocks[0] = prox_core(blocks[0] - grad / rho[0], cfg.beta / rho[0], cfg.c)
-    for k in (1, 2, 3):
-        grad = _partial_gradient(k, blocks, design, cfg, gram_b if k < 3 else None)
-        blocks[k] = procrustes(blocks[k] - grad / rho[k])
-    for k, l, alpha, gamma in zip((4, 5, 6), lap.as_tuple(), cfg.alpha, cfg.gamma):
-        blocks[k] = update_u(blocks[k], blocks[k - 3], l, alpha, gamma, rho[k])
-    return SolverState(*blocks)
+    g1, g2, g3 = cfg.gamma
+    a1w, a2w, a3w = cfg.alpha
+    gram_b = design.gram @ kronecker(state.a3, state.a2)
+
+    grad = _block_gradient(0, state.core, state.a1, state.a2, state.a3, design, gram_b)
+    core = prox_core(state.core - grad / rho[0], cfg.beta / rho[0], cfg.c)
+
+    grad = _block_gradient(1, core, state.a1, state.a2, state.a3, design, gram_b)
+    grad = grad - g1 * (state.u1 - state.a1)
+    a1 = procrustes(state.a1 - grad / rho[1])
+
+    grad = _block_gradient(2, core, a1, state.a2, state.a3, design, gram_b)
+    grad = grad - g2 * (state.u2 - state.a2)
+    a2 = procrustes(state.a2 - grad / rho[2])
+
+    grad = _block_gradient(3, core, a1, a2, state.a3, design)
+    grad = grad - g3 * (state.u3 - state.a3)
+    a3 = procrustes(state.a3 - grad / rho[3])
+
+    u1 = update_u(state.u1, a1, lap.l1, a1w, g1, rho[4])
+    u2 = update_u(state.u2, a2, lap.l2, a2w, g2, rho[5])
+    u3 = update_u(state.u3, a3, lap.l3, a3w, g3, rho[6])
+    return SolverState(core=core, a1=a1, a2=a2, a3=a3, u1=u1, u2=u2, u3=u3)
 
 
 def solve(

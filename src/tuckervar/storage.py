@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 import locale
+import math
 import os
 import tempfile
 
@@ -225,10 +226,6 @@ def _flat(arr: np.ndarray) -> list[float]:
     return [float(v) for v in np.asarray(arr, dtype=float).ravel(order="F")]
 
 
-def _unflat(values, shape) -> np.ndarray:
-    return np.asarray(values, dtype=float).reshape(shape, order="F")
-
-
 def model_document(
     factors: TuckerFactors,
     laplacians: LaplacianSet,
@@ -268,26 +265,92 @@ def save_model(path: str, doc: dict) -> None:
 
 def load_model(path: str) -> dict:
     """Read a model container back; arrays are rebuilt as numpy objects under
-    the keys ``core_tensor``, ``factors`` and ``laplacian_matrices``."""
+    the keys ``core_tensor``, ``factors`` and ``laplacian_matrices``.
+
+    Raises ``ValueError`` naming the key when one that the rebuild reads is
+    missing or mistyped, or when ``m``, ``p``, ``ranks``, a Laplacian size
+    or the scaler disagrees with the arrays."""
     with open(path) as handle:
         doc = json.load(handle)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    dims = tuple(doc["core"]["dims"])
-    doc["core_tensor"] = _unflat(doc["core"]["values"], dims)
-    factors = []
-    for key in ("a1", "a2", "a3"):
-        spec = doc[key]
-        factors.append(_unflat(spec["values"], (spec["rows"], spec["cols"])))
-    doc["factors"] = TuckerFactors(core=doc["core_tensor"], a1=factors[0], a2=factors[1], a3=factors[2])
-    laps = []
-    for key in ("l1", "l2", "l3"):
-        spec = doc["laplacians"][key]
-        laps.append(_unflat(spec["values"], (spec["n"], spec["n"])))
-    doc["laplacian_matrices"] = LaplacianSet(
-        l1=laps[0], l2=laps[1], l3=laps[2], epsilon=doc["laplacians"]["epsilon"]
-    )
+    core = _stored_array(path, doc, "core", ("dims",))
+    if core.ndim != 3:
+        raise ValueError(f"{path}: 'core' must be a third-order tensor")
+    factors = [_stored_array(path, doc, key, ("rows", "cols")) for key in ("a1", "a2", "a3")]
+    m, p = factors[0].shape[0], factors[2].shape[0]
+    if factors[1].shape[0] != m:
+        raise ValueError(f"{path}: 'a1' and 'a2' must have the same number of rows")
+    for k, a in enumerate(factors, start=1):
+        if a.shape[1] != core.shape[k - 1]:
+            raise ValueError(
+                f"{path}: 'a{k}' has {a.shape[1]} columns, core dim {k} is {core.shape[k - 1]}"
+            )
+    # compared as JSON text, so that 2.0 or true does not pass for 2
+    for key, want in (("m", m), ("p", p), ("ranks", list(core.shape))):
+        if key not in doc or json.dumps(doc[key]) != json.dumps(want):
+            raise ValueError(
+                f"{path}: '{key}' must be {want}, as the arrays give, got {doc.get(key)!r}"
+            )
+    laplacians = doc.get("laplacians")
+    if not isinstance(laplacians, dict):
+        raise ValueError(f"{path}: 'laplacians' must be an object")
+    laps = [_stored_array(path, laplacians, key, ("n", "n")) for key in ("l1", "l2", "l3")]
+    for key, lap, n in zip(("l1", "l2", "l3"), laps, (m, m, p)):
+        if lap.shape[0] != n:
+            raise ValueError(f"{path}: Laplacian '{key}' is {lap.shape[0]}-square, expected {n}")
+    epsilon = laplacians.get("epsilon")
+    if type(epsilon) not in (int, float) or not 0 < epsilon < math.inf:
+        raise ValueError(
+            f"{path}: 'laplacians.epsilon' must be a positive number, got {epsilon!r}"
+        )
+    scaler = doc.get("scaler")
+    if scaler:
+        for key in ("mean", "std"):
+            values = _finite_floats(scaler.get(key)) if isinstance(scaler, dict) else None
+            if values is None or values.size != m:
+                raise ValueError(f"{path}: 'scaler.{key}' must hold {m} finite numbers")
+        if min(scaler["std"]) <= 0:
+            raise ValueError(f"{path}: 'scaler.std' must be positive")
+    doc["core_tensor"] = core
+    doc["factors"] = TuckerFactors(core=core, a1=factors[0], a2=factors[1], a3=factors[2])
+    doc["laplacian_matrices"] = LaplacianSet(l1=laps[0], l2=laps[1], l3=laps[2], epsilon=epsilon)
     return doc
+
+
+def _finite_floats(values) -> np.ndarray | None:
+    """``values`` as a float array if it is a JSON list of numbers that are
+    finite as floats, else None."""
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        return None
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _stored_array(path: str, parent: dict, key: str, shape_keys: tuple[str, ...]) -> np.ndarray:
+    """The array that a model file stores under ``parent[key]``: a flat
+    ``values`` list in i1-fastest order and its shape, read from the fields
+    ``shape_keys`` (``dims`` holds the whole shape). Raises ``ValueError``
+    naming the key when a field is missing, mistyped or inconsistent."""
+    spec = parent.get(key)
+    if not isinstance(spec, dict) or not all(k in spec for k in shape_keys + ("values",)):
+        raise ValueError(
+            f"{path}: '{key}' must be an object with fields {list(shape_keys)} and 'values'"
+        )
+    shape = spec["dims"] if shape_keys == ("dims",) else [spec[k] for k in shape_keys]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
+        raise ValueError(
+            f"{path}: the shape of '{key}' must be positive integers, got {shape!r}"
+        )
+    values = _finite_floats(spec["values"])
+    if values is None or values.size != math.prod(shape):
+        raise ValueError(
+            f"{path}: '{key}' must hold {math.prod(shape)} finite numbers for its shape {shape}"
+        )
+    return values.reshape(shape, order="F")
 
 
 def diagnostics_lines(result: FitResult, meta: dict | None = None) -> list[str]:

@@ -19,7 +19,6 @@ __all__ = [
     "predict_one_step",
     "one_step_predictions",
     "train_scaler",
-    "companion_matrix",
     "spectral_radius",
     "is_stable",
     "rescale_to_spectral_radius",
@@ -214,12 +213,6 @@ def _companion(top: np.ndarray, p: int) -> np.ndarray:
     return c
 
 
-def companion_matrix(w: np.ndarray) -> np.ndarray:
-    """(mp x mp) companion form of the lag polynomial."""
-    w = _require_transition(w)
-    return _companion(unfold(w, 1), w.shape[2])
-
-
 def spectral_radius(w: np.ndarray) -> float:
     """Spectral radius of the companion matrix C, taken in the rank of W_(1).
 
@@ -296,8 +289,10 @@ def _psd_factor(covariance: np.ndarray) -> np.ndarray:
         raise ValueError("covariance must be symmetric")
     if not covariance.any():
         return np.zeros_like(covariance)
-    eigvals = np.linalg.eigvalsh(covariance)
-    if eigvals[0] < -1e-12:
+    # relative to the largest eigenvalue, whose size bounds the rounding in
+    # the smallest; the exact scaling leaves the ratio unchanged
+    eigvals = np.linalg.eigvalsh(scaled)
+    if eigvals[0] < -1e-12 * eigvals[-1]:
         raise ValueError("covariance must be positive semidefinite")
     try:
         return np.linalg.cholesky(covariance)

@@ -31,7 +31,7 @@ from tuckervar import (
     unfold,
 )
 from tuckervar.cli import EXIT_OK, main
-from tuckervar.solver import grad_partials, grad_Q_full, psi_value
+from solver_references import grad_partials, grad_Q_full, psi_value
 from tuckervar.storage import write_panel_csv
 
 

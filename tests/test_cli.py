@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -301,6 +302,109 @@ class TestForecastCommand:
         assert not out.exists() and not (tmp_path / "fc.csv.tvcache").exists()
 
 
+def lag_two_model_doc():
+    """A valid model document with m = 3, p = 2, ranks (2, 2, 1) and a scaler."""
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    a3 = np.linalg.qr(rng.standard_normal((2, 1)))[0]
+    factors = TuckerFactors(core=rng.uniform(-0.3, 0.3, (2, 2, 1)), a1=q, a2=q, a3=a3)
+    scaler = {"scaler": {"mean": [0.5, 0.0, -0.5], "std": [1.0, 2.0, 0.5]}}
+    return model_document(factors, build_laplacians(factors, 0.2), StdgrConfig(ranks=(2, 2, 1)), scaler)
+
+
+_DELETE = object()
+
+
+def _set(doc, dotted, value):
+    """Set (or, with _DELETE, remove) the entry at a dotted key path."""
+    *parents, last = dotted.split(".")
+    for key in parents:
+        doc = doc[key]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+BAD_MODELS = [
+    ("core", [], "core"),
+    ("core.dims", [2.5, 2, 1], "core"),
+    ("core.dims", [2, 2], "core"),
+    ("m", _DELETE, "'m'"),
+    ("m", 4, "'m'"),
+    ("m", 3.0, "'m'"),
+    ("p", 3, "'p'"),
+    ("p", 1, "'p'"),
+    ("ranks", [2, 2, 2], "'ranks'"),
+    ("a1", _DELETE, "a1"),
+    ("a1.values", [0.0] * 5, "a1"),
+    ("a1.values", ["0"] * 6, "a1"),
+    ("a1.values", [10**400] + [0.0] * 5, "a1"),
+    ("core.values", [float("nan")] * 4, "core"),
+    ("a2.rows", 4, "a2"),
+    ("a3.cols", 2, "a3"),
+    ("laplacians", _DELETE, "laplacians"),
+    ("laplacians.l3", {"n": 3, "values": [0.0] * 9}, "l3"),
+    ("laplacians.epsilon", "0.2", "epsilon"),
+    ("scaler.std", [1.0, 1.0], "scaler.std"),
+    ("scaler.std", [1.0, 0.0, 1.0], "scaler.std"),
+    ("scaler.mean", [10**400, 0.0, 0.0], "scaler.mean"),
+    ("scaler.mean", _DELETE, "scaler.mean"),
+    ("format", "other", "tuckervar-model"),
+]
+
+
+class TestModelFileChecks:
+    """load_model checks every key that forecast and eval read; a bad model
+    file is a data error (exit 65) naming the key, never a traceback, and
+    nothing is written."""
+
+    def write(self, tmp_path, dotted, value):
+        doc = lag_two_model_doc()
+        _set(doc, dotted, value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("dotted,value,named", BAD_MODELS)
+    def test_load_model_names_the_key(self, tmp_path, dotted, value, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_model(self.write(tmp_path, dotted, value))
+
+    @pytest.mark.parametrize("dotted,value,named", BAD_MODELS)
+    def test_forecast_and_eval_report_a_data_error(self, tmp_path, capsys, dotted, value, named):
+        model = self.write(tmp_path, dotted, value)
+        panel = tmp_path / "p.csv"
+        write_panel_csv(str(panel), np.random.default_rng(1).standard_normal((40, 3)))
+        out = tmp_path / "out.csv"
+        forecast = ["forecast", "--model", model, "--input", str(panel), "--output", str(out)]
+        evaluate = ["eval", "--model", model, "--input", str(panel), "--output", str(out)]
+        for argv in (forecast, evaluate):
+            assert main(argv) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error: cannot load model") and named in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [[[1, 2]], 5, "model"])
+    def test_non_object_document_rejected(self, tmp_path, shape):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(shape))
+        with pytest.raises(ValueError, match="not a tuckervar-model file"):
+            load_model(str(path))
+
+    def test_valid_document_loads_and_takes_p_from_a3(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        save_model(str(model), lag_two_model_doc())
+        doc = load_model(str(model))
+        assert (doc["m"], doc["p"], doc["ranks"]) == (3, 2, [2, 2, 1])
+        panel = tmp_path / "p.csv"
+        write_panel_csv(str(panel), np.random.default_rng(1).standard_normal((40, 3)))
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(model), "--input", str(panel), "--output", str(out)]) == EXIT_OK
+        assert main(["eval", "--model", str(model), "--input", str(panel)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["n_train"] == 24
+
+
 class TestEvalCommand:
     def test_identical_files_zero(self, tmp_path, capsys):
         panel = tmp_path / "a.csv"
@@ -457,6 +561,48 @@ class TestConfigsFromDataclasses:
         assert main(args + [flag, value]) == EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+
+class TestBadHyperparameters:
+    """A non-finite or mistyped hyperparameter is a usage error that names
+    its field, and no model file is written."""
+
+    FLAGS = ["--beta", "--alpha", "--gamma", "--c", "--abar1", "--abar2", "--tol", "--lambda-nn", "--epsilon"]
+
+    def fit(self, tmp_path, extra):
+        panel = tmp_path / "p.csv"
+        write_panel_csv(str(panel), np.random.default_rng(0).standard_normal((40, 3)))
+        model = tmp_path / "m.json"
+        code = main(["fit", "--input", str(panel), "--output", str(model), "--p", "1"] + extra)
+        return code, model
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, flag, bad):
+        code, model = self.fit(tmp_path, [f"{flag}={bad}"])
+        assert code == EXIT_USAGE
+        field = {"--abar1": "a_bar1", "--abar2": "a_bar2", "--lambda-nn": "lambda_nn"}
+        assert field.get(flag, flag[2:]) in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("solver", "max_iter", 2.5),
+            ("nnm", "max_iter", 2.5),
+            ("solver", "ranks", [2.5, 2, 2]),
+            ("solver", "beta", "0.1"),
+            ("nnm", "tol", None),
+        ],
+    )
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+        code, model = self.fit(tmp_path, ["--config", cfg])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error:") and key in err
+        assert "Traceback" not in err
+        assert not model.exists()
 
 
 class TestUndecodablePanel:

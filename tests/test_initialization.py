@@ -510,3 +510,26 @@ class TestLaplacians:
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             laplacian_from_rows(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.2", None])
+    def test_non_finite_or_non_numeric_bandwidth_rejected(self, bad):
+        with pytest.raises(ValueError, match="epsilon"):
+            laplacian_from_rows(np.eye(2), bad)
+
+
+class TestNnmConfigValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["lambda_nn", "tol"])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            NnmConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.5, "7", True, None, 0])
+    def test_max_iter_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="max_iter"):
+            NnmConfig(max_iter=bad)
+
+    @pytest.mark.parametrize("field", ["lambda_nn", "tol"])
+    def test_non_numeric_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            NnmConfig(**{field: "x"})

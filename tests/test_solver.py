@@ -19,7 +19,8 @@ from tuckervar import (
     tucker_reconstruct,
     unfold,
 )
-from tuckervar.solver import grad_partials, grad_Q_full, psi_value, update_u
+from solver_references import grad_partials, grad_Q_full, psi_value
+from tuckervar.solver import update_u
 
 
 def random_orthonormal(rng, n, r):
@@ -564,3 +565,50 @@ class TestSweepMatchesUnrolled:
             ref = unrolled_palm_step(ref, design, lap, cfg, steps)
             for got, want in zip(ours.blocks(), ref.blocks()):
                 assert np.array_equal(got, want)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestConfigValidation:
+    """NaN passes every test of the form ``x <= 0``; each check must fail it,
+    and each message names the field."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["beta", "c", "a_bar1", "a_bar2", "tol"])
+    def test_non_finite_scalar_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            StdgrConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["alpha", "gamma"])
+    @pytest.mark.parametrize("position", [None, 0, 2])
+    def test_non_finite_weight_rejected(self, field, bad, position):
+        value = bad if position is None else [0.1, 0.1, 0.1]
+        if position is not None:
+            value[position] = bad
+        with pytest.raises(ValueError, match=field):
+            StdgrConfig(**{field: value})
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [2.5, "7", True, None])
+    def test_max_iter_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="max_iter"):
+            StdgrConfig(max_iter=bad)
+
+    @pytest.mark.parametrize(
+        "bad", [[2.5, 2, 2], [2, np.nan, 2], [2, 2, np.inf], [2, 2], [2, 0, 2], [True, 2, 2], 3, "x"]
+    )
+    def test_ranks_must_be_three_positive_integers(self, bad):
+        with pytest.raises(ValueError, match="ranks"):
+            StdgrConfig(ranks=bad)
+
+    @pytest.mark.parametrize("bad", ["x", ["0.1", "0.1", "0.1"], None, True])
+    @pytest.mark.parametrize("field", ["beta", "c", "tol", "alpha", "gamma"])
+    def test_non_numeric_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            StdgrConfig(**{field: bad})
+
+    def test_integer_like_values_accepted(self):
+        cfg = StdgrConfig(ranks=np.array([2, 2, 1]), max_iter=np.int64(5), beta=1, c=np.float32(2))
+        assert cfg.ranks == (2, 2, 1) and all(type(r) is int for r in cfg.ranks)
+        assert cfg.max_iter == 5

@@ -11,7 +11,6 @@ from tuckervar import (
     ScenarioSpec,
     TuckerFactors,
     build_design,
-    companion_matrix,
     fold,
     is_stable,
     make_scenario,
@@ -26,6 +25,7 @@ from tuckervar import (
     unfold,
 )
 from tuckervar import benchmark
+from solver_references import companion_matrix
 
 
 def random_stable(rng, m, p, radius=0.8):
@@ -382,6 +382,30 @@ class TestSimulate:
         assert panel.shape == (20, 2)
         assert np.isfinite(panel).all()
         assert panel.any()
+
+    SCALES = [1e-20, 1e-8, 1.0, 1e4, 1e8, 1e150, 1e300]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_rank_one_covariance_simulates_at_any_scale(self, scale):
+        # the semidefiniteness test is relative: rounding in the zero
+        # eigenvalue grows with the scale and must not refuse these
+        rng = np.random.default_rng(31)
+        w = np.zeros((2, 2, 1))
+        for _ in range(200):
+            v = rng.standard_normal(2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                panel = simulate(w, np.outer(v, v) * scale, length=3, seed=0, burn_in=0)
+            assert np.isfinite(panel).all()
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("angle", [0.0, 0.7])
+    def test_slightly_indefinite_covariance_rejected_at_any_scale(self, scale, angle):
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        covariance = rot @ np.diag([1.0, -1e-6]) @ rot.T * scale
+        covariance = (covariance + covariance.T) / 2
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            simulate(np.zeros((2, 2, 1)), covariance, length=3, seed=0)
 
     def test_noise_free_design_consistency(self):
         # a noise-free path satisfies the regression identity exactly
