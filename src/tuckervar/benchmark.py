@@ -16,6 +16,7 @@ from .solver import StdgrConfig
 from .tensor import TuckerFactors, tucker_reconstruct, unfold
 from .var import (
     DesignPair,
+    _require_number,
     build_design,
     is_stable,
     mse,
@@ -60,10 +61,21 @@ class ScenarioSpec:
     burn_in: int = 500
 
     def __post_init__(self) -> None:
-        self.ranks = tuple(int(r) for r in self.ranks)
-        self.superdiag = tuple(float(v) for v in self.superdiag)
-        self.seeds = tuple(int(v) for v in self.seeds)
-        self.sample_sizes = tuple(int(v) for v in self.sample_sizes)
+        # (field, inclusive lower bound, integer); the sequences are checked entrywise
+        for name, low, integer in (
+            ("m", 1, True), ("p", 1, True), ("noise_scale", 0, False), ("burn_in", 0, True)
+        ):
+            setattr(self, name, _require_number(name, getattr(self, name), low, True, integer))
+        for name, low, integer in (
+            ("ranks", 1, True), ("superdiag", -math.inf, False), ("seeds", 0, True),
+            ("sample_sizes", 1, True),
+        ):
+            values = getattr(self, name)
+            try:
+                values = tuple(values)
+            except TypeError:
+                raise ValueError(f"{name} must be a sequence of numbers, got {values!r}") from None
+            setattr(self, name, tuple(_require_number(name, v, low, True, integer) for v in values))
         if len(self.ranks) != 3:
             raise ValueError("ranks must be a triple")
         if not (1 <= self.ranks[0] <= self.m and 1 <= self.ranks[1] <= self.m):
@@ -74,8 +86,6 @@ class ScenarioSpec:
             raise ValueError("superdiag must have min(ranks) entries")
         if self.factor_style not in FACTOR_STYLES:
             raise ValueError(f"factor_style must be one of {FACTOR_STYLES}")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
 
     @property
     def core_nonzeros(self) -> int:
@@ -174,13 +184,14 @@ def error_curve(
     spec: ScenarioSpec,
     cfg: StdgrConfig,
     nnm_cfg: NnmConfig | None = None,
-    epsilon: float = 0.2,
 ) -> list[ErrorCurveRow]:
     """Estimation error ||W_hat - W||_F against the sample size, averaged
     over seeds, for the graph-regularized Tucker fit and the plain
-    nuclear-norm estimate."""
-    if not spec.sample_sizes:
-        raise ValueError("spec.sample_sizes must be nonempty")
+    nuclear-norm estimate. A ``ValueError`` in one (T, seed) cell is raised
+    again as a ``ValueError`` that names the cell."""
+    for name in ("seeds", "sample_sizes"):
+        if not getattr(spec, name):
+            raise ValueError(f"spec.{name} must be nonempty")
     # the truth depends on the seed alone, so each is drawn once for all T
     scenarios = {seed: make_scenario(spec, seed) for seed in spec.seeds}
     rows: list[ErrorCurveRow] = []
@@ -190,9 +201,9 @@ def error_curve(
             scenario = scenarios[seed]
             try:
                 design = _cell_design(spec, scenario, n_samples, seed)
-                report = fit_design(design, cfg, nnm_cfg, epsilon)
-            except Exception as exc:
-                raise RuntimeError(
+                report = fit_design(design, cfg, nnm_cfg)
+            except ValueError as exc:
+                raise ValueError(
                     f"benchmark cell failed at T={n_samples}, seed={seed}: {exc}"
                 ) from exc
             errors["graph_tucker"].append(float(np.linalg.norm(report.w_hat - scenario.w)))
@@ -238,11 +249,11 @@ def rolling_eval(
     p: int,
     cfg: StdgrConfig | None = None,
     nnm_cfg: NnmConfig | None = None,
-    epsilon: float = 0.2,
     standardize: bool = False,
 ) -> RollingReport:
     """Fit on the leading fraction of the panel and score one-step forecasts
-    over the held-out tail, using the true lagged values at each test time.
+    over the held-out tail, using the true lagged values at each test time;
+    the fit is :func:`fit_panel`'s, with ``cfg`` (its ``epsilon`` included).
 
     With ``standardize`` the per-variable mean and standard deviation are
     estimated on the training split only and applied to the whole panel;
@@ -260,7 +271,7 @@ def rolling_eval(
         mean, std = train_scaler(panel[:n_train])
         panel = (panel - mean) / std
 
-    report = fit_panel(panel[:n_train], p, cfg, nnm_cfg, epsilon)
+    report = fit_panel(panel[:n_train], p, cfg, nnm_cfg)
     return RollingReport(
         mse=mse(panel[n_train:], one_step_predictions(report.w_hat, panel, n_train)),
         n_train=n_train,

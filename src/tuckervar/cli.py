@@ -56,9 +56,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_SCENARIO_KEYS = {f.name for f in dataclasses.fields(benchmark.ScenarioSpec)} | {"length"}
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(StdgrConfig)}
-_NNM_KEYS = {f.name for f in dataclasses.fields(NnmConfig)}
+# config section -> the dataclass it builds and the fields that flags override
+# (each flag's dest is its field; the NNM's tol and max_iter have no flags)
+_SECTIONS = {
+    "scenario": (benchmark.ScenarioSpec, ()),
+    "solver": (StdgrConfig, tuple(f.name for f in dataclasses.fields(StdgrConfig))),
+    "nnm": (NnmConfig, ("lambda_nn",)),
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -73,15 +77,16 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(doc) - {"scenario", "solver", "nnm"}
+    unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise UsageError(f"unknown config sections: {sorted(unknown)}")
-    for section, allowed in (
-        ("scenario", _SCENARIO_KEYS),
-        ("solver", _SOLVER_KEYS),
-        ("nnm", _NNM_KEYS),
-    ):
-        extra = set(doc.get(section, {})) - allowed
+    for section, (cls, _) in _SECTIONS.items():
+        settings = doc.get(section, {})
+        if not isinstance(settings, dict):
+            raise UsageError(f"config section '{section}' must be a JSON object")
+        extra = set(settings) - {f.name for f in dataclasses.fields(cls)}
+        if section == "scenario":
+            extra.discard("length")  # the rows that simulate writes
         if extra:
             raise UsageError(f"unknown keys in config section '{section}': {sorted(extra)}")
     return doc
@@ -106,45 +111,24 @@ def _weights_arg(text: str):
     return values[0] if len(values) == 1 else values
 
 
-def _solver_config(args, config: dict) -> StdgrConfig:
-    """The config's solver section; each flag given, whose dest is its field, overrides it."""
-    settings = dict(config.get("solver", {}))
-    for key in _SOLVER_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+def _configured(section: str, config: dict, args=None):
+    """The dataclass of a config section, built from the section's fields,
+    each overridden by its flag when that was given; a bad value is a usage
+    error that names its field."""
+    cls, flags = _SECTIONS[section]
+    # the scenario's length is not a field: simulate reads it itself
+    settings = {k: v for k, v in config.get(section, {}).items() if k != "length"}
+    settings.update((k, getattr(args, k)) for k in flags if getattr(args, k) is not None)
     try:
-        return StdgrConfig(**settings)
+        return cls(**settings)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad solver configuration: {exc}")
-
-
-def _nnm_config(args, config: dict) -> NnmConfig:
-    settings = dict(config.get("nnm", {}))
-    value = getattr(args, "lambda_nn", None)
-    if value is not None:
-        settings["lambda_nn"] = value
-    try:
-        return NnmConfig(**settings)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad nuclear-norm configuration: {exc}")
-
-
-def _scenario_spec(config: dict) -> tuple[benchmark.ScenarioSpec, int]:
-    section = config.get("scenario")
-    if not section:
-        raise UsageError("this command needs a config file with a 'scenario' section")
-    section = dict(section)
-    length = section.pop("length", None)
-    try:
-        return benchmark.ScenarioSpec(**section), length
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad scenario: {exc}")
+        raise UsageError(f"bad {section} configuration: {exc}")
 
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    spec, length = _scenario_spec(config)
+    spec = _configured("scenario", config)
+    length = config["scenario"].get("length")
     if length is None:
         raise UsageError("scenario section must set 'length' (rows to write)")
     scenario = benchmark.make_scenario(spec, args.seed)
@@ -190,8 +174,8 @@ def _load_model(path: str) -> dict:
 
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
-    cfg = _solver_config(args, config)
-    nnm_cfg = _nnm_config(args, config)
+    cfg = _configured("solver", config, args)
+    nnm_cfg = _configured("nnm", config, args)
     panel = _read_panel(args.input)
     _require_rows(panel, args.p)
 
@@ -210,7 +194,7 @@ def cmd_fit(args) -> int:
         train = (train - mean) / std
         scaler = {"mean": [float(v) for v in mean], "std": [float(v) for v in std]}
 
-    report = fit_panel(train, args.p, cfg, nnm_cfg, epsilon=args.epsilon)
+    report = fit_panel(train, args.p, cfg, nnm_cfg)
     extra = {
         "ranks_selected": report.ranks_selected,
         "n_train": n_train,
@@ -329,10 +313,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rank_select(args) -> int:
+    nnm_cfg = _configured("nnm", _load_config(args.config), args)
     panel = _read_panel(args.input)
     _require_rows(panel, args.p)
     design = build_design(panel, args.p)
-    nnm_cfg = _nnm_config(args, _load_config(args.config))
     result = nnm_estimate(design, nnm_cfg)
     c_bar = ridge_constant(design.m, design.p, design.n_samples)
     ranks = select_ranks(result.w, c_bar)
@@ -346,12 +330,10 @@ def cmd_rank_select(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _load_config(args.config)
-    spec, _ = _scenario_spec(config)
-    if not spec.sample_sizes:
-        raise UsageError("scenario section must set 'sample_sizes'")
-    cfg = _solver_config(args, config)
-    nnm_cfg = _nnm_config(args, config)
-    rows = benchmark.error_curve(spec, cfg, nnm_cfg, epsilon=args.epsilon)
+    spec = _configured("scenario", config)
+    cfg = _configured("solver", config, args)
+    nnm_cfg = _configured("nnm", config, args)
+    rows = benchmark.error_curve(spec, cfg, nnm_cfg)
     lines = benchmark.curve_csv_lines(rows)
     atomic_write_text(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(rows)} curve rows to {args.output}")
@@ -377,7 +359,7 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--tol", type=float, help="relative-change stopping threshold")
     parser.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
     parser.add_argument("--lambda-nn", dest="lambda_nn", type=float, help="nuclear-norm weight")
-    parser.add_argument("--epsilon", type=float, default=0.2, help="Laplacian kernel bandwidth")
+    parser.add_argument("--epsilon", type=float, help="Laplacian kernel bandwidth")
 
 
 def build_parser() -> _Parser:

@@ -49,10 +49,10 @@ def fit_design(
     design: DesignPair,
     cfg: StdgrConfig | None = None,
     nnm_cfg: NnmConfig | None = None,
-    epsilon: float = 0.2,
 ) -> FitReport:
-    """Fit the transition tensor from a prepared (X, Y) regression pair.
-    Ranks "auto" need at least 2 samples: the ridge constant is 0 at T = 1."""
+    """Fit the transition tensor from a prepared (X, Y) regression pair; the
+    Laplacians are built with the bandwidth ``cfg.epsilon``. Ranks "auto"
+    need at least 2 samples: the ridge constant is 0 at T = 1."""
     cfg = cfg or StdgrConfig()
     selected = cfg.ranks == "auto"
     if selected and design.n_samples < 2:
@@ -64,7 +64,7 @@ def fit_design(
     else:
         ranks = cfg.ranks
     init = hosvd(nnm.w, ranks)
-    lap = build_laplacians(init, epsilon)
+    lap = build_laplacians(init, cfg.epsilon)
     result = solve(design, lap, cfg, init)
     return FitReport(result=result, ranks=ranks, ranks_selected=selected, laplacians=lap, nnm=nnm)
 
@@ -74,7 +74,7 @@ def fit_panel(
     p: int,
     cfg: StdgrConfig | None = None,
     nnm_cfg: NnmConfig | None = None,
-    epsilon: float = 0.2,
 ) -> FitReport:
-    """Fit the transition tensor of a VAR(p) model from a (T, m) panel."""
-    return fit_design(build_design(panel, p), cfg, nnm_cfg, epsilon)
+    """Fit the transition tensor of a VAR(p) model from a (T, m) panel (see
+    :func:`fit_design`)."""
+    return fit_design(build_design(panel, p), cfg, nnm_cfg)

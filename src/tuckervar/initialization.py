@@ -12,13 +12,12 @@ Laplacians built from factor rows.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import TuckerFactors, _require_tensor3, fold, mode_product, unfold
-from .var import DesignPair
+from .var import DesignPair, _require_number
 
 __all__ = [
     "svt",
@@ -95,17 +94,10 @@ class NnmConfig:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        # every bound is written so that NaN fails it (each comparison with NaN is false)
-        for name in ("tol",) if self.lambda_nn is None else ("lambda_nn", "tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.lambda_nn is not None:
+            _require_number("lambda_nn", self.lambda_nn, 0)
+        _require_number("tol", self.tol, 0)
+        self.max_iter = _require_number("max_iter", self.max_iter, 1, closed=True, integer=True)
 
 
 @dataclass
@@ -307,10 +299,7 @@ class LaplacianSet:
 def laplacian_from_rows(a: np.ndarray, epsilon: float) -> np.ndarray:
     """Gaussian-kernel graph Laplacian L = D - Z over the rows of ``a``,
     with weights z_lt = exp(-||a_l - a_t||^2 / (2 epsilon^2))."""
-    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
-        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    _require_number("epsilon", epsilon, 0)
     a = np.asarray(a, dtype=float)
     diff = a[:, None, :] - a[None, :, :]
     d2 = np.sum(diff * diff, axis=2)
@@ -318,7 +307,7 @@ def laplacian_from_rows(a: np.ndarray, epsilon: float) -> np.ndarray:
     return np.diag(z.sum(axis=1)) - z
 
 
-def build_laplacians(factors: TuckerFactors, epsilon: float = 0.2) -> LaplacianSet:
+def build_laplacians(factors: TuckerFactors, epsilon: float) -> LaplacianSet:
     """One Laplacian per factor matrix, built from its rows."""
     return LaplacianSet(
         l1=laplacian_from_rows(factors.a1, epsilon),

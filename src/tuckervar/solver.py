@@ -43,7 +43,6 @@ _block_gradient directly and hold the sweep to a hand-unrolled copy of it.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -51,7 +50,7 @@ import numpy as np
 
 from .initialization import LaplacianSet
 from .tensor import TuckerFactors, fold, kronecker, mode_product, tucker_reconstruct, unfold
-from .var import DesignPair
+from .var import DesignPair, _require_number
 
 __all__ = [
     "StdgrConfig",
@@ -69,17 +68,15 @@ __all__ = [
 ]
 
 
-def _triple(value, name: str) -> tuple[float, float, float]:
+def _triple(name: str, value, low: float, closed: bool) -> tuple[float, float, float]:
     items = (value, value, value) if isinstance(value, numbers.Real) else value
     try:
         items = tuple(items)
     except TypeError:
         items = ()
-    if len(items) != 3 or not all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items
-    ):
+    if len(items) != 3:
         raise ValueError(f"{name} must be a number or a triple of numbers, got {value!r}")
-    return tuple(float(v) for v in items)
+    return tuple(float(_require_number(name, v, low, closed)) for v in items)
 
 
 @dataclass
@@ -88,7 +85,8 @@ class StdgrConfig:
 
     ``alpha`` and ``gamma`` accept a scalar (broadcast to all three modes) or
     a triple. ``ranks`` is an explicit (r1, r2, r3) or "auto" for the
-    ridge-ratio selector run on the initial estimate.
+    ridge-ratio selector run on the initial estimate. ``epsilon`` is the
+    bandwidth of the Gaussian kernel behind the graph Laplacians.
     """
 
     beta: float = 1e-3
@@ -100,39 +98,25 @@ class StdgrConfig:
     tol: float = 3e-3
     max_iter: int = 200
     ranks: tuple[int, int, int] | str = "auto"
+    epsilon: float = 0.2
 
     def __post_init__(self) -> None:
-        self.alpha = _triple(self.alpha, "alpha")
-        self.gamma = _triple(self.gamma, "gamma")
-        # every bound is written so that NaN fails it (each comparison with NaN is false)
-        for name, low in (("beta", 0), ("c", 0), ("a_bar1", 1), ("a_bar2", 1), ("tol", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not low < value < math.inf:
-                raise ValueError(f"{name} must be finite and exceed {low}, got {value!r}")
-        if not all(0 <= a < math.inf for a in self.alpha):
-            raise ValueError(f"alpha weights must be finite and >= 0, got {self.alpha}")
-        if not all(0 < g < math.inf for g in self.gamma):
-            raise ValueError(f"gamma weights must be finite and positive, got {self.gamma}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        self.alpha = _triple("alpha", self.alpha, 0, closed=True)
+        self.gamma = _triple("gamma", self.gamma, 0, closed=False)
+        for name, low in (
+            ("beta", 0), ("c", 0), ("a_bar1", 1), ("a_bar2", 1), ("tol", 0), ("epsilon", 0)
+        ):
+            _require_number(name, getattr(self, name), low)
+        self.max_iter = _require_number("max_iter", self.max_iter, 1, closed=True, integer=True)
         if isinstance(self.ranks, str):
             if self.ranks != "auto":
                 raise ValueError(f'ranks must be "auto" or three positive integers, got {self.ranks!r}')
-        elif not (
-            np.ndim(self.ranks) == 1
-            and len(self.ranks) == 3
-            and all(
-                isinstance(r, numbers.Integral) and not isinstance(r, bool) and r >= 1
-                for r in self.ranks
-            )
-        ):
+        elif np.ndim(self.ranks) != 1 or len(self.ranks) != 3:
             raise ValueError(f"ranks must be three positive integers, got {self.ranks!r}")
         else:
-            self.ranks = tuple(int(r) for r in self.ranks)
+            self.ranks = tuple(
+                _require_number("ranks", r, 1, closed=True, integer=True) for r in self.ranks
+            )
 
 
 @dataclass

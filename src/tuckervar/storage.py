@@ -37,6 +37,7 @@ import numpy as np
 from .initialization import LaplacianSet
 from .solver import FitResult, StdgrConfig
 from .tensor import TuckerFactors
+from .var import _require_number
 
 __all__ = [
     "PanelFormatError",
@@ -241,8 +242,11 @@ def model_document(
         "m": int(m),
         "p": int(p),
         "ranks": list(factors.ranks),
-        # the ranks are echoed at the top level, as fitted
-        "config": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "ranks"},
+        # the ranks are echoed at the top level, as fitted, and epsilon
+        # under "laplacians"
+        "config": {
+            k: v for k, v in dataclasses.asdict(cfg).items() if k not in ("ranks", "epsilon")
+        },
         "core": {"dims": list(factors.core.shape), "values": _flat(factors.core)},
         "a1": {"rows": int(factors.a1.shape[0]), "cols": int(factors.a1.shape[1]), "values": _flat(factors.a1)},
         "a2": {"rows": int(factors.a2.shape[0]), "cols": int(factors.a2.shape[1]), "values": _flat(factors.a2)},
@@ -299,11 +303,7 @@ def load_model(path: str) -> dict:
     for key, lap, n in zip(("l1", "l2", "l3"), laps, (m, m, p)):
         if lap.shape[0] != n:
             raise ValueError(f"{path}: Laplacian '{key}' is {lap.shape[0]}-square, expected {n}")
-    epsilon = laplacians.get("epsilon")
-    if type(epsilon) not in (int, float) or not 0 < epsilon < math.inf:
-        raise ValueError(
-            f"{path}: 'laplacians.epsilon' must be a positive number, got {epsilon!r}"
-        )
+    epsilon = _require_number(f"{path}: 'laplacians.epsilon'", laplacians.get("epsilon"), 0)
     scaler = doc.get("scaler")
     if scaler:
         for key in ("mean", "std"):

@@ -7,6 +7,8 @@ step per row.
 
 from __future__ import annotations
 
+import math
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +40,20 @@ def _require_panel(panel: np.ndarray) -> np.ndarray:
     if not np.isfinite(panel).all():
         raise ValueError("panel contains non-finite entries")
     return panel
+
+
+def _require_number(name: str, value, low=-math.inf, closed=False, integer=False):
+    """``value`` if it is a finite real number, not a bool, above ``low`` (at
+    least ``low`` when ``closed``) and, with ``integer``, integral, which is
+    then returned as an ``int``; otherwise a ValueError naming ``name``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    # written so that NaN fails (each comparison with NaN is false)
+    if not (-math.inf < value < math.inf and (low <= value if closed else low < value)):
+        bound = "" if low == -math.inf else f" and {'>=' if closed else '>'} {low}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return int(value) if integer else value
 
 
 def _require_transition(w: np.ndarray) -> np.ndarray:
@@ -319,10 +335,8 @@ def simulate(
     """
     w = _require_transition(w)
     m, _, p = w.shape
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    length = _require_number("length", length, 1, closed=True, integer=True)
+    burn_in = _require_number("burn_in", burn_in, 0, closed=True, integer=True)
     if not is_stable(w):
         raise ValueError("transition tensor is not stable; refusing to simulate")
     factor = _psd_factor(covariance)

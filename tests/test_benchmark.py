@@ -107,8 +107,60 @@ class TestErrorCurve:
     def test_cell_failures_name_the_cell(self):
         spec = small_spec(noise_scale=0.0, seeds=(0,), sample_sizes=(40,))
         bad_cfg = StdgrConfig(ranks=(5, 5, 5))  # exceeds the mode-3 dimension p=2
-        with pytest.raises(RuntimeError, match=r"T=40, seed=0"):
+        with pytest.raises(ValueError, match=r"T=40, seed=0"):
             error_curve(spec, bad_cfg)
+
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seeds"):
+            error_curve(small_spec(seeds=()), StdgrConfig(ranks=(2, 2, 2)))
+
+    def test_other_cell_errors_propagate_unchanged(self, monkeypatch):
+        import tuckervar.benchmark as bench
+
+        def failing(*args):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(bench, "fit_design", failing)
+        with pytest.raises(ZeroDivisionError, match="^boom$"):
+            error_curve(small_spec(seeds=(0,)), StdgrConfig(ranks=(2, 2, 2)))
+
+
+BAD_VALUES = [np.nan, np.inf, 2.5, "3", True, None]
+SPEC_FIELDS = [
+    "m", "p", "ranks", "superdiag", "factor_style", "noise_scale", "seeds", "sample_sizes", "burn_in"
+]
+# fields that hold sequences, each with the entry that a bad value replaces
+SEQUENCES = {"ranks": (0, 2, 2), "superdiag": (0, 0.8), "seeds": (0, 1), "sample_sizes": (0,)}
+
+
+class TestScenarioSpecChecks:
+    """Scenario fields are checked like solver fields: m, p, ranks, seeds,
+    sample_sizes and burn_in are integers, superdiag and noise_scale finite
+    numbers, each within its bound; a bad value is a ValueError naming the
+    field."""
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [(f, b) for f in SPEC_FIELDS for b in BAD_VALUES if (f, b) != ("noise_scale", 2.5)]
+        + [("m", 0), ("p", 0), ("noise_scale", -0.5), ("burn_in", -1)],
+    )
+    def test_bad_value_names_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            small_spec(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [(f, b) for f in SEQUENCES for b in BAD_VALUES if (f, b) != ("superdiag", 2.5)]
+        + [("ranks", 0), ("superdiag", -np.inf), ("seeds", -1), ("sample_sizes", 0)],
+    )
+    def test_bad_entry_names_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            small_spec(**{field: (bad,) + SEQUENCES[field][1:]})
+
+    def test_integer_like_values_accepted(self):
+        spec = small_spec(m=np.int64(6), ranks=np.array([2, 2, 2]), burn_in=np.int32(10))
+        assert (spec.m, spec.ranks, spec.burn_in) == (6, (2, 2, 2), 10)
+        assert type(spec.m) is int and all(type(r) is int for r in spec.ranks)
 
 
 def noise_free_panel(seed, m=6, p=2, ranks=(2, 2, 2), length=300, radius=0.999):

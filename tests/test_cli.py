@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import pytest
 
 import tuckervar
 from tuckervar import (
+    NnmConfig,
     ScenarioSpec,
     StdgrConfig,
     TuckerFactors,
@@ -499,6 +501,13 @@ class TestErrorPaths:
         cfg.write_text(json.dumps({"scenario": {"m": 4, "p": 2, "ranks": [1, 1, 1], "superdiag": [0.5], "length": 50, "typo_key": 1}}))
         assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("section", ["scenario", "solver", "nnm"])
+    def test_non_object_config_section_rejected(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: 5}))
+        assert main(["bench", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]) == EXIT_USAGE
+        assert f"'{section}'" in capsys.readouterr().err
+
     def test_bad_ranks_flag_rejected(self, tmp_path):
         panel = tmp_path / "p.csv"
         write_panel_csv(str(panel), np.random.default_rng(0).standard_normal((30, 2)))
@@ -653,3 +662,100 @@ class TestModuleEntryPoints:
             assert done.stdout.startswith("usage: tuckervar")
         else:
             assert done.stderr.startswith("usage error:")
+
+
+class TestScenarioChecks:
+    """A bad scenario key is a usage error that names it, and simulate or
+    bench writes no panel, truth or curve file."""
+
+    @pytest.mark.parametrize(
+        "command,key,value,named",
+        [
+            ("simulate", "ranks", [2.5, 2, 2], "ranks"),
+            ("simulate", "m", 6.5, "m must"),
+            ("simulate", "p", True, "p must"),
+            ("simulate", "length", 300.5, "length"),
+            ("simulate", "length", "300", "length"),
+            ("simulate", "burn_in", 2.5, "burn_in"),
+            ("simulate", "noise_scale", float("nan"), "noise_scale"),
+            ("simulate", "superdiag", [float("inf"), 1.0], "superdiag"),
+            ("simulate", "seeds", [0.5], "seeds"),
+            ("bench", "seeds", [], "seeds"),
+            ("bench", "sample_sizes", [0], "sample_sizes"),
+            ("bench", "sample_sizes", "40", "sample_sizes"),
+            # a cell that cannot be fitted is named by its sample size and seed
+            ("bench", "sample_sizes", [1], "T=1, seed=0"),
+        ],
+    )
+    def test_bad_key_is_a_usage_error(self, tmp_path, capsys, command, key, value, named):
+        scenario = small_scenario(seeds=[0], sample_sizes=[40])
+        scenario[key] = value
+        cfg = write_config(tmp_path / "cfg.json", scenario=scenario)
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "out.csv")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and named in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+class TestBandwidthSetting:
+    """epsilon is a StdgrConfig field: the config file's solver section sets
+    it like the flag does, and the flag wins."""
+
+    def fit(self, tmp_path, name, extra):
+        panel = tmp_path / "p.csv"
+        write_panel_csv(str(panel), np.random.default_rng(0).standard_normal((60, 3)))
+        model = tmp_path / name
+        code = main(["fit", "--input", str(panel), "--output", str(model), "--p", "1"] + extra)
+        assert code in (EXIT_OK, EXIT_MAX_ITER)
+        return model.read_bytes(), (tmp_path / (name + ".diagnostics.jsonl")).read_bytes()
+
+    def test_config_and_flag_give_the_same_model(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", solver={"epsilon": 0.5})
+        from_config = self.fit(tmp_path, "a.json", ["--config", cfg])
+        assert from_config == self.fit(tmp_path, "b.json", ["--epsilon", "0.5"])
+        assert json.loads(from_config[0])["laplacians"]["epsilon"] == 0.5
+        assert "epsilon" not in json.loads(from_config[0])["config"]
+        overridden = self.fit(tmp_path, "c.json", ["--config", cfg, "--epsilon", "0.7"])
+        assert overridden == self.fit(tmp_path, "d.json", ["--epsilon", "0.7"])
+
+    def test_bad_bandwidth_refused_before_the_panel_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code = main(["fit", "--input", missing, "--output", str(tmp_path / "m.json"), "--p", "1",
+                     "--epsilon", "nan"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "epsilon" in err and "cannot read panel" not in err
+
+
+SWEEP_VALUES = [float("nan"), float("inf"), 2.5, "3", True, None]
+SWEEP_SCENARIO = dict(
+    m=3, p=1, ranks=[1, 1, 1], superdiag=[0.5], noise_scale=0.5, seeds=[0], sample_sizes=[20],
+    burn_in=10, length=25,
+)
+SWEEP_KEYS = [
+    (section, f.name)
+    for section, cls in (("scenario", ScenarioSpec), ("solver", StdgrConfig), ("nnm", NnmConfig))
+    for f in dataclasses.fields(cls)
+] + [("scenario", "length")]
+
+
+@pytest.mark.parametrize("bad", SWEEP_VALUES, ids=repr)
+@pytest.mark.parametrize("section,key", SWEEP_KEYS)
+def test_every_config_key_fits_or_fails_cleanly(tmp_path, capsys, section, key, bad):
+    """Each key of each config section, set to a non-finite, fractional,
+    string, bool or null value, gives an exit code and never raises."""
+    panel = tmp_path / "p.csv"
+    write_panel_csv(str(panel), np.random.default_rng(0).standard_normal((30, 2)))
+    doc = {"scenario": dict(SWEEP_SCENARIO), "solver": {"max_iter": 5}, "nnm": {"max_iter": 20}}
+    doc[section][key] = bad
+    cfg = write_config(tmp_path / "cfg.json", **doc)
+    out = str(tmp_path / "out")
+    commands = {
+        "scenario": [["simulate", "--output", out]],
+        "solver": [["fit", "--input", str(panel), "--output", out, "--p", "1"]],
+        "nnm": [["fit", "--input", str(panel), "--output", out, "--p", "1"],
+                ["rank-select", "--input", str(panel), "--p", "1"]],
+    }[section] + [["bench", "--output", out]]
+    for argv in commands:
+        assert main(argv + ["--config", cfg]) in (EXIT_OK, EXIT_MAX_ITER, EXIT_USAGE, EXIT_DATA)
+    assert "Traceback" not in capsys.readouterr().err

@@ -17,6 +17,7 @@ from tuckervar import (
     ScenarioSpec,
     StdgrConfig,
     build_design,
+    build_laplacians,
     fit_panel,
     hosvd,
     make_scenario,
@@ -94,3 +95,10 @@ class TestStagesFromReport:
         assert report.result.iterations > 1
         np.testing.assert_array_equal(again.w_hat, report.w_hat)
         np.testing.assert_array_equal(again.objective_trace, report.result.objective_trace)
+
+    def test_laplacians_take_the_config_bandwidth(self, panel):
+        report = fit_panel(panel, self.P, StdgrConfig(c=2.0, ranks=(3, 2, 1), epsilon=0.5))
+        want = build_laplacians(hosvd(report.nnm.w, report.ranks), 0.5)
+        assert report.laplacians.epsilon == 0.5
+        for got, expected in zip(report.laplacians.as_tuple(), want.as_tuple()):
+            np.testing.assert_array_equal(got, expected)

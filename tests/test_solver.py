@@ -575,7 +575,7 @@ class TestConfigValidation:
     and each message names the field."""
 
     @pytest.mark.parametrize("bad", NON_FINITE)
-    @pytest.mark.parametrize("field", ["beta", "c", "a_bar1", "a_bar2", "tol"])
+    @pytest.mark.parametrize("field", ["beta", "c", "a_bar1", "a_bar2", "tol", "epsilon"])
     def test_non_finite_scalar_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):
             StdgrConfig(**{field: bad})
@@ -603,7 +603,7 @@ class TestConfigValidation:
             StdgrConfig(ranks=bad)
 
     @pytest.mark.parametrize("bad", ["x", ["0.1", "0.1", "0.1"], None, True])
-    @pytest.mark.parametrize("field", ["beta", "c", "tol", "alpha", "gamma"])
+    @pytest.mark.parametrize("field", ["beta", "c", "tol", "alpha", "gamma", "epsilon"])
     def test_non_numeric_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):
             StdgrConfig(**{field: bad})

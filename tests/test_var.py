@@ -319,6 +319,13 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(w, np.eye(2), length=10, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, "3", True, None, -1])
+    @pytest.mark.parametrize("field", ["length", "burn_in"])
+    def test_bad_length_or_burn_in_names_it(self, field, bad):
+        w = np.zeros((2, 2, 1))
+        with pytest.raises(ValueError, match=field):
+            simulate(w, np.eye(2), **{"length": 5, "seed": 0, field: bad})
+
     def test_non_psd_covariance_rejected(self):
         rng = np.random.default_rng(6)
         w = random_stable(rng, 2, 1)
