@@ -47,7 +47,7 @@ class ScenarioSpec:
     The core is a diagonal cube with the given superdiagonal values; factors
     are either left singular vectors of Gaussian matrices or the smallest
     eigenvectors of a random-weight graph Laplacian. Noise covariance is
-    noise_scale**2 * I.
+    noise_scale**2 * I (``covariance``).
     """
 
     m: int
@@ -66,6 +66,12 @@ class ScenarioSpec:
             ("m", 1, True), ("p", 1, True), ("noise_scale", 0, False), ("burn_in", 0, True)
         ):
             setattr(self, name, _require_number(name, getattr(self, name), low, True, integer))
+        try:
+            float(self.noise_scale) ** 2  # as ``covariance`` does
+        except OverflowError:
+            raise ValueError(
+                f"noise_scale must have a finite square, got {self.noise_scale!r}"
+            ) from None
         for name, low, integer in (
             ("ranks", 1, True), ("superdiag", -math.inf, False), ("seeds", 0, True),
             ("sample_sizes", 1, True),
@@ -90,6 +96,11 @@ class ScenarioSpec:
     @property
     def core_nonzeros(self) -> int:
         return int(np.count_nonzero(self.superdiag))
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The noise covariance noise_scale**2 * I."""
+        return float(self.noise_scale) ** 2 * np.eye(self.m)
 
 
 @dataclass
@@ -117,7 +128,7 @@ def _orthonormal_factor(rng: np.random.Generator, n: int, r: int, style: str) ->
 
 def make_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
     """Draw a ground truth for the spec, shrinking the superdiagonal by 0.9
-    until the process is stable (at most 50 passes)."""
+    until the process is stable (at most 50 passes; a ValueError after)."""
     rng = np.random.default_rng(seed)
     a1 = _orthonormal_factor(rng, spec.m, spec.ranks[0], spec.factor_style)
     a2 = _orthonormal_factor(rng, spec.m, spec.ranks[1], spec.factor_style)
@@ -138,7 +149,10 @@ def make_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
                 superdiag_used=tuple(values),
             )
         values = values * 0.9
-    raise RuntimeError("could not stabilize the scenario within 50 rescalings")
+    raise ValueError(
+        f"superdiag {spec.superdiag!r} is too large: "
+        "50 shrinks by 0.9 do not stabilize the scenario"
+    )
 
 
 def upsilon(spec: ScenarioSpec, n_samples: int) -> float:
@@ -169,10 +183,9 @@ def _cell_design(spec: ScenarioSpec, scenario: Scenario, n_samples: int, seed: i
         rng = np.random.default_rng([seed, n_samples])
         x = rng.standard_normal((n_samples, spec.m * spec.p))
         return DesignPair(x=x, y=x @ unfold(scenario.w, 1).T)
-    covariance = spec.noise_scale**2 * np.eye(spec.m)
     panel = simulate(
         scenario.w,
-        covariance,
+        spec.covariance,
         length=n_samples + spec.p,
         seed=[seed, n_samples],
         burn_in=spec.burn_in,

@@ -132,8 +132,9 @@ def cmd_simulate(args) -> int:
     if length is None:
         raise UsageError("scenario section must set 'length' (rows to write)")
     scenario = benchmark.make_scenario(spec, args.seed)
-    covariance = spec.noise_scale**2 * np.eye(spec.m)
-    panel = simulate(scenario.w, covariance, length=length, seed=args.seed, burn_in=spec.burn_in)
+    panel = simulate(
+        scenario.w, spec.covariance, length=length, seed=args.seed, burn_in=spec.burn_in
+    )
     write_panel_csv(args.output, panel)
     truth = {
         "format": "tuckervar-truth",

@@ -3,7 +3,8 @@
 Nuclear-norm initial estimator (monotone accelerated proximal gradient with
 singular value thresholding, adaptive momentum restart and a scale-free
 stationarity stop, run in the eigenbasis of X^T X so that an iteration costs
-one m x m eigendecomposition and a column scaling by the eigenvalues),
+one m x m eigendecomposition and a column scaling by the eigenvalues, and
+started at the least-squares fit with its penalty linearized),
 truncated higher-order SVD of the initial tensor,
 ridge-ratio rank selection on its unfoldings, and Gaussian-kernel graph
 Laplacians built from factor rows.
@@ -33,6 +34,19 @@ __all__ = [
 ]
 
 
+def _gram_singular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (ascending) and left singular vectors of a wide
+    matrix A, from the eigendecomposition of A A^T.
+
+    The Gram matrix is taken of A divided by a power of two near its largest
+    entry, which is exact and keeps A A^T from overflowing or underflowing.
+    """
+    unit = np.ldexp(1.0, np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    b = a / unit
+    sigma2, u = np.linalg.eigh(b @ b.T)
+    return unit * np.sqrt(np.maximum(sigma2, 0.0)), u
+
+
 def svt(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Singular value thresholding, the proximal map of tau * nuclear norm.
 
@@ -43,7 +57,8 @@ def svt(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     result is A - U diag(f) U^T A with f = min(sigma, tau) / sigma (1 where
     sigma <= tau, 0 when tau = 0), which is U diag(max(sigma - tau, 0)) V^T.
     Components below the rounding floor of sigma^2 are left in A at a zero
-    threshold, not dropped.
+    threshold, not dropped. When every sigma <= tau the result is exactly
+    zero.
 
     The Gram matrix resolves the squared singular values to about
     eps * sigma_max^2. The result then differs from thresholding an exact
@@ -57,13 +72,10 @@ def svt(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     mat = np.asarray(mat, dtype=float)
     tall = mat.shape[0] > mat.shape[1]
     a = mat.T if tall else mat
-    # the Gram matrix is taken of A divided by a power of two near its
-    # largest entry, which is exact and keeps A A^T from overflowing or
-    # underflowing
-    unit = np.ldexp(1.0, np.frexp(np.max(np.abs(a), initial=0.0))[1])
-    b = a / unit
-    sigma2, u = np.linalg.eigh(b @ b.T)
-    sigma = unit * np.sqrt(np.maximum(sigma2, 0.0))
+    sigma, u = _gram_singular(a)
+    if np.all(sigma <= tau):
+        # the exact answer; A - U U^T A would leave rounding residue
+        return np.zeros_like(mat), np.zeros_like(sigma)
     factor = tau / np.maximum(sigma, tau) if tau > 0 else np.zeros_like(sigma)
     out = a - (u * factor) @ (u.T @ a)
     return (out.T if tall else out), np.maximum(sigma - tau, 0.0)
@@ -109,6 +121,28 @@ class NnmResult:
     lambda_nn: float
 
 
+def _linearized_start(cross: np.ndarray, ev: np.ndarray, weight: float) -> np.ndarray:
+    """The start (cross - weight P) diag(ev)^+ of :func:`nnm_estimate` in the
+    eigenbasis of X^T X, with P the polar factor U V^T of the least-squares
+    fit cross diag(ev)^+.
+
+    The pseudo-inverse scales the columns above numpy's rank tolerance by
+    1 / ev and zeroes the rest. The rows of U^T W_LS have the singular
+    values as their norms, so scaling each to unit norm gives V^T; rows at
+    or below the rank tolerance, whose direction is rounding, are dropped.
+    """
+    inv = np.zeros_like(ev)
+    keep = ev > ev[-1] * ev.size * np.finfo(float).eps
+    inv[keep] = 1.0 / ev[keep]
+    w_ls = cross * inv
+    _, u = _gram_singular(w_ls)
+    rows = u.T @ w_ls
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    live = norms > np.max(norms) * max(w_ls.shape) * np.finfo(float).eps
+    polar = u @ np.divide(rows, norms, out=np.zeros_like(rows), where=live)
+    return (cross - weight * polar) * inv
+
+
 def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     """Minimize F(W) = (1/T) sum ||y_t - W x_t||^2 + lambda ||W||_* over the
     mode-1 unfolding W, by monotone accelerated proximal gradient (FISTA)
@@ -122,6 +156,14 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     (gradient restart). The run stops when the relative prox-gradient step
     ||Z - Y|| / ||Z||, a stationarity measure that does not depend on the
     scale of the data, falls to ``tol``.
+
+    The run starts at W0 = (Y^T X - (T lambda / 2) P) (X^T X)^+, with P the
+    polar factor U V^T of the least-squares fit W_LS = Y^T X (X^T X)^+ and
+    the pseudo-inverse at numpy's rank tolerance. W0 minimizes the loss plus
+    the penalty linearized at W_LS, and lies near the optimum along the
+    directions of small eigenvalues of X^T X, where FISTA is slowest; it is
+    replaced by 0 when F(W0) > F(0). The optimum and the stop rule are those
+    of a start at 0. ``objective_trace[0]`` is F at the start.
 
     With X^T X = Q diag(ev) Q^T computed once, the loop runs on W Q, where
     the product with X^T X is the column scaling by ev, and the SVT is taken
@@ -167,9 +209,11 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
         quad = (yty - 2.0 * float(np.sum(cross * w)) + float(np.sum((w * w) @ ev))) / n
         return quad + lam * nuclear
 
-    w = np.zeros((m, m * p))
+    w = _linearized_start(cross, ev, 0.5 * n * lam)
+    f_w = objective(w, float(np.sum(_gram_singular(w)[0])))
+    if f_w > yty / n:  # F(0)
+        w, f_w = np.zeros_like(w), yty / n
     y = w
-    f_w = objective(w, 0.0)
     trace = [f_w]
     t = 1.0
     converged = False

@@ -43,14 +43,18 @@ def _require_panel(panel: np.ndarray) -> np.ndarray:
 
 
 def _require_number(name: str, value, low=-math.inf, closed=False, integer=False):
-    """``value`` if it is a finite real number, not a bool, above ``low`` (at
-    least ``low`` when ``closed``) and, with ``integer``, integral, which is
-    then returned as an ``int``; otherwise a ValueError naming ``name``."""
+    """``value`` if it is a real number within the float range, not a bool,
+    above ``low`` (at least ``low`` when ``closed``) and, with ``integer``,
+    integral, which is then returned as an ``int``; otherwise a ValueError
+    naming ``name``."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    # written so that NaN fails (each comparison with NaN is false)
-    if not (-math.inf < value < math.inf and (low <= value if closed else low < value)):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not (finite and (low <= value if closed else low < value)):
         bound = "" if low == -math.inf else f" and {'>=' if closed else '>'} {low}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
     return int(value) if integer else value

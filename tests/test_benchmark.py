@@ -57,6 +57,14 @@ class TestMakeScenario:
         assert scenario.rescale_count > 0
         assert scenario.superdiag_used[0] == pytest.approx(100.0 * 0.9**scenario.rescale_count)
 
+    def test_unstabilizable_superdiag_is_a_value_error(self):
+        # 50 shrinks by 0.9 leave 1e300 at about 5e297
+        with pytest.raises(ValueError, match="superdiag"):
+            make_scenario(small_spec(superdiag=(1e300, 1e300)), 0)
+
+    def test_covariance_is_the_scaled_identity(self):
+        np.testing.assert_array_equal(small_spec(noise_scale=0.5).covariance, 0.25 * np.eye(6))
+
     def test_bad_superdiag_length_rejected(self):
         with pytest.raises(ValueError):
             small_spec(superdiag=(1.0,))
@@ -126,6 +134,8 @@ class TestErrorCurve:
 
 
 BAD_VALUES = [np.nan, np.inf, 2.5, "3", True, None]
+# an integer beyond the float range is as unusable as inf
+HUGE = 10**400
 SPEC_FIELDS = [
     "m", "p", "ranks", "superdiag", "factor_style", "noise_scale", "seeds", "sample_sizes", "burn_in"
 ]
@@ -142,7 +152,9 @@ class TestScenarioSpecChecks:
     @pytest.mark.parametrize(
         "field,bad",
         [(f, b) for f in SPEC_FIELDS for b in BAD_VALUES if (f, b) != ("noise_scale", 2.5)]
-        + [("m", 0), ("p", 0), ("noise_scale", -0.5), ("burn_in", -1)],
+        + [pytest.param(f, HUGE, id=f"{f}-10**400") for f in SPEC_FIELDS]
+        # the covariance squares noise_scale
+        + [("m", 0), ("p", 0), ("noise_scale", -0.5), ("noise_scale", 1e200), ("burn_in", -1)],
     )
     def test_bad_value_names_the_field(self, field, bad):
         with pytest.raises(ValueError, match=field):
@@ -151,6 +163,7 @@ class TestScenarioSpecChecks:
     @pytest.mark.parametrize(
         "field,bad",
         [(f, b) for f in SEQUENCES for b in BAD_VALUES if (f, b) != ("superdiag", 2.5)]
+        + [pytest.param(f, HUGE, id=f"{f}-10**400") for f in SEQUENCES]
         + [("ranks", 0), ("superdiag", -np.inf), ("seeds", -1), ("sample_sizes", 0)],
     )
     def test_bad_entry_names_the_field(self, field, bad):

@@ -685,6 +685,12 @@ class TestScenarioChecks:
             ("bench", "sample_sizes", "40", "sample_sizes"),
             # a cell that cannot be fitted is named by its sample size and seed
             ("bench", "sample_sizes", [1], "T=1, seed=0"),
+            # no truth is stable after 50 shrinks by 0.9
+            ("simulate", "superdiag", [1e300, 1e300], "superdiag"),
+            ("bench", "superdiag", [1e300, 1e300], "superdiag"),
+            # the covariance squares noise_scale
+            ("simulate", "noise_scale", 1e200, "noise_scale"),
+            ("bench", "noise_scale", 1e200, "noise_scale"),
         ],
     )
     def test_bad_key_is_a_usage_error(self, tmp_path, capsys, command, key, value, named):
@@ -727,7 +733,8 @@ class TestBandwidthSetting:
         assert "epsilon" in err and "cannot read panel" not in err
 
 
-SWEEP_VALUES = [float("nan"), float("inf"), 2.5, "3", True, None]
+# 10**400 is an integer beyond the float range
+SWEEP_VALUES = [float("nan"), float("inf"), 2.5, "3", True, None, 10**400]
 SWEEP_SCENARIO = dict(
     m=3, p=1, ranks=[1, 1, 1], superdiag=[0.5], noise_scale=0.5, seeds=[0], sample_sizes=[20],
     burn_in=10, length=25,
@@ -739,7 +746,7 @@ SWEEP_KEYS = [
 ] + [("scenario", "length")]
 
 
-@pytest.mark.parametrize("bad", SWEEP_VALUES, ids=repr)
+@pytest.mark.parametrize("bad", SWEEP_VALUES, ids=lambda v: "10**400" if v == 10**400 else repr(v))
 @pytest.mark.parametrize("section,key", SWEEP_KEYS)
 def test_every_config_key_fits_or_fails_cleanly(tmp_path, capsys, section, key, bad):
     """Each key of each config section, set to a non-finite, fractional,

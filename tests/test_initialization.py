@@ -83,6 +83,14 @@ class TestSvt:
         oracle = (u * np.array(best)) @ vt
         assert np.max(np.abs(svt(m, tau)[0] - oracle)) <= 1e-3
 
+    @pytest.mark.parametrize("shape", [(12, 36), (36, 12)])
+    def test_threshold_above_every_singular_value_gives_exact_zero(self, shape):
+        # A - U U^T A would leave rounding residue (up to 4.4e-15 here)
+        mat = np.random.default_rng(21).standard_normal(shape)
+        out, shrunk = svt(mat, 100.0)
+        assert out.shape == shape
+        assert not out.any() and not shrunk.any()
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.1)
@@ -208,10 +216,34 @@ def plain_proximal_gradient(design, lam, n_iter):
     return np.array(objectives), np.array(changes)
 
 
-def reference_fista(design, lam, tol, max_iter):
+def reference_start(design, lam):
+    """Reference: the start of ``nnm_estimate``, W0 = (Y^T X - (T lam / 2) P)
+    (X^T X)^+ with P = U V^T from the SVD of the least-squares fit
+    Y^T X (X^T X)^+ and the pseudo-inverse at numpy's rank tolerance, or 0
+    when F(W0) > F(0). Returns (W0, F(W0))."""
+    x, y, n = design.x, design.y, design.n_samples
+    gram, cross = x.T @ x, y.T @ x
+    gram_pinv = np.linalg.pinv(gram, rtol=None)
+    u, _, vt = np.linalg.svd(cross @ gram_pinv, full_matrices=False)
+    w0 = (cross - 0.5 * n * lam * (u @ vt)) @ gram_pinv
+    f_w0 = np.sum((y - x @ w0.T) ** 2) / n + lam * np.sum(np.linalg.svd(w0, compute_uv=False))
+    f_zero = np.sum(y * y) / n
+    return (w0, f_w0) if f_w0 <= f_zero else (np.zeros_like(w0), f_zero)
+
+
+def nnm_objective(design, lam, w1):
+    """F(W) of the nuclear-norm initializer, with the nuclear norm from the SVD."""
+    residual = design.y - design.x @ w1.T
+    return np.sum(residual**2) / design.n_samples + lam * np.sum(
+        np.linalg.svd(w1, compute_uv=False)
+    )
+
+
+def reference_fista(design, lam, tol, max_iter, warm=True):
     """Reference: the monotone restarted FISTA of ``nnm_estimate`` written
-    on W itself, with the SVT from ``np.linalg.svd`` and the gradient from
-    ``W @ gram``. Returns (W, iterations)."""
+    on W itself, from ``reference_start`` (from 0 when not ``warm``), with
+    the SVT from ``np.linalg.svd`` and the gradient from ``W @ gram``.
+    Returns (W, iterations)."""
     x, y, n = design.x, design.y, design.n_samples
     gram, cross, yty = x.T @ x, y.T @ x, float(np.sum(y * y))
     step = n / (2.0 * np.linalg.eigvalsh(gram)[-1])
@@ -219,8 +251,11 @@ def reference_fista(design, lam, tol, max_iter):
     def objective(w, nuclear):
         return (yty - 2.0 * np.sum(cross * w) + np.sum((w @ gram) * w)) / n + lam * nuclear
 
-    w = np.zeros_like(cross)
-    v, f_w, t = w, objective(w, 0.0), 1.0
+    if warm:
+        w, f_w = reference_start(design, lam)
+    else:
+        w, f_w = np.zeros_like(cross), yty / n
+    v, t = w, 1.0
     for k in range(1, max_iter + 1):
         u, sigma, vt = np.linalg.svd(v - step * 2.0 * (v @ gram - cross) / n, full_matrices=False)
         sigma = np.maximum(sigma - lam * step, 0.0)
@@ -273,6 +308,78 @@ class TestNnmEigenbasis:
         assert result.converged
         w1 = unfold(result.w, 1)
         assert np.linalg.norm(w1[:, column]) <= 1e-12 * np.linalg.norm(w1)
+
+
+class TestNnmWarmStart:
+    """The run starts at W0 = (Y^T X - (T lam / 2) P) (X^T X)^+, the
+    minimizer of the loss plus the penalty linearized at the least-squares
+    fit, or at 0 when F(W0) > F(0). The optimum and the stop rule are those
+    of a zero start."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_optimum_as_a_zero_start(self, seed):
+        design = scenario_design(seed=seed)
+        cfg = NnmConfig()
+        result = nnm_estimate(design, cfg)
+        lam = result.lambda_nn
+        w_zero, zero_iterations = reference_fista(design, lam, cfg.tol, cfg.max_iter, warm=False)
+        f_zero = nnm_objective(design, lam, w_zero)
+        assert abs(nnm_objective(design, lam, unfold(result.w, 1)) - f_zero) <= 1e-9 * f_zero
+        assert result.iterations < zero_iterations
+
+    def test_trace_starts_at_the_start_and_never_rises(self):
+        design = scenario_design()
+        result = nnm_estimate(design)
+        w0, f_w0 = reference_start(design, result.lambda_nn)
+        # the premise: the warm start is taken
+        assert w0.any() and f_w0 < design.yty / design.n_samples
+        trace = result.objective_trace
+        assert abs(trace[0] - f_w0) <= 1e-12 * f_w0
+        assert np.all(np.diff(trace) <= 0.0)
+
+    def test_weight_that_zeroes_the_estimate_starts_and_stops_at_zero(self):
+        # at 100 times the automatic weight W0 lies far along -P, F(W0) >
+        # F(0), and the first SVT thresholds everything: an exact zero step
+        design = scenario_design(seed=0)
+        lam = 100.0 * nnm_estimate(design).lambda_nn
+        assert not reference_start(design, lam)[0].any()
+        result = nnm_estimate(design, NnmConfig(lambda_nn=lam))
+        assert result.converged and result.iterations == 1
+        assert not result.w.any()
+        f_zero = design.yty / design.n_samples
+        np.testing.assert_array_equal(result.objective_trace, [f_zero, f_zero])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_start_is_scale_free(self, scale):
+        # scaling (X, Y) scales X^T X, Y^T X and the automatic weight alike,
+        # so W0 stays in place and F(W0) scales with the data variance
+        design = scenario_design()
+        cfg = NnmConfig(max_iter=1)
+        base = nnm_estimate(design, cfg)
+        scaled = nnm_estimate(DesignPair(x=scale * design.x, y=scale * design.y), cfg)
+        np.testing.assert_allclose(
+            scaled.objective_trace, scale**2 * base.objective_trace, rtol=1e-10
+        )
+        assert np.linalg.norm(scaled.w - base.w) <= 1e-10 * np.linalg.norm(base.w)
+
+    @pytest.mark.parametrize("t", [10, 20])
+    def test_singular_gram(self, t):
+        # T < mp = 36: X^T X has rank T, and its pseudo-inverse scales only
+        # the columns of its range
+        design = scenario_design(T=t)
+        cfg = NnmConfig()
+        result = nnm_estimate(design, cfg)
+        lam = result.lambda_nn
+        # the premise: the warm start is taken
+        assert reference_start(design, lam)[0].any()
+        w_ref, iterations = reference_fista(design, lam, cfg.tol, cfg.max_iter)
+        assert result.converged
+        assert result.iterations == iterations
+        w1 = unfold(result.w, 1)
+        assert np.linalg.norm(w1 - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
+        w_zero, _ = reference_fista(design, lam, cfg.tol, cfg.max_iter, warm=False)
+        f_zero = nnm_objective(design, lam, w_zero)
+        assert abs(nnm_objective(design, lam, w1) - f_zero) <= 1e-9 * f_zero
 
 
 class TestAcceleratedNnm:
@@ -518,13 +625,17 @@ class TestLaplacians:
 
 
 class TestNnmConfigValidation:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    # an integer beyond the float range is as unusable as inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("field", ["lambda_nn", "tol"])
     def test_non_finite_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):
             NnmConfig(**{field: bad})
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.5, "7", True, None, 0])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, np.inf, -np.inf, 2.5, "7", True, None, 0, pytest.param(10**400, id="10**400")],
+    )
     def test_max_iter_must_be_a_positive_integer(self, bad):
         with pytest.raises(ValueError, match="max_iter"):
             NnmConfig(max_iter=bad)

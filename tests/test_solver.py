@@ -567,7 +567,8 @@ class TestSweepMatchesUnrolled:
                 assert np.array_equal(got, want)
 
 
-NON_FINITE = [np.nan, np.inf, -np.inf]
+# an integer beyond the float range is as unusable as inf
+NON_FINITE = [np.nan, np.inf, -np.inf, pytest.param(10**400, id="10**400")]
 
 
 class TestConfigValidation:

@@ -319,7 +319,9 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(w, np.eye(2), length=10, seed=0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5, "3", True, None, -1])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, 2.5, "3", True, None, -1, pytest.param(10**400, id="10**400")]
+    )
     @pytest.mark.parametrize("field", ["length", "burn_in"])
     def test_bad_length_or_burn_in_names_it(self, field, bad):
         w = np.zeros((2, 2, 1))
