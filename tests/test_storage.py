@@ -1,12 +1,17 @@
 """The panel CSV reader: the one-call block parse must agree with the
 row-by-row parser, which names the bad row, on every file, and a read through
 the binary companion must return exactly what the parse of the CSV bytes
-returns."""
+returns. The writer, which works a block of rows at a time, must give the
+bytes of one whole-panel join, leave earlier files intact when it fails, and
+hold only about one block beyond the array."""
 
 import csv
 import hashlib
 import io
+import locale
 import os
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -15,7 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tuckervar import storage
 from tuckervar.storage import (
+    _BLOCK_CELLS,
+    _HASH_BLOCK,
     CACHE_SUFFIX,
     PanelFormatError,
     _read_panel_cached,
@@ -368,3 +376,128 @@ class TestWriterRefusesWhatTheReaderWould:
         assert read_strict(read_panel_csv, path)[0] == names
         os.unlink(companion(path))
         assert outcome(read_panel_csv, path) == ("panel", names, panel.shape, panel.tobytes())
+
+
+def joined_csv(panel, names):
+    """The CSV bytes as one join over the whole panel: the reference the
+    block writer must match byte for byte."""
+    lines = [",".join(names)]
+    lines.extend(",".join(map(repr, row)) for row in panel.tolist())
+    return ("\n".join(lines) + "\n").encode(locale.getpreferredencoding(False))
+
+
+def npy_bytes(panel):
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, panel, version=(1, 0), allow_pickle=False)
+    return buffer.getvalue()
+
+
+ROW_COUNTS = {
+    "1": lambda block: 1,
+    "B-1": lambda block: block - 1,
+    "B": lambda block: block,
+    "B+1": lambda block: block + 1,
+    "2B+1": lambda block: 2 * block + 1,
+}
+
+
+class TestBlockWriter:
+    """The CSV is written a block of rows at a time; its bytes must not show
+    where one block ends."""
+
+    @pytest.mark.parametrize("rows", list(ROW_COUNTS))
+    @pytest.mark.parametrize("m", [1, 30])
+    def test_same_bytes_as_one_join(self, tmp_path, m, rows):
+        block = max(1, _BLOCK_CELLS // m)
+        length = ROW_COUNTS[rows](block)
+        rng = np.random.default_rng(length * m)
+        panel = rng.standard_normal((length, m)) * 10.0 ** rng.integers(-300, 300, (length, m))
+        extremes = [-0.0, 5e-324, -1.7976931348623157e308, 1.0]
+        panel.flat[-min(4, panel.size) :] = extremes[: panel.size]
+        names = ["béta"] + [f"y{i + 2}" for i in range(m - 1)]
+        path = tmp_path / "p.csv"
+        write_panel_csv(str(path), panel, names=names)
+        data = path.read_bytes()
+        assert data == joined_csv(panel, names)
+        stored = companion(path).read_bytes()
+        assert stored[:8] == b"tvcache\x01"
+        assert stored[8:40] == hashlib.sha256(data).digest()
+        assert stored[40:] == npy_bytes(panel)
+        assert sorted(os.listdir(tmp_path)) == ["p.csv", "p.csv" + CACHE_SUFFIX]
+
+
+class FailingDigest:
+    """A digest whose third update, the second row block, raises; it records
+    the directory's files at that moment."""
+
+    def __init__(self, directory):
+        self.directory, self.updates, self.seen = directory, 0, None
+
+    def update(self, data):
+        self.updates += 1
+        if self.updates == 3:
+            self.seen = sorted(os.listdir(self.directory))
+            raise RuntimeError("interrupted")
+
+
+class TestInterruptedWrite:
+    def test_failure_after_a_row_block_leaves_the_earlier_files(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        write_panel_csv(str(path), np.array([[1.5, 2.5], [3.5, 4.5]]), names=["x", "y"])
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        failing = FailingDigest(tmp_path)
+        monkeypatch.setattr(storage, "hashlib", types.SimpleNamespace(sha256=lambda: failing))
+        panel = np.random.default_rng(3).standard_normal((2 * (_BLOCK_CELLS // 2) + 1, 2))
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_panel_csv(str(path), panel, names=["x", "y"])
+        assert any(name.startswith(".tmp-") and name.endswith("~") for name in failing.seen)
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+class TestBlockwiseHash:
+    def test_edit_past_the_first_hash_block_is_seen(self, tmp_path):
+        path = tmp_path / "p.csv"
+        panel = np.random.default_rng(4).standard_normal((2500, 30))
+        write_panel_csv(str(path), panel)
+        data = path.read_bytes()
+        assert len(data) > 1.2 * _HASH_BLOCK
+        # the leading digit of the first number on the first row that starts
+        # after the first hash block
+        at = data.index(b"\n", _HASH_BLOCK) + 1
+        at += data[at] == ord("-")
+        edited = data[:at] + bytes([ord("1") + (data[at] == ord("1"))]) + data[at + 1 :]
+        path.write_bytes(edited)
+        assert _read_panel_cached(str(path)) is None
+        edited_read = outcome(read_panel_csv, path)
+        assert edited_read == outcome(_read_panel_rows, path)
+        assert edited_read[3] != panel.tobytes()
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class TestBoundedMemory:
+    """Writing a panel or reading it through its companion holds about one
+    block beyond the array, not the whole CSV text or bytes."""
+
+    def test_write_holds_a_fraction_of_the_csv(self, tmp_path):
+        path = tmp_path / "p.csv"
+        panel = np.random.default_rng(5).standard_normal((20000, 30))
+        peak, _ = traced_peak(lambda: write_panel_csv(str(path), panel))
+        assert peak <= path.stat().st_size / 4
+
+    def test_companion_read_holds_one_block_beyond_the_array(self, tmp_path):
+        path = tmp_path / "p.csv"
+        panel = np.random.default_rng(6).standard_normal((20000, 30))
+        write_panel_csv(str(path), panel)
+        assert _read_panel_cached(str(path)) is not None
+        peak, (_, read) = traced_peak(lambda: read_panel_csv(str(path)))
+        assert read.tobytes() == panel.tobytes()
+        assert peak <= panel.nbytes + 2 * 2**20
