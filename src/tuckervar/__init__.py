@@ -30,20 +30,7 @@ from .initialization import (
     select_ranks,
     svt,
 )
-from .solver import (
-    FitResult,
-    SolverState,
-    StdgrConfig,
-    StepSizes,
-    compute_step_sizes,
-    convergence_metrics,
-    objective,
-    palm_step,
-    procrustes,
-    prox_core,
-    solve,
-    update_u,
-)
+from .solver import FitResult, StdgrConfig, StepSizes, solve
 from .tensor import TuckerFactors, fold, kronecker, mode_product, tucker_reconstruct, unfold
 from .var import (
     DesignPair,

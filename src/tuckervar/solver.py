@@ -16,6 +16,12 @@ each A_i, and an exact small linear solve for each U_i. Step sizes exceed the
 per-block Lipschitz constants, which makes the objective monotone with a
 quantified sufficient decrease.
 
+solve checks the scheme's three guarantees at every sweep: the core stays in
+the box, the factors stay orthonormal (both checked by objective), and the
+sweep lowers F by at least (margin/2) sum_i ||Delta_i||^2, up to a rounding
+slack of 1e-9 max(1, |F|). The first sweep that breaks one raises ValueError
+naming the sweep.
+
 The loss is a quadratic in W_(1), so the solver sees the data only through
 the moments X^T X, Y^T X and tr(Y^T Y) that the design computes once:
 
@@ -52,20 +58,7 @@ from .initialization import LaplacianSet
 from .tensor import TuckerFactors, fold, kronecker, mode_product, tucker_reconstruct, unfold
 from .var import DesignPair, _require_number
 
-__all__ = [
-    "StdgrConfig",
-    "StepSizes",
-    "SolverState",
-    "FitResult",
-    "compute_step_sizes",
-    "prox_core",
-    "procrustes",
-    "update_u",
-    "objective",
-    "convergence_metrics",
-    "palm_step",
-    "solve",
-]
+__all__ = ["StdgrConfig", "StepSizes", "FitResult", "solve"]
 
 
 def _triple(name: str, value, low: float, closed: bool) -> tuple[float, float, float]:
@@ -193,21 +186,21 @@ class SolverState:
     def factors(self) -> TuckerFactors:
         return TuckerFactors(core=self.core, a1=self.a1, a2=self.a2, a3=self.a3)
 
-    def orthonormality_defect(self) -> float:
-        return self.factors().orthonormality_defect()
-
 
 @dataclass
 class FitResult:
-    """Final estimate plus per-iteration diagnostics."""
+    """Final estimate plus per-iteration diagnostics.
+
+    ``objective_trace`` holds F at the start and after each sweep, and
+    ``lambdas`` the relative change of each of the seven blocks at each
+    sweep. Every iterate of a returned fit passed the in-run checks: box,
+    orthonormality and sufficient decrease (see :func:`solve`).
+    """
 
     w_hat: np.ndarray
     factors: TuckerFactors
     objective_trace: np.ndarray
     lambdas: np.ndarray
-    block_change_sq: np.ndarray
-    core_abs_max_trace: np.ndarray
-    orth_defect_trace: np.ndarray
     iterations: int
     converged: bool
     init_core_clipped: bool
@@ -296,7 +289,7 @@ def _block_gradient(
 def _check_feasible(state: SolverState, cfg: StdgrConfig) -> None:
     if float(np.max(np.abs(state.core))) > cfg.c + 1e-12:
         raise ValueError("core violates the box bound")
-    if state.orthonormality_defect() > 1e-10:
+    if state.factors().orthonormality_defect() > 1e-10:
         raise ValueError("factor matrices are not column-orthonormal")
 
 
@@ -383,8 +376,14 @@ def solve(
 
     The auxiliary factors start at the initial factor matrices. Stops when
     the largest relative block change drops to ``cfg.tol`` or after
-    ``cfg.max_iter`` sweeps. The objective trace is monotone under the step
-    rules enforced by :func:`compute_step_sizes`.
+    ``cfg.max_iter`` sweeps. Every sweep is checked against the guarantees of
+    the step rules enforced by :func:`compute_step_sizes`: the new iterate
+    must be feasible, and with Delta_i the change of block i,
+
+        F_k - F_{k+1} >= (margin/2) sum_i ||Delta_i||^2 - 1e-9 max(1, |F_k|)
+
+    where margin is ``steps.decrease_margin()``. The first sweep that fails
+    raises ValueError naming the sweep.
     """
     init.validate()
     if (design.m, design.m, design.p) != tuple(a.shape[0] for a in (init.a1, init.a2, init.a3)):
@@ -407,30 +406,36 @@ def solve(
     )
     ranks = tuple(int(r) for r in core0.shape)
     steps = compute_step_sizes(design, cfg, ranks)
+    margin = steps.decrease_margin()
 
     obj_trace = [objective(state, design, lap, cfg)]
     lambdas = []
-    change_sq = []
-    core_max = [float(np.max(np.abs(state.core)))]
-    orth_defect = [state.orthonormality_defect()]
 
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
         prev = state
         state = palm_step(prev, design, lap, cfg, steps)
+        iterations += 1
         metrics = convergence_metrics(prev, state)
         lambdas.append(metrics)
-        change_sq.append(
-            sum(
-                float(np.sum((b_new - b_prev) ** 2))
-                for b_prev, b_new in zip(prev.blocks(), state.blocks())
-            )
+        try:
+            f_new = objective(state, design, lap, cfg)
+        except ValueError as exc:
+            raise ValueError(f"sweep {iterations}: {exc}") from None
+        f_prev = obj_trace[-1]
+        change_sq = sum(
+            float(np.sum((b_new - b_prev) ** 2))
+            for b_prev, b_new in zip(prev.blocks(), state.blocks())
         )
-        obj_trace.append(objective(state, design, lap, cfg))
-        core_max.append(float(np.max(np.abs(state.core))))
-        orth_defect.append(state.orthonormality_defect())
-        iterations += 1
+        required = 0.5 * margin * change_sq - 1e-9 * max(1.0, abs(f_prev))
+        if not f_prev - f_new >= required:
+            raise ValueError(
+                f"sweep {iterations} breaks the sufficient decrease: "
+                f"F_k - F_k+1 = {f_prev - f_new:.6e} < {required:.6e} = "
+                f"(margin/2) sum ||Delta_i||^2 - slack"
+            )
+        obj_trace.append(f_new)
         if float(np.max(metrics)) <= cfg.tol:
             converged = True
             break
@@ -442,9 +447,6 @@ def solve(
         factors=factors,
         objective_trace=np.asarray(obj_trace),
         lambdas=lambdas,
-        block_change_sq=np.asarray(change_sq),
-        core_abs_max_trace=np.asarray(core_max),
-        orth_defect_trace=np.asarray(orth_defect),
         iterations=iterations,
         converged=converged,
         init_core_clipped=clipped,

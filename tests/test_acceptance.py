@@ -11,7 +11,6 @@ from tuckervar import (
     DesignPair,
     NnmConfig,
     ScenarioSpec,
-    SolverState,
     StdgrConfig,
     build_design,
     error_curve,
@@ -21,8 +20,6 @@ from tuckervar import (
     make_scenario,
     mode_product,
     nnm_estimate,
-    procrustes,
-    prox_core,
     rescale_to_spectral_radius,
     ridge_constant,
     select_ranks,
@@ -32,6 +29,7 @@ from tuckervar import (
 )
 from tuckervar.cli import EXIT_OK, main
 from solver_references import grad_partials, grad_Q_full, psi_value
+from tuckervar.solver import SolverState, procrustes, prox_core
 from tuckervar.storage import write_panel_csv
 
 
@@ -53,49 +51,59 @@ def random_orthonormal(rng, n, r):
 
 @pytest.fixture(scope="module")
 def decrease_runs():
+    """20 seeded fits at the default config. solve checks the box, the
+    orthonormality and the sufficient decrease at every sweep and raises at
+    the first violation, so a fit that returns passed all three at every
+    iterate; a raised check is kept as that seed's message."""
     spec = ScenarioSpec(
         m=15, p=3, ranks=(2, 2, 2), superdiag=(2.0, 2.0),
         noise_scale=0.5, seeds=tuple(range(20)), sample_sizes=(100,),
     )
-    results = []
+    cfg = StdgrConfig()
+    results, raised = [], []
     start = time.time()
     for seed in range(20):
         scenario = make_scenario(spec, seed)
         panel = simulate(scenario.w, 0.25 * np.eye(15), length=103, seed=seed)
-        report = fit_panel(panel, 3, StdgrConfig())
-        results.append(report.result)
-    return results, time.time() - start
+        try:
+            results.append(fit_panel(panel, 3, cfg).result)
+        except ValueError as exc:
+            raised.append(f"seed {seed}: {exc}")
+    return results, raised, cfg, time.time() - start
+
+
+def _first(raised: list[str]) -> str:
+    return f", first violation: {raised[0]}" if raised else ""
 
 
 def test_criterion_1_sufficient_decrease(decrease_runs):
-    results, elapsed = decrease_runs
-    ok = True
+    results, raised, _, elapsed = decrease_runs
     worst = -np.inf
+    margin = np.inf
     for res in results:
         f = res.objective_trace
         slack = 1e-9 * np.maximum(1.0, np.abs(f[:-1]))
-        plain = np.max(f[1:] - f[:-1] - slack)
-        margin = res.step_sizes.decrease_margin()
-        strengthened = np.max(f[1:] + 0.5 * margin * res.block_change_sq - f[:-1] - slack)
-        worst = max(worst, plain, strengthened)
-        ok = ok and plain <= 0 and strengthened <= 0 and margin > 0
-    ok = ok and elapsed < 60
+        worst = max(worst, np.max(f[1:] - f[:-1] - slack))
+        margin = min(margin, res.step_sizes.decrease_margin())
+    ok = not raised and worst <= 0 and margin > 0 and elapsed < 60
     _report(
         "criterion 1: per-iteration decrease with quantified margin, 20 runs",
         ok,
-        f"worst slackened violation {worst:.3e}, {elapsed:.1f}s",
+        f"{len(results)}/20 fits certified at every sweep, worst slackened rise "
+        f"{worst:.3e}, smallest margin {margin:.3e}, {elapsed:.1f}s{_first(raised)}",
     )
 
 
 def test_criterion_2_feasibility(decrease_runs):
-    results, _ = decrease_runs
-    core_excess = max(np.max(r.core_abs_max_trace) - 1.0 for r in results)
-    orth = max(np.max(r.orth_defect_trace) for r in results)
-    ok = core_excess <= 1e-12 and orth <= 1e-10
+    results, raised, cfg, _ = decrease_runs
+    core_excess = max((np.max(np.abs(r.factors.core)) - cfg.c for r in results), default=np.inf)
+    orth = max((r.factors.orthonormality_defect() for r in results), default=np.inf)
+    ok = not raised and core_excess <= 1e-12 and orth <= 1e-10
     _report(
         "criterion 2: box and orthonormality feasibility at every iterate",
         ok,
-        f"core excess {core_excess:.3e}, orthonormality defect {orth:.3e}",
+        f"{len(results)}/20 fits checked at every sweep, final core excess "
+        f"{core_excess:.3e}, final orthonormality defect {orth:.3e}{_first(raised)}",
     )
 
 

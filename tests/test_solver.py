@@ -3,24 +3,27 @@ import pytest
 
 from tuckervar import (
     DesignPair,
-    SolverState,
     StdgrConfig,
     TuckerFactors,
     build_laplacians,
-    compute_step_sizes,
-    convergence_metrics,
     fold,
     hosvd,
-    objective,
-    palm_step,
-    procrustes,
-    prox_core,
     solve,
     tucker_reconstruct,
     unfold,
 )
 from solver_references import grad_partials, grad_Q_full, psi_value
-from tuckervar.solver import update_u
+from tuckervar import solver
+from tuckervar.solver import (
+    SolverState,
+    compute_step_sizes,
+    convergence_metrics,
+    objective,
+    palm_step,
+    procrustes,
+    prox_core,
+    update_u,
+)
 
 
 def random_orthonormal(rng, n, r):
@@ -463,13 +466,13 @@ class TestSolve:
         init = hosvd(w, (2, 2, 2))
         lap = build_laplacians(init, 0.2)
         cfg = StdgrConfig(ranks=(2, 2, 2), max_iter=50, c=1.0)
+        # solve raises at the first sweep short of the certified decrease
+        # (test_decrease_violation_names_the_sweep), so returning is the check
         result = solve(design, lap, cfg, init)
         f = result.objective_trace
         slack = 1e-9 * np.maximum(1.0, np.abs(f[:-1]))
         assert np.all(f[1:] <= f[:-1] + slack)
-        margin = result.step_sizes.decrease_margin()
-        lhs = f[1:] + 0.5 * margin * result.block_change_sq
-        assert np.all(lhs <= f[:-1] + slack)
+        assert result.step_sizes.decrease_margin() > 0
         assert np.all(f >= 0)
 
     def test_feasibility_along_the_path(self):
@@ -479,9 +482,52 @@ class TestSolve:
         init = hosvd(w, (2, 2, 2))
         lap = build_laplacians(init, 0.2)
         cfg = StdgrConfig(ranks=(2, 2, 2), max_iter=40, c=0.5)
+        # objective checks every iterate and solve raises naming the sweep
+        # (test_box_violation_names_the_sweep), so returning is the check
         result = solve(design, lap, cfg, init)
-        assert np.max(result.core_abs_max_trace) <= 0.5 + 1e-12
-        assert np.max(result.orth_defect_trace) <= 1e-10
+        assert np.max(np.abs(result.factors.core)) <= cfg.c + 1e-12
+        assert result.factors.orthonormality_defect() <= 1e-10
+
+    @pytest.mark.parametrize("perturb", ["shift_u", "flip_sign"])
+    def test_decrease_violation_names_the_sweep(self, monkeypatch, perturb):
+        # both keep the iterate feasible: shifting U1 off A1 raises F, and
+        # flipping the sign of A1's first column, U1's and the core's first
+        # mode-1 slice leaves F unchanged but moves the blocks far, so the
+        # sweep lowers F by less than its certified (margin/2) sum ||Delta||^2
+        step = solver.palm_step
+        sweeps = []
+
+        def perturbed_step(state, *args):
+            new = step(state, *args)
+            sweeps.append(new)
+            if len(sweeps) == 3 and perturb == "shift_u":
+                new.u1 = new.u1 + 1.0
+            elif len(sweeps) == 3:
+                flip = np.array([-1.0, 1.0])
+                new.a1, new.u1 = new.a1 * flip, new.u1 * flip
+                new.core = new.core * flip[:, None, None]
+            return new
+
+        monkeypatch.setattr(solver, "palm_step", perturbed_step)
+        design, w = noise_free_problem(22)
+        init = hosvd(w, (2, 2, 2))
+        lap = build_laplacians(init, 0.2)
+        cfg = StdgrConfig(ranks=(2, 2, 2), max_iter=10, tol=1e-12)
+        with pytest.raises(ValueError, match=r"^sweep 3 breaks the sufficient decrease: F_k"):
+            solve(design, lap, cfg, init)
+        assert len(sweeps) == 3
+
+    def test_box_violation_names_the_sweep(self, monkeypatch):
+        def unclipped(l, tau, c):
+            return np.sign(l) * np.maximum(np.abs(l) - tau, 0.0)
+
+        monkeypatch.setattr(solver, "prox_core", unclipped)
+        design, w = noise_free_problem(23)
+        init = hosvd(w, (2, 2, 2))
+        lap = build_laplacians(init, 0.2)
+        cfg = StdgrConfig(ranks=(2, 2, 2), max_iter=10, c=0.1)
+        with pytest.raises(ValueError, match=r"^sweep 1: core violates the box bound"):
+            solve(design, lap, cfg, init)
 
     def test_init_core_clipped_flag(self):
         rng = np.random.default_rng(24)
