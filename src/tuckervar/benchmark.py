@@ -200,8 +200,9 @@ def error_curve(
 ) -> list[ErrorCurveRow]:
     """Estimation error ||W_hat - W||_F against the sample size, averaged
     over seeds, for the graph-regularized Tucker fit and the plain
-    nuclear-norm estimate. A ``ValueError`` in one (T, seed) cell is raised
-    again as a ``ValueError`` that names the cell."""
+    nuclear-norm estimate. A ``ValueError`` or ``RuntimeError`` in one
+    (T, seed) cell is raised again, as the same type, with a message that
+    names the cell."""
     for name in ("seeds", "sample_sizes"):
         if not getattr(spec, name):
             raise ValueError(f"spec.{name} must be nonempty")
@@ -215,10 +216,9 @@ def error_curve(
             try:
                 design = _cell_design(spec, scenario, n_samples, seed)
                 report = fit_design(design, cfg, nnm_cfg)
-            except ValueError as exc:
-                raise ValueError(
-                    f"benchmark cell failed at T={n_samples}, seed={seed}: {exc}"
-                ) from exc
+            except (ValueError, RuntimeError) as exc:
+                kind = RuntimeError if isinstance(exc, RuntimeError) else ValueError
+                raise kind(f"benchmark cell failed at T={n_samples}, seed={seed}: {exc}") from exc
             errors["graph_tucker"].append(float(np.linalg.norm(report.w_hat - scenario.w)))
             errors["nnm"].append(float(np.linalg.norm(report.nnm.w - scenario.w)))
         y_scale = upsilon(spec, n_samples)

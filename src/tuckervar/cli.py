@@ -2,7 +2,8 @@
 
 Subcommands: simulate, fit, forecast, eval, rank-select, bench.
 Exit codes: 0 success (fit converged), 2 fit ran to the iteration cap,
-64 usage error, 65 data format error.
+64 usage error, 65 data format error, 70 internal error (a solver guarantee
+broken).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_MAX_ITER = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 
 class UsageError(Exception):
@@ -193,19 +195,10 @@ def cmd_fit(args) -> int:
     if args.standardize:
         mean, std = train_scaler(train)
         train = (train - mean) / std
-        scaler = {"mean": [float(v) for v in mean], "std": [float(v) for v in std]}
+        scaler = {"mean": mean, "std": std}
 
     report = fit_panel(train, args.p, cfg, nnm_cfg)
-    extra = {
-        "ranks_selected": report.ranks_selected,
-        "n_train": n_train,
-        "converged": report.result.converged,
-        "iterations": report.result.iterations,
-    }
-    if scaler is not None:
-        extra["scaler"] = scaler
-    doc = model_document(report.result.factors, report.laplacians, cfg, extra)
-    save_model(args.output, doc)
+    save_model(args.output, model_document(report.result.factors, cfg, scaler))
     nnm = report.nnm
     save_diagnostics(
         args.output + ".diagnostics.jsonl",
@@ -213,6 +206,7 @@ def cmd_fit(args) -> int:
         meta={
             "ranks": list(report.ranks),
             "ranks_selected": report.ranks_selected,
+            "n_train": n_train,
             "nnm_iterations": nnm.iterations,
             "nnm_converged": nnm.converged,
             "lambda_nn": nnm.lambda_nn,
@@ -235,19 +229,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK if report.result.converged else EXIT_MAX_ITER
 
 
-def _apply_scaler(doc: dict, panel: np.ndarray) -> np.ndarray:
-    scaler = doc.get("scaler")
-    if not scaler:
-        return panel
-    mean = np.asarray(scaler["mean"])
-    std = np.asarray(scaler["std"])
-    return (panel - mean) / std
+def _apply_scaler(scaler: dict | None, panel: np.ndarray) -> np.ndarray:
+    return panel if scaler is None else (panel - scaler["mean"]) / scaler["std"]
 
 
 def cmd_forecast(args) -> int:
-    doc = _load_model(args.model)
+    model = _load_model(args.model)
     panel = _read_panel(args.input)
-    w = tucker_reconstruct(doc["factors"])
+    w = tucker_reconstruct(model["factors"])
     m, _, p = w.shape
     if panel.shape[1] != m:
         raise UsageError(f"panel has {panel.shape[1]} variables, model expects {m}")
@@ -256,7 +245,8 @@ def cmd_forecast(args) -> int:
     if args.horizon < 1:
         raise UsageError("horizon must be >= 1")
 
-    scaled = _apply_scaler(doc, panel)
+    scaler = model["scaler"]
+    scaled = _apply_scaler(scaler, panel)
     history = [scaled[-lag] for lag in range(1, p + 1)]
     preds = []
     # an overflowing forecast is reported below as a data error, not as a warning
@@ -266,9 +256,8 @@ def cmd_forecast(args) -> int:
             preds.append(y)
             history = [y] + history[: p - 1]
         preds = np.asarray(preds)
-        scaler = doc.get("scaler")
-        if scaler:
-            preds = preds * np.asarray(scaler["std"]) + np.asarray(scaler["mean"])
+        if scaler is not None:
+            preds = preds * scaler["std"] + scaler["mean"]
     finite = np.isfinite(preds).all(axis=1)
     if not finite.all():
         raise PanelFormatError(
@@ -288,16 +277,16 @@ def cmd_eval(args) -> int:
         value = mse(truth, pred)
         detail = {"mse": value, "n_test": int(truth.shape[0])}
     elif args.model and args.input:
-        doc = _load_model(args.model)
+        model = _load_model(args.model)
         panel = _read_panel(args.input)
-        w = tucker_reconstruct(doc["factors"])
+        w = tucker_reconstruct(model["factors"])
         m, _, p = w.shape
         if panel.shape[1] != m:
             raise UsageError(f"panel has {panel.shape[1]} variables, model expects {m}")
         fraction = args.train_fraction if args.train_fraction is not None else 0.6
         if not 0 < fraction < 1:
             raise UsageError("train-fraction must lie in (0, 1)")
-        scaled = _apply_scaler(doc, panel)
+        scaled = _apply_scaler(model["scaler"], panel)
         n_train = int(fraction * scaled.shape[0])
         if n_train < p:
             raise UsageError("training split shorter than the lag order")
@@ -430,6 +419,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def console_main() -> None:

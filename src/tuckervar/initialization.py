@@ -319,13 +319,11 @@ def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
 
 @dataclass
 class LaplacianSet:
-    """The three graph Laplacians (response, predictor, temporal) and the
-    kernel bandwidth they were built with."""
+    """The three graph Laplacians (response, predictor, temporal)."""
 
     l1: np.ndarray
     l2: np.ndarray
     l3: np.ndarray
-    epsilon: float
 
     def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.l1, self.l2, self.l3)
@@ -357,5 +355,4 @@ def build_laplacians(factors: TuckerFactors, epsilon: float) -> LaplacianSet:
         l1=laplacian_from_rows(factors.a1, epsilon),
         l2=laplacian_from_rows(factors.a2, epsilon),
         l3=laplacian_from_rows(factors.a3, epsilon),
-        epsilon=epsilon,
     )

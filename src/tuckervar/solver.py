@@ -19,8 +19,9 @@ quantified sufficient decrease.
 solve checks the scheme's three guarantees at every sweep: the core stays in
 the box, the factors stay orthonormal (both checked by objective), and the
 sweep lowers F by at least (margin/2) sum_i ||Delta_i||^2, up to a rounding
-slack of 1e-9 max(1, |F|). The first sweep that breaks one raises ValueError
-naming the sweep.
+slack of 1e-9 max(1, |F|). The first sweep that breaks one raises
+RuntimeError naming the sweep: a broken guarantee is a fault of the solver,
+not of its input.
 
 The loss is a quadratic in W_(1), so the solver sees the data only through
 the moments X^T X, Y^T X and tr(Y^T Y) that the design computes once:
@@ -383,7 +384,7 @@ def solve(
         F_k - F_{k+1} >= (margin/2) sum_i ||Delta_i||^2 - 1e-9 max(1, |F_k|)
 
     where margin is ``steps.decrease_margin()``. The first sweep that fails
-    raises ValueError naming the sweep.
+    raises RuntimeError naming the sweep.
     """
     init.validate()
     if (design.m, design.m, design.p) != tuple(a.shape[0] for a in (init.a1, init.a2, init.a3)):
@@ -422,7 +423,7 @@ def solve(
         try:
             f_new = objective(state, design, lap, cfg)
         except ValueError as exc:
-            raise ValueError(f"sweep {iterations}: {exc}") from None
+            raise RuntimeError(f"sweep {iterations}: {exc}") from exc
         f_prev = obj_trace[-1]
         change_sq = sum(
             float(np.sum((b_new - b_prev) ** 2))
@@ -430,7 +431,7 @@ def solve(
         )
         required = 0.5 * margin * change_sq - 1e-9 * max(1.0, abs(f_prev))
         if not f_prev - f_new >= required:
-            raise ValueError(
+            raise RuntimeError(
                 f"sweep {iterations} breaks the sufficient decrease: "
                 f"F_k - F_k+1 = {f_prev - f_new:.6e} < {required:.6e} = "
                 f"(margin/2) sum ||Delta_i||^2 - slack"

@@ -17,9 +17,16 @@ parses the CSV. A read never writes a companion, and deleting one is always
 safe. The writer formats, encodes, writes and hashes the rows a block at a
 time, and a companion read hashes the CSV in fixed-size blocks, so writing or
 reading a panel holds one block of rows beyond the array, never the whole
-CSV text or bytes. Models are a single JSON document holding dims, ranks, a
-config echo and every array flattened in i1-fastest (column-major) order
-with full decimal round-trip precision. All writes are whole-file atomic.
+CSV text or bytes.
+
+A model is a single JSON document holding what ``forecast`` and ``eval``
+read (dims, ranks, the core and factor arrays flattened in i1-fastest
+(column-major) order with full decimal round-trip precision, and the scaler
+of a standardized fit) plus the config the fit used. The graph Laplacians
+act only inside the solve and are not stored; how the fit went is recorded
+only in the diagnostics JSONL, whose meta record also holds ``n_train``.
+Version-1 files, which stored the Laplacians and the solver's outcome too,
+still load. All writes are whole-file atomic.
 """
 
 from __future__ import annotations
@@ -37,10 +44,8 @@ import tempfile
 
 import numpy as np
 
-from .initialization import LaplacianSet
 from .solver import FitResult, StdgrConfig
 from .tensor import TuckerFactors
-from .var import _require_number
 
 __all__ = [
     "PanelFormatError",
@@ -55,7 +60,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "tuckervar-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 CACHE_SUFFIX = ".tvcache"
 _CACHE_TAG = b"tvcache\x01"
 # numbers formatted per CSV write (whole rows, at least one) and bytes read
@@ -252,44 +257,31 @@ def _write_csv(path: str, panel: np.ndarray, names: list[str]) -> bytes:
     return digest.digest()
 
 
-def _flat(arr: np.ndarray) -> list[float]:
+def _flat(arr) -> list[float]:
     """Flatten with the first index varying fastest (column-major)."""
-    return [float(v) for v in np.asarray(arr, dtype=float).ravel(order="F")]
+    return np.ravel(arr, order="F").tolist()
 
 
 def model_document(
-    factors: TuckerFactors,
-    laplacians: LaplacianSet,
-    cfg: StdgrConfig,
-    extra: dict | None = None,
+    factors: TuckerFactors, cfg: StdgrConfig, scaler: dict | None = None
 ) -> dict:
-    """JSON-serializable model container."""
-    m = factors.a1.shape[0]
-    p = factors.a3.shape[0]
+    """JSON-serializable model container: dims, the fitted ranks, the config
+    the fit used (less its ``ranks``, echoed at the top level as fitted), the
+    core and factor arrays and, when given, the ``scaler`` mapping of
+    per-variable ``mean`` and ``std``."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "m": int(m),
-        "p": int(p),
+        "m": int(factors.a1.shape[0]),
+        "p": int(factors.a3.shape[0]),
         "ranks": list(factors.ranks),
-        # the ranks are echoed at the top level, as fitted, and epsilon
-        # under "laplacians"
-        "config": {
-            k: v for k, v in dataclasses.asdict(cfg).items() if k not in ("ranks", "epsilon")
-        },
+        "config": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "ranks"},
         "core": {"dims": list(factors.core.shape), "values": _flat(factors.core)},
-        "a1": {"rows": int(factors.a1.shape[0]), "cols": int(factors.a1.shape[1]), "values": _flat(factors.a1)},
-        "a2": {"rows": int(factors.a2.shape[0]), "cols": int(factors.a2.shape[1]), "values": _flat(factors.a2)},
-        "a3": {"rows": int(factors.a3.shape[0]), "cols": int(factors.a3.shape[1]), "values": _flat(factors.a3)},
-        "laplacians": {
-            "epsilon": laplacians.epsilon,
-            "l1": {"n": int(laplacians.l1.shape[0]), "values": _flat(laplacians.l1)},
-            "l2": {"n": int(laplacians.l2.shape[0]), "values": _flat(laplacians.l2)},
-            "l3": {"n": int(laplacians.l3.shape[0]), "values": _flat(laplacians.l3)},
-        },
     }
-    if extra:
-        doc.update(extra)
+    for key, a in (("a1", factors.a1), ("a2", factors.a2), ("a3", factors.a3)):
+        doc[key] = {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "values": _flat(a)}
+    if scaler is not None:
+        doc["scaler"] = {key: _flat(scaler[key]) for key in ("mean", "std")}
     return doc
 
 
@@ -298,20 +290,22 @@ def save_model(path: str, doc: dict) -> None:
 
 
 def load_model(path: str) -> dict:
-    """Read a model container back; arrays are rebuilt as numpy objects under
-    the keys ``core_tensor``, ``factors`` and ``laplacian_matrices``.
+    """Read what ``forecast`` and ``eval`` use from a model container:
+    ``{"factors": TuckerFactors, "scaler": {"mean": array, "std": array}}``,
+    with ``scaler`` None when the file has none. Keys that are not read, such
+    as the config echo or a version-1 file's Laplacians, are ignored.
 
-    Raises ``ValueError`` naming the key when one that the rebuild reads is
-    missing or mistyped, or when ``m``, ``p``, ``ranks``, a Laplacian size
-    or the scaler disagrees with the arrays."""
+    Raises ``ValueError`` naming the key when one that is read is missing or
+    mistyped, or when ``m``, ``p``, ``ranks`` or the scaler disagrees with
+    the arrays."""
     with open(path) as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    core = _stored_array(path, doc, "core", ("dims",))
+    core = _stored_array(path, doc, "core")
     if core.ndim != 3:
         raise ValueError(f"{path}: 'core' must be a third-order tensor")
-    factors = [_stored_array(path, doc, key, ("rows", "cols")) for key in ("a1", "a2", "a3")]
+    factors = [_stored_array(path, doc, key) for key in ("a1", "a2", "a3")]
     m, p = factors[0].shape[0], factors[2].shape[0]
     if factors[1].shape[0] != m:
         raise ValueError(f"{path}: 'a1' and 'a2' must have the same number of rows")
@@ -326,26 +320,20 @@ def load_model(path: str) -> dict:
             raise ValueError(
                 f"{path}: '{key}' must be {want}, as the arrays give, got {doc.get(key)!r}"
             )
-    laplacians = doc.get("laplacians")
-    if not isinstance(laplacians, dict):
-        raise ValueError(f"{path}: 'laplacians' must be an object")
-    laps = [_stored_array(path, laplacians, key, ("n", "n")) for key in ("l1", "l2", "l3")]
-    for key, lap, n in zip(("l1", "l2", "l3"), laps, (m, m, p)):
-        if lap.shape[0] != n:
-            raise ValueError(f"{path}: Laplacian '{key}' is {lap.shape[0]}-square, expected {n}")
-    epsilon = _require_number(f"{path}: 'laplacians.epsilon'", laplacians.get("epsilon"), 0)
-    scaler = doc.get("scaler")
-    if scaler:
-        for key in ("mean", "std"):
-            values = _finite_floats(scaler.get(key)) if isinstance(scaler, dict) else None
+    scaler = None
+    if "scaler" in doc:
+        if not isinstance(doc["scaler"], dict):
+            raise ValueError(f"{path}: 'scaler' must be an object with fields 'mean' and 'std'")
+        scaler = {key: _finite_floats(doc["scaler"].get(key)) for key in ("mean", "std")}
+        for key, values in scaler.items():
             if values is None or values.size != m:
                 raise ValueError(f"{path}: 'scaler.{key}' must hold {m} finite numbers")
-        if min(scaler["std"]) <= 0:
+        if scaler["std"].min() <= 0:
             raise ValueError(f"{path}: 'scaler.std' must be positive")
-    doc["core_tensor"] = core
-    doc["factors"] = TuckerFactors(core=core, a1=factors[0], a2=factors[1], a3=factors[2])
-    doc["laplacian_matrices"] = LaplacianSet(l1=laps[0], l2=laps[1], l3=laps[2], epsilon=epsilon)
-    return doc
+    return {
+        "factors": TuckerFactors(core=core, a1=factors[0], a2=factors[1], a3=factors[2]),
+        "scaler": scaler,
+    }
 
 
 def _finite_floats(values) -> np.ndarray | None:
@@ -360,17 +348,18 @@ def _finite_floats(values) -> np.ndarray | None:
     return array if np.isfinite(array).all() else None
 
 
-def _stored_array(path: str, parent: dict, key: str, shape_keys: tuple[str, ...]) -> np.ndarray:
-    """The array that a model file stores under ``parent[key]``: a flat
-    ``values`` list in i1-fastest order and its shape, read from the fields
-    ``shape_keys`` (``dims`` holds the whole shape). Raises ``ValueError``
+def _stored_array(path: str, doc: dict, key: str) -> np.ndarray:
+    """The array that a model file stores under ``doc[key]``: a flat
+    ``values`` list in i1-fastest order and its shape, the field ``dims`` for
+    the core and ``rows`` and ``cols`` for a factor. Raises ``ValueError``
     naming the key when a field is missing, mistyped or inconsistent."""
-    spec = parent.get(key)
+    shape_keys = ("dims",) if key == "core" else ("rows", "cols")
+    spec = doc.get(key)
     if not isinstance(spec, dict) or not all(k in spec for k in shape_keys + ("values",)):
         raise ValueError(
             f"{path}: '{key}' must be an object with fields {list(shape_keys)} and 'values'"
         )
-    shape = spec["dims"] if shape_keys == ("dims",) else [spec[k] for k in shape_keys]
+    shape = spec["dims"] if key == "core" else [spec["rows"], spec["cols"]]
     if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
         raise ValueError(
             f"{path}: the shape of '{key}' must be positive integers, got {shape!r}"

@@ -67,7 +67,7 @@ def decrease_runs():
         panel = simulate(scenario.w, 0.25 * np.eye(15), length=103, seed=seed)
         try:
             results.append(fit_panel(panel, 3, cfg).result)
-        except ValueError as exc:
+        except RuntimeError as exc:
             raised.append(f"seed {seed}: {exc}")
     return results, raised, cfg, time.time() - start
 

@@ -118,6 +118,18 @@ class TestErrorCurve:
         with pytest.raises(ValueError, match=r"T=40, seed=0"):
             error_curve(spec, bad_cfg)
 
+    def test_solver_faults_name_the_cell(self, monkeypatch):
+        import tuckervar.solver as solver
+
+        def unclipped(l, tau, c):
+            return np.sign(l) * np.maximum(np.abs(l) - tau, 0.0)
+
+        monkeypatch.setattr(solver, "prox_core", unclipped)
+        spec = small_spec(seeds=(0,), sample_sizes=(40,))
+        with pytest.raises(RuntimeError, match=r"^benchmark cell failed at T=40, seed=0: sweep 1:") as info:
+            error_curve(spec, StdgrConfig(ranks=(2, 2, 2), c=0.1))
+        assert type(info.value.__cause__) is RuntimeError
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             error_curve(small_spec(seeds=()), StdgrConfig(ranks=(2, 2, 2)))

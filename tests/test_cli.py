@@ -22,7 +22,9 @@ from tuckervar import (
     spectral_radius,
     tucker_reconstruct,
 )
-from tuckervar.cli import EXIT_DATA, EXIT_MAX_ITER, EXIT_OK, EXIT_USAGE, main
+import tuckervar.cli
+import tuckervar.solver
+from tuckervar.cli import EXIT_DATA, EXIT_MAX_ITER, EXIT_OK, EXIT_SOFTWARE, EXIT_USAGE, main
 from tuckervar.storage import (
     load_model,
     model_document,
@@ -63,8 +65,7 @@ def identity_model(tmp_path, scale=0.5, m=2):
     core = np.zeros((m, m, 1))
     core[:, :, 0] = scale * np.eye(m)
     factors = TuckerFactors(core=core, a1=np.eye(m), a2=np.eye(m), a3=np.ones((1, 1)))
-    lap = build_laplacians(factors, 0.2)
-    doc = model_document(factors, lap, StdgrConfig(ranks=(m, m, 1)))
+    doc = model_document(factors, StdgrConfig(ranks=(m, m, 1)))
     path = tmp_path / "model.json"
     save_model(str(path), doc)
     return str(path)
@@ -114,8 +115,8 @@ class TestFitCommand:
             ["fit", "--input", panel, "--output", str(model), "--p", "2", "--ranks", "auto"]
         )
         assert code in (EXIT_OK, EXIT_MAX_ITER)
-        doc = load_model(str(model))
-        assert doc["m"] == 4 and doc["p"] == 2
+        factors = load_model(str(model))["factors"]
+        assert factors.a1.shape[0] == 4 and factors.a3.shape[0] == 2
         lines = (tmp_path / "model.json.diagnostics.jsonl").read_text().splitlines()
         meta = json.loads(lines[0])
         assert meta["record"] == "meta"
@@ -190,16 +191,31 @@ class TestFitCommand:
     def test_model_roundtrip_bit_exact(self, tmp_path):
         panel = self._panel(tmp_path, seed=2)
         model = tmp_path / "m.json"
-        main(["fit", "--input", panel, "--output", str(model), "--p", "2", "--ranks", "2,2,1"])
-        doc = load_model(str(model))
+        main(["fit", "--input", panel, "--output", str(model), "--p", "2", "--ranks", "2,2,1",
+              "--standardize"])
+        loaded = load_model(str(model))
+        # writing what was loaded, with the config the fit used, gives the
+        # same bytes, so every array and the scaler survive the round trip
         resaved = tmp_path / "m2.json"
-        save_model(str(resaved), {k: v for k, v in doc.items() if k not in ("core_tensor", "factors", "laplacian_matrices")})
+        save_model(str(resaved), model_document(loaded["factors"], StdgrConfig(ranks=(2, 2, 1)), loaded["scaler"]))
+        assert resaved.read_bytes() == model.read_bytes()
         again = load_model(str(resaved))
-        np.testing.assert_array_equal(doc["core_tensor"], again["core_tensor"])
-        np.testing.assert_array_equal(doc["factors"].a1, again["factors"].a1)
-        np.testing.assert_array_equal(
-            doc["laplacian_matrices"].l2, again["laplacian_matrices"].l2
-        )
+        for key in ("core", "a1", "a2", "a3"):
+            np.testing.assert_array_equal(getattr(loaded["factors"], key), getattr(again["factors"], key))
+        for key in ("mean", "std"):
+            np.testing.assert_array_equal(loaded["scaler"][key], again["scaler"][key])
+
+    def test_model_file_holds_the_model(self, tmp_path):
+        panel = self._panel(tmp_path, seed=2)
+        model = tmp_path / "m.json"
+        args = ["fit", "--input", panel, "--output", str(model), "--p", "2", "--ranks", "2,2,1"]
+        assert main(args + ["--train-fraction", "0.8"]) in (EXIT_OK, EXIT_MAX_ITER)
+        keys = ["format", "version", "m", "p", "ranks", "config", "core", "a1", "a2", "a3"]
+        assert list(json.loads(model.read_text())) == keys
+        meta = json.loads((tmp_path / "m.json.diagnostics.jsonl").read_text().splitlines()[0])
+        assert meta["n_train"] == int(0.8 * read_panel_csv(panel)[1].shape[0])
+        assert main(args + ["--standardize"]) in (EXIT_OK, EXIT_MAX_ITER)
+        assert list(json.loads(model.read_text())) == keys + ["scaler"]
 
     def test_standardize_scaler_from_train_split_only(self, tmp_path, capsys):
         rng = np.random.default_rng(9)
@@ -232,7 +248,7 @@ class TestFitCommand:
         model = tmp_path / "m.json"
         code = main(["fit", "--input", str(path), "--output", str(model), "--p", "1", "--ranks", "auto"])
         assert code == EXIT_OK
-        assert load_model(str(model))["ranks"][2] == 1
+        assert load_model(str(model))["factors"].ranks[2] == 1
 
     def test_repeated_fit_byte_identical(self, tmp_path):
         panel = self._panel(tmp_path, seed=3)
@@ -275,7 +291,7 @@ class TestForecastCommand:
         q, _ = np.linalg.qr(rng.standard_normal((m, 2)))
         core = rng.uniform(-0.4, 0.4, size=(2, 2, 1))
         factors = TuckerFactors(core=core, a1=q, a2=q, a3=np.ones((1, 1)))
-        doc = model_document(factors, build_laplacians(factors, 0.2), StdgrConfig(ranks=(2, 2, 1)))
+        doc = model_document(factors, StdgrConfig(ranks=(2, 2, 1)))
         model = tmp_path / "m.json"
         save_model(str(model), doc)
         panel_values = rng.standard_normal((4, m))
@@ -310,8 +326,8 @@ def lag_two_model_doc():
     q = np.linalg.qr(rng.standard_normal((3, 2)))[0]
     a3 = np.linalg.qr(rng.standard_normal((2, 1)))[0]
     factors = TuckerFactors(core=rng.uniform(-0.3, 0.3, (2, 2, 1)), a1=q, a2=q, a3=a3)
-    scaler = {"scaler": {"mean": [0.5, 0.0, -0.5], "std": [1.0, 2.0, 0.5]}}
-    return model_document(factors, build_laplacians(factors, 0.2), StdgrConfig(ranks=(2, 2, 1)), scaler)
+    scaler = {"mean": [0.5, 0.0, -0.5], "std": [1.0, 2.0, 0.5]}
+    return model_document(factors, StdgrConfig(ranks=(2, 2, 1)), scaler)
 
 
 _DELETE = object()
@@ -345,21 +361,29 @@ BAD_MODELS = [
     ("core.values", [float("nan")] * 4, "core"),
     ("a2.rows", 4, "a2"),
     ("a3.cols", 2, "a3"),
-    ("laplacians", _DELETE, "laplacians"),
-    ("laplacians.l3", {"n": 3, "values": [0.0] * 9}, "l3"),
-    ("laplacians.epsilon", "0.2", "epsilon"),
+    # a scaler key that is present must hold a valid mean and std, so a blank
+    # value cannot pass for "no scaler" and forecast in standardized units
+    ("scaler", {}, "scaler"),
+    ("scaler", [], "scaler"),
+    ("scaler", 0, "scaler"),
     ("scaler.std", [1.0, 1.0], "scaler.std"),
     ("scaler.std", [1.0, 0.0, 1.0], "scaler.std"),
     ("scaler.mean", [10**400, 0.0, 0.0], "scaler.mean"),
     ("scaler.mean", _DELETE, "scaler.mean"),
+    # more blank scalers, after the rows above so that their test ids, which
+    # count the rows, stay as they were
+    ("scaler", False, "scaler"),
+    ("scaler", None, "scaler"),
+    ("scaler", "", "scaler"),
     ("format", "other", "tuckervar-model"),
 ]
 
 
 class TestModelFileChecks:
-    """load_model checks every key that forecast and eval read; a bad model
-    file is a data error (exit 65) naming the key, never a traceback, and
-    nothing is written."""
+    """load_model checks every key that forecast and eval read (the core and
+    factor arrays, the scaler when present) and that m, p and ranks agree
+    with the arrays; a bad model file is a data error (exit 65) naming the
+    key, never a traceback, and nothing is written."""
 
     def write(self, tmp_path, dotted, value):
         doc = lag_two_model_doc()
@@ -397,14 +421,65 @@ class TestModelFileChecks:
     def test_valid_document_loads_and_takes_p_from_a3(self, tmp_path, capsys):
         model = tmp_path / "m.json"
         save_model(str(model), lag_two_model_doc())
-        doc = load_model(str(model))
-        assert (doc["m"], doc["p"], doc["ranks"]) == (3, 2, [2, 2, 1])
+        factors = load_model(str(model))["factors"]
+        assert (factors.a1.shape[0], factors.a3.shape[0], factors.ranks) == (3, 2, (2, 2, 1))
         panel = tmp_path / "p.csv"
         write_panel_csv(str(panel), np.random.default_rng(1).standard_normal((40, 3)))
         out = tmp_path / "fc.csv"
         assert main(["forecast", "--model", str(model), "--input", str(panel), "--output", str(out)]) == EXIT_OK
         assert main(["eval", "--model", str(model), "--input", str(panel)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["n_train"] == 24
+
+
+def version_one_layout(doc):
+    """``doc`` in the layout of model format version 1: the config echo
+    without epsilon, which sat under "laplacians" beside the three Laplacians,
+    and the solver's outcome and the training length beside the arrays."""
+    config = {k: v for k, v in doc["config"].items() if k != "epsilon"}
+    old = dict(doc, version=1, config=config)
+    scaler = old.pop("scaler", None)
+    arrays = [
+        np.reshape(doc[k]["values"], (doc[k]["rows"], doc[k]["cols"]), order="F")
+        for k in ("a1", "a2", "a3")
+    ]
+    lap = build_laplacians(TuckerFactors(np.zeros(doc["ranks"]), *arrays), doc["config"]["epsilon"])
+    old["laplacians"] = {"epsilon": doc["config"]["epsilon"]}
+    for key, matrix in zip(("l1", "l2", "l3"), lap.as_tuple()):
+        old["laplacians"][key] = {"n": matrix.shape[0], "values": matrix.ravel(order="F").tolist()}
+    old.update(ranks_selected=False, n_train=24, converged=True, iterations=17)
+    if scaler is not None:
+        old["scaler"] = scaler
+    return old
+
+
+class TestVersionOneModels:
+    """A model file written in the version-1 layout still loads, and forecast
+    and eval give byte-identical output from it and from its version-2
+    counterpart: the keys that version 2 dropped are ignored."""
+
+    def outputs(self, tmp_path, capsys, doc):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc, indent=1) + "\n")
+        panel = tmp_path / "p.csv"
+        write_panel_csv(str(panel), np.random.default_rng(1).standard_normal((40, 3)))
+        out, report = tmp_path / "fc.csv", tmp_path / "eval.json"
+        codes = (
+            main(["forecast", "--model", str(model), "--input", str(panel), "--output", str(out),
+                  "--horizon", "5"]),
+            main(["eval", "--model", str(model), "--input", str(panel), "--output", str(report)]),
+        )
+        return codes, capsys.readouterr(), out.read_bytes(), report.read_bytes()
+
+    @pytest.mark.parametrize("scaled", [True, False], ids=["scaler", "no-scaler"])
+    def test_same_forecast_and_eval(self, tmp_path, capsys, scaled):
+        doc = lag_two_model_doc()
+        if not scaled:
+            del doc["scaler"]
+        current = self.outputs(tmp_path, capsys, doc)
+        old = version_one_layout(doc)
+        assert "laplacians" in old and old["version"] == 1
+        assert current[0] == (EXIT_OK, EXIT_OK)
+        assert self.outputs(tmp_path, capsys, old) == current
 
 
 class TestEvalCommand:
@@ -549,7 +624,7 @@ class TestConfigsFromDataclasses:
         assert doc["ranks"] == [2, 2, 1]
         assert doc["config"] == dict(
             beta=5e-3, alpha=[1e-3, 2e-3, 3e-3], gamma=[0.2, 0.2, 0.2], c=2.5,
-            a_bar1=1.3, a_bar2=12.0, tol=1e-9, max_iter=7,
+            a_bar1=1.3, a_bar2=12.0, tol=1e-9, max_iter=7, epsilon=0.2,
         )
 
     def test_scenario_without_m_names_it(self, tmp_path, capsys):
@@ -643,6 +718,51 @@ class TestOversizedCell:
         assert "field limit" in err
 
 
+class TestSolverFault:
+    """A sweep that breaks a solver guarantee is a fault of the program, not
+    of the input: exit 70 with the sweep named, and no model is written."""
+
+    @pytest.fixture
+    def unclipped(self, monkeypatch):
+        def prox_core(l, tau, c):
+            return np.sign(l) * np.maximum(np.abs(l) - tau, 0.0)
+
+        monkeypatch.setattr(tuckervar.solver, "prox_core", prox_core)
+
+    def test_fit_exits_70_and_writes_no_model(self, tmp_path, capsys, unclipped):
+        cfg = write_config(tmp_path / "sim.json", scenario=small_scenario(length=150))
+        panel = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", cfg, "--output", str(panel), "--seed", "0"]) == EXIT_OK
+        capsys.readouterr()
+        model = tmp_path / "m.json"
+        code = main(["fit", "--input", str(panel), "--output", str(model), "--p", "2",
+                     "--c", "0.5", "--ranks", "2,2,2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_SOFTWARE
+        assert err.startswith("internal error: sweep 1: core violates the box bound")
+        assert not model.exists() and not (tmp_path / "m.json.diagnostics.jsonl").exists()
+
+    def test_bench_names_the_cell(self, tmp_path, capsys, unclipped):
+        scenario = small_scenario(seeds=[0], sample_sizes=[40])
+        cfg = write_config(tmp_path / "cfg.json", scenario=scenario, solver={"c": 0.5})
+        out = tmp_path / "curve.csv"
+        assert main(["bench", "--config", cfg, "--output", str(out)]) == EXIT_SOFTWARE
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: benchmark cell failed at T=40, seed=0: sweep 1:")
+        assert not out.exists()
+
+
+def test_documented_exit_codes_are_the_constants():
+    """README and the cli module docstring list exactly the EXIT_* codes."""
+    constants = sorted(v for k, v in vars(tuckervar.cli).items() if k.startswith("EXIT_"))
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as handle:
+        readme_text = handle.read()
+    for text in (tuckervar.cli.__doc__, readme_text):
+        listed = re.search(r"Exit codes:(.*?)\.\s", text, re.S).group(1)
+        assert sorted(int(code) for code in re.findall(r"\b\d+\b", listed)) == constants
+
+
 class TestModuleEntryPoints:
     """``python -m tuckervar`` and ``python -m tuckervar.cli`` run the CLI and
     return its exit code."""
@@ -719,8 +839,7 @@ class TestBandwidthSetting:
         cfg = write_config(tmp_path / "cfg.json", solver={"epsilon": 0.5})
         from_config = self.fit(tmp_path, "a.json", ["--config", cfg])
         assert from_config == self.fit(tmp_path, "b.json", ["--epsilon", "0.5"])
-        assert json.loads(from_config[0])["laplacians"]["epsilon"] == 0.5
-        assert "epsilon" not in json.loads(from_config[0])["config"]
+        assert json.loads(from_config[0])["config"]["epsilon"] == 0.5
         overridden = self.fit(tmp_path, "c.json", ["--config", cfg, "--epsilon", "0.7"])
         assert overridden == self.fit(tmp_path, "d.json", ["--epsilon", "0.7"])
 

@@ -17,9 +17,9 @@ from tuckervar import (
     ScenarioSpec,
     StdgrConfig,
     build_design,
-    build_laplacians,
     fit_panel,
     hosvd,
+    laplacian_from_rows,
     make_scenario,
     ridge_constant,
     select_ranks,
@@ -97,8 +97,8 @@ class TestStagesFromReport:
         np.testing.assert_array_equal(again.objective_trace, report.result.objective_trace)
 
     def test_laplacians_take_the_config_bandwidth(self, panel):
-        report = fit_panel(panel, self.P, StdgrConfig(c=2.0, ranks=(3, 2, 1), epsilon=0.5))
-        want = build_laplacians(hosvd(report.nnm.w, report.ranks), 0.5)
-        assert report.laplacians.epsilon == 0.5
-        for got, expected in zip(report.laplacians.as_tuple(), want.as_tuple()):
-            np.testing.assert_array_equal(got, expected)
+        cfg = StdgrConfig(c=2.0, ranks=(3, 2, 1), epsilon=0.5)
+        report = fit_panel(panel, self.P, cfg)
+        init = hosvd(report.nnm.w, report.ranks)
+        for got, rows in zip(report.laplacians.as_tuple(), (init.a1, init.a2, init.a3)):
+            np.testing.assert_array_equal(got, laplacian_from_rows(rows, cfg.epsilon))

@@ -513,7 +513,8 @@ class TestSolve:
         init = hosvd(w, (2, 2, 2))
         lap = build_laplacians(init, 0.2)
         cfg = StdgrConfig(ranks=(2, 2, 2), max_iter=10, tol=1e-12)
-        with pytest.raises(ValueError, match=r"^sweep 3 breaks the sufficient decrease: F_k"):
+        # a broken guarantee is a fault of the solver, not a bad input
+        with pytest.raises(RuntimeError, match=r"^sweep 3 breaks the sufficient decrease: F_k"):
             solve(design, lap, cfg, init)
         assert len(sweeps) == 3
 
@@ -526,8 +527,10 @@ class TestSolve:
         init = hosvd(w, (2, 2, 2))
         lap = build_laplacians(init, 0.2)
         cfg = StdgrConfig(ranks=(2, 2, 2), max_iter=10, c=0.1)
-        with pytest.raises(ValueError, match=r"^sweep 1: core violates the box bound"):
+        with pytest.raises(RuntimeError, match=r"^sweep 1: core violates the box bound") as info:
             solve(design, lap, cfg, init)
+        # chained from objective's feasibility check, which stays a ValueError
+        assert type(info.value.__cause__) is ValueError
 
     def test_init_core_clipped_flag(self):
         rng = np.random.default_rng(24)
