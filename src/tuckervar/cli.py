@@ -3,7 +3,9 @@
 Subcommands: simulate, fit, forecast, eval, rank-select, bench.
 Exit codes: 0 success (fit converged), 2 fit ran to the iteration cap,
 64 usage error, 65 data format error, 70 internal error (a solver guarantee
-broken).
+broken). ``main`` maps ``ValueError`` to 64 (a file that cannot be opened
+is a usage error), ``PanelFormatError`` to 65 and ``RuntimeError`` to 70;
+``storage`` builds every file, the fit record and the truth file included.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import benchmark, var
+from . import benchmark
 from .fit import fit_panel
 from .initialization import NnmConfig, nnm_estimate, ridge_constant, select_ranks
 from .solver import StdgrConfig
@@ -27,6 +29,7 @@ from .storage import (
     read_panel_csv,
     save_diagnostics,
     save_model,
+    save_truth,
     write_panel_csv,
 )
 from .tensor import tucker_reconstruct
@@ -36,7 +39,6 @@ from .var import (
     one_step_predictions,
     predict_one_step,
     simulate,
-    spectral_radius,
     train_scaler,
 )
 
@@ -49,13 +51,9 @@ EXIT_DATA = 65
 EXIT_SOFTWARE = 70
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2), which is taken
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 # config section -> the dataclass it builds and the fields that flags override
@@ -74,23 +72,23 @@ def _load_config(path: str | None) -> dict:
         with open(path) as handle:
             doc = json.load(handle)
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}")
+        raise ValueError(f"config file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     unknown = set(doc) - set(_SECTIONS)
     if unknown:
-        raise UsageError(f"unknown config sections: {sorted(unknown)}")
+        raise ValueError(f"unknown config sections: {sorted(unknown)}")
     for section, (cls, _) in _SECTIONS.items():
         settings = doc.get(section, {})
         if not isinstance(settings, dict):
-            raise UsageError(f"config section '{section}' must be a JSON object")
+            raise ValueError(f"config section '{section}' must be a JSON object")
         extra = set(settings) - {f.name for f in dataclasses.fields(cls)}
         if section == "scenario":
             extra.discard("length")  # the rows that simulate writes
         if extra:
-            raise UsageError(f"unknown keys in config section '{section}': {sorted(extra)}")
+            raise ValueError(f"unknown keys in config section '{section}': {sorted(extra)}")
     return doc
 
 
@@ -124,7 +122,7 @@ def _configured(section: str, config: dict, args=None):
     try:
         return cls(**settings)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad {section} configuration: {exc}")
+        raise ValueError(f"bad {section} configuration: {exc}")
 
 
 def cmd_simulate(args) -> int:
@@ -132,35 +130,22 @@ def cmd_simulate(args) -> int:
     spec = _configured("scenario", config)
     length = config["scenario"].get("length")
     if length is None:
-        raise UsageError("scenario section must set 'length' (rows to write)")
+        raise ValueError("scenario section must set 'length' (rows to write)")
     scenario = benchmark.make_scenario(spec, args.seed)
     panel = simulate(
         scenario.w, spec.covariance, length=length, seed=args.seed, burn_in=spec.burn_in
     )
     write_panel_csv(args.output, panel)
-    truth = {
-        "format": "tuckervar-truth",
-        "m": spec.m,
-        "p": spec.p,
-        "ranks": list(spec.ranks),
-        "superdiag_used": list(scenario.superdiag_used),
-        "rescale_count": scenario.rescale_count,
-        "noise_scale": spec.noise_scale,
-        "seed": args.seed,
-        "prng": var.PRNG_ALGORITHM,
-        "w": [float(v) for v in scenario.w.ravel(order="F")],
-    }
-    atomic_write_text(args.output + ".truth.json", json.dumps(truth, indent=1) + "\n")
+    save_truth(args.output + ".truth.json", spec, scenario, args.seed)
     print(f"wrote {length} rows to {args.output}")
     return EXIT_OK
 
 
-def _read_panel(path: str) -> np.ndarray:
+def _read_panel(path: str) -> tuple[list[str], np.ndarray]:
     try:
-        _, panel = read_panel_csv(path)
+        return read_panel_csv(path)
     except OSError as exc:
-        raise UsageError(f"cannot read panel: {exc}")
-    return panel
+        raise ValueError(f"cannot read panel: {exc}")
 
 
 def _require_rows(panel: np.ndarray, p: int) -> None:
@@ -171,7 +156,9 @@ def _require_rows(panel: np.ndarray, p: int) -> None:
 def _load_model(path: str) -> dict:
     try:
         return load_model(path)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise ValueError(f"cannot read model: {exc}")
+    except ValueError as exc:
         raise PanelFormatError(f"cannot load model: {exc}")
 
 
@@ -179,13 +166,13 @@ def cmd_fit(args) -> int:
     config = _load_config(args.config)
     cfg = _configured("solver", config, args)
     nnm_cfg = _configured("nnm", config, args)
-    panel = _read_panel(args.input)
+    _, panel = _read_panel(args.input)
     _require_rows(panel, args.p)
 
     n_train = panel.shape[0]
     if args.train_fraction is not None:
         if not 0 < args.train_fraction <= 1:
-            raise UsageError("train-fraction must lie in (0, 1]")
+            raise ValueError("train-fraction must lie in (0, 1]")
         n_train = int(args.train_fraction * panel.shape[0])
         if n_train < args.p + 2:
             raise PanelFormatError("training split too short for the lag order")
@@ -199,24 +186,15 @@ def cmd_fit(args) -> int:
 
     report = fit_panel(train, args.p, cfg, nnm_cfg)
     save_model(args.output, model_document(report.result.factors, cfg, scaler))
+    save_diagnostics(args.output + ".diagnostics.jsonl", report, n_train)
     nnm = report.nnm
-    save_diagnostics(
-        args.output + ".diagnostics.jsonl",
-        report.result,
-        meta={
-            "ranks": list(report.ranks),
-            "ranks_selected": report.ranks_selected,
-            "n_train": n_train,
-            "nnm_iterations": nnm.iterations,
-            "nnm_converged": nnm.converged,
-            "lambda_nn": nnm.lambda_nn,
-            "spectral_radius": spectral_radius(report.w_hat),
-        },
-    )
     if not nnm.converged:
+        cause = f"without converging (nnm.max_iter={nnm_cfg.max_iter})"
+        if nnm.iterations < nnm_cfg.max_iter:  # a plain step stopped lowering the objective
+            cause = f"short of nnm.tol={nnm_cfg.tol}: rounding hid any further decrease"
         print(
             f"warning: the nuclear-norm initializer stopped after {nnm.iterations}"
-            f" iterations without converging (nnm.max_iter={nnm_cfg.max_iter})",
+            f" iterations {cause}",
             file=sys.stderr,
         )
     status = "converged" if report.result.converged else "hit the iteration cap"
@@ -229,24 +207,27 @@ def cmd_fit(args) -> int:
     return EXIT_OK if report.result.converged else EXIT_MAX_ITER
 
 
-def _apply_scaler(scaler: dict | None, panel: np.ndarray) -> np.ndarray:
-    return panel if scaler is None else (panel - scaler["mean"]) / scaler["std"]
+def _model_and_panel(args) -> tuple[np.ndarray, dict | None, list[str], np.ndarray]:
+    """The tensor and scaler of ``--model``, and the names and panel of
+    ``--input`` in the model's units; the variable count is checked first."""
+    model = _load_model(args.model)
+    names, panel = _read_panel(args.input)
+    w, scaler = tucker_reconstruct(model["factors"]), model["scaler"]
+    if panel.shape[1] != w.shape[0]:
+        raise ValueError(f"panel has {panel.shape[1]} variables, model expects {w.shape[0]}")
+    if scaler is not None:
+        panel = (panel - scaler["mean"]) / scaler["std"]
+    return w, scaler, names, panel
 
 
 def cmd_forecast(args) -> int:
-    model = _load_model(args.model)
-    panel = _read_panel(args.input)
-    w = tucker_reconstruct(model["factors"])
-    m, _, p = w.shape
-    if panel.shape[1] != m:
-        raise UsageError(f"panel has {panel.shape[1]} variables, model expects {m}")
-    if panel.shape[0] < p:
-        raise UsageError(f"panel needs at least {p} rows to seed the forecast")
+    w, scaler, names, scaled = _model_and_panel(args)
+    p = w.shape[2]
+    if scaled.shape[0] < p:
+        raise ValueError(f"panel needs at least {p} rows to seed the forecast")
     if args.horizon < 1:
-        raise UsageError("horizon must be >= 1")
+        raise ValueError("horizon must be >= 1")
 
-    scaler = model["scaler"]
-    scaled = _apply_scaler(scaler, panel)
     history = [scaled[-lag] for lag in range(1, p + 1)]
     preds = []
     # an overflowing forecast is reported below as a data error, not as a warning
@@ -263,57 +244,53 @@ def cmd_forecast(args) -> int:
         raise PanelFormatError(
             f"forecast step {int(np.argmin(finite)) + 1} is not finite; nothing written"
         )
-    write_panel_csv(args.output, preds)
+    write_panel_csv(args.output, preds, names)
     print(f"wrote {args.horizon} forecast rows to {args.output}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    if args.truth and args.pred:
-        truth = _read_panel(args.truth)
-        pred = _read_panel(args.pred)
-        if truth.shape != pred.shape:
-            raise UsageError(f"panel shapes differ: {truth.shape} vs {pred.shape}")
+    flags = ("truth", "pred", "model", "input", "train_fraction")
+    given = ["--" + flag.replace("_", "-") for flag in flags if getattr(args, flag) is not None]
+    if given == ["--truth", "--pred"]:
+        _, truth = _read_panel(args.truth)
+        _, pred = _read_panel(args.pred)
         value = mse(truth, pred)
         detail = {"mse": value, "n_test": int(truth.shape[0])}
-    elif args.model and args.input:
-        model = _load_model(args.model)
-        panel = _read_panel(args.input)
-        w = tucker_reconstruct(model["factors"])
-        m, _, p = w.shape
-        if panel.shape[1] != m:
-            raise UsageError(f"panel has {panel.shape[1]} variables, model expects {m}")
+    elif given[:2] == ["--model", "--input"]:
+        w, _, _, scaled = _model_and_panel(args)
         fraction = args.train_fraction if args.train_fraction is not None else 0.6
         if not 0 < fraction < 1:
-            raise UsageError("train-fraction must lie in (0, 1)")
-        scaled = _apply_scaler(model["scaler"], panel)
+            raise ValueError("train-fraction must lie in (0, 1)")
         n_train = int(fraction * scaled.shape[0])
-        if n_train < p:
-            raise UsageError("training split shorter than the lag order")
+        if n_train < w.shape[2]:
+            raise ValueError("training split shorter than the lag order")
         preds = one_step_predictions(w, scaled, n_train)
         value = mse(scaled[n_train:], preds)
         detail = {"mse": value, "n_test": int(preds.shape[0]), "n_train": n_train}
     else:
-        raise UsageError("eval needs either --truth and --pred, or --model and --input")
-    text = json.dumps(detail)
-    if args.output:
-        atomic_write_text(args.output, text + "\n")
-    print(text)
-    return EXIT_OK
+        named = " ".join(given) or "none"
+        raise ValueError(f"eval needs --truth and --pred, or --model and --input; given: {named}")
+    return _report(detail, args.output)
 
 
 def cmd_rank_select(args) -> int:
     nnm_cfg = _configured("nnm", _load_config(args.config), args)
-    panel = _read_panel(args.input)
+    _, panel = _read_panel(args.input)
     _require_rows(panel, args.p)
     design = build_design(panel, args.p)
     result = nnm_estimate(design, nnm_cfg)
     c_bar = ridge_constant(design.m, design.p, design.n_samples)
     ranks = select_ranks(result.w, c_bar)
     detail = {"ranks": list(ranks), "c_bar": c_bar, "nnm_converged": result.converged}
+    return _report(detail, args.output)
+
+
+def _report(detail: dict, output: str | None) -> int:
+    """Print a JSON report, and write it to ``output`` too when given."""
     text = json.dumps(detail)
-    if args.output:
-        atomic_write_text(args.output, text + "\n")
+    if output:
+        atomic_write_text(output, text + "\n")
     print(text)
     return EXIT_OK
 
@@ -410,9 +387,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PanelFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -178,9 +178,6 @@ class SolverState:
     u2: np.ndarray
     u3: np.ndarray
 
-    def copy(self) -> "SolverState":
-        return SolverState(*(arr.copy() for arr in self.blocks()))
-
     def blocks(self) -> tuple[np.ndarray, ...]:
         return (self.core, self.a1, self.a2, self.a3, self.u1, self.u2, self.u3)
 

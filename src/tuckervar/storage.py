@@ -1,4 +1,4 @@
-"""File formats: CSV panels, JSON model container, JSONL diagnostics.
+"""File formats: CSV panels, JSON models and truth files, JSONL fit records.
 
 Panels are CSV with a header row of variable names and one time step per
 row. Each data row holds one decimal number per variable: a cell may be
@@ -24,9 +24,11 @@ read (dims, ranks, the core and factor arrays flattened in i1-fastest
 (column-major) order with full decimal round-trip precision, and the scaler
 of a standardized fit) plus the config the fit used. The graph Laplacians
 act only inside the solve and are not stored; how the fit went is recorded
-only in the diagnostics JSONL, whose meta record also holds ``n_train``.
-Version-1 files, which stored the Laplacians and the solver's outcome too,
-still load. All writes are whole-file atomic.
+only in the diagnostics JSONL, built from a ``FitReport`` alone, so a
+library fit writes the same record as ``tuckervar fit``. Version-1 files,
+which stored the Laplacians and the solver's outcome too, still load. The
+truth file of a simulated panel holds its scenario and the transition tensor
+drawn, flattened like a model's arrays. All writes are whole-file atomic.
 """
 
 from __future__ import annotations
@@ -44,8 +46,11 @@ import tempfile
 
 import numpy as np
 
-from .solver import FitResult, StdgrConfig
+from .benchmark import Scenario, ScenarioSpec
+from .fit import FitReport
+from .solver import StdgrConfig
 from .tensor import TuckerFactors
+from .var import PRNG_ALGORITHM, spectral_radius
 
 __all__ = [
     "PanelFormatError",
@@ -57,6 +62,7 @@ __all__ = [
     "load_model",
     "diagnostics_lines",
     "save_diagnostics",
+    "save_truth",
 ]
 
 MODEL_FORMAT = "tuckervar-model"
@@ -372,19 +378,26 @@ def _stored_array(path: str, doc: dict, key: str) -> np.ndarray:
     return values.reshape(shape, order="F")
 
 
-def diagnostics_lines(result: FitResult, meta: dict | None = None) -> list[str]:
-    """One JSON record per line: a meta record, then per-iteration records
-    with the iteration index, objective value and the seven relative block
-    changes."""
+def diagnostics_lines(report: FitReport, n_train: int) -> list[str]:
+    """The fit record, one JSON object per line: a meta record (how the solver
+    and the initializer ended, the ranks, ``n_train``, the rows of the fitted
+    panel, and the spectral radius of the estimate), then one record per
+    sweep with its objective value and the seven relative block changes."""
+    result, nnm = report.result, report.nnm
     head = {
         "record": "meta",
         "iterations": result.iterations,
         "converged": result.converged,
         "init_core_clipped": result.init_core_clipped,
         "objective_initial": float(result.objective_trace[0]),
+        "ranks": list(report.ranks),
+        "ranks_selected": report.ranks_selected,
+        "n_train": int(n_train),
+        "nnm_iterations": nnm.iterations,
+        "nnm_converged": nnm.converged,
+        "lambda_nn": nnm.lambda_nn,
+        "spectral_radius": spectral_radius(report.w_hat),
     }
-    if meta:
-        head.update(meta)
     lines = [json.dumps(head)]
     for k in range(result.iterations):
         lines.append(
@@ -400,5 +413,23 @@ def diagnostics_lines(result: FitResult, meta: dict | None = None) -> list[str]:
     return lines
 
 
-def save_diagnostics(path: str, result: FitResult, meta: dict | None = None) -> None:
-    atomic_write_text(path, "\n".join(diagnostics_lines(result, meta)) + "\n")
+def save_diagnostics(path: str, report: FitReport, n_train: int) -> None:
+    atomic_write_text(path, "\n".join(diagnostics_lines(report, n_train)) + "\n")
+
+
+def save_truth(path: str, spec: ScenarioSpec, scenario: Scenario, seed: int) -> None:
+    """Write the scenario, seed and generator behind a simulated panel, and
+    the transition tensor ``w`` it drew, flattened i1-fastest."""
+    truth = {
+        "format": "tuckervar-truth",
+        "m": spec.m,
+        "p": spec.p,
+        "ranks": list(spec.ranks),
+        "superdiag_used": list(scenario.superdiag_used),
+        "rescale_count": scenario.rescale_count,
+        "noise_scale": spec.noise_scale,
+        "seed": seed,
+        "prng": PRNG_ALGORITHM,
+        "w": _flat(scenario.w),
+    }
+    atomic_write_text(path, json.dumps(truth, indent=1) + "\n")

@@ -15,20 +15,24 @@ from tuckervar import (
     StdgrConfig,
     TuckerFactors,
     build_laplacians,
+    fit_panel,
     make_scenario,
     predict_one_step,
     rolling_eval,
     simulate,
     spectral_radius,
+    train_scaler,
     tucker_reconstruct,
 )
 import tuckervar.cli
 import tuckervar.solver
+import tuckervar.var
 from tuckervar.cli import EXIT_DATA, EXIT_MAX_ITER, EXIT_OK, EXIT_SOFTWARE, EXIT_USAGE, main
 from tuckervar.storage import (
     load_model,
     model_document,
     read_panel_csv,
+    save_diagnostics,
     save_model,
     write_panel_csv,
 )
@@ -80,6 +84,29 @@ class TestSimulateCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv.truth.json").exists()
         assert (tmp_path / "a.csv.tvcache").read_bytes() == (tmp_path / "b.csv.tvcache").read_bytes()
+
+    def test_truth_file_holds_the_scenario(self, tmp_path):
+        scenario = small_scenario()
+        cfg = write_config(tmp_path / "cfg.json", scenario=scenario)
+        out = tmp_path / "a.csv"
+        assert main(["simulate", "--config", cfg, "--output", str(out), "--seed", "5"]) == EXIT_OK
+        truth = json.loads((tmp_path / "a.csv.truth.json").read_text())
+        spec = ScenarioSpec(**{k: v for k, v in scenario.items() if k != "length"})
+        expected = make_scenario(spec, 5)
+        assert list(truth) == [
+            "format", "m", "p", "ranks", "superdiag_used", "rescale_count", "noise_scale",
+            "seed", "prng", "w",
+        ]
+        assert (truth["format"], truth["m"], truth["p"], truth["ranks"]) == (
+            "tuckervar-truth", 4, 2, [2, 2, 2]
+        )
+        # w is stored with the first index varying fastest
+        w = np.reshape(truth["w"], expected.w.shape, order="F")
+        assert w.tobytes() == expected.w.tobytes()
+        assert truth["superdiag_used"] == list(expected.superdiag_used)
+        assert truth["rescale_count"] == expected.rescale_count
+        assert truth["noise_scale"] == 0.4
+        assert (truth["seed"], truth["prng"]) == (5, tuckervar.var.PRNG_ALGORITHM)
 
     def test_zero_noise_zero_panel(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", scenario=small_scenario(noise_scale=0.0))
@@ -187,6 +214,41 @@ class TestFitCommand:
         meta = json.loads((tmp_path / "m.json.diagnostics.jsonl").read_text().splitlines()[0])
         assert meta["nnm_converged"] is False
         assert meta["nnm_iterations"] == 2
+
+    def test_initializer_stall_names_the_tolerance(self, tmp_path, capsys):
+        # a plain step stops lowering the objective long before the step
+        # size falls to 1e-14
+        panel = self._panel(tmp_path)
+        cfg = write_config(tmp_path / "nnm.json", nnm={"tol": 1e-14})
+        model = tmp_path / "m.json"
+        code = main(
+            ["fit", "--input", panel, "--output", str(model), "--p", "2", "--ranks", "2,2,1",
+             "--config", cfg]
+        )
+        assert code in (EXIT_OK, EXIT_MAX_ITER)
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning")]
+        assert len(warnings) == 1
+        assert "nnm.tol=1e-14" in warnings[0] and "rounding" in warnings[0]
+        assert "max_iter" not in warnings[0]
+        meta = json.loads((tmp_path / "m.json.diagnostics.jsonl").read_text().splitlines()[0])
+        assert meta["nnm_converged"] is False
+        assert meta["nnm_iterations"] < NnmConfig().max_iter
+
+    @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+    def test_library_fit_writes_the_same_record(self, tmp_path, standardize):
+        panel = self._panel(tmp_path, seed=2)
+        model = tmp_path / "m.json"
+        argv = ["fit", "--input", panel, "--output", str(model), "--p", "2", "--ranks", "2,2,1",
+                "--train-fraction", "0.8"] + (["--standardize"] if standardize else [])
+        assert main(argv) in (EXIT_OK, EXIT_MAX_ITER)
+        _, values = read_panel_csv(panel)
+        train = values[: int(0.8 * len(values))]
+        if standardize:
+            mean, std = train_scaler(train)
+            train = (train - mean) / std
+        record = tmp_path / "library.jsonl"
+        save_diagnostics(str(record), fit_panel(train, 2, StdgrConfig(ranks=(2, 2, 1))), len(train))
+        assert record.read_bytes() == (tmp_path / "m.json.diagnostics.jsonl").read_bytes()
 
     def test_model_roundtrip_bit_exact(self, tmp_path):
         panel = self._panel(tmp_path, seed=2)
@@ -305,6 +367,41 @@ class TestForecastCommand:
         expected = predict_one_step(tucker_reconstruct(factors), panel_values[-1])
         np.testing.assert_allclose(preds[0], expected, atol=1e-12)
 
+
+    def test_forecast_keeps_the_header(self, tmp_path):
+        model = identity_model(tmp_path, scale=0.5, m=3)
+        panel = tmp_path / "panel.csv"
+        write_panel_csv(str(panel), np.ones((4, 3)), ["gdp", "cpi", "rate"])
+        out = tmp_path / "fc.csv"
+        argv = ["forecast", "--model", model, "--input", str(panel), "--output", str(out)]
+        assert main(argv + ["--horizon", "2"]) == EXIT_OK
+        names, preds = read_panel_csv(str(out))
+        assert names == ["gdp", "cpi", "rate"]
+        np.testing.assert_array_equal(preds, [[0.5] * 3, [0.25] * 3])
+
+    def test_header_the_writer_refuses_is_a_usage_error(self, tmp_path, capsys):
+        # the reader returns a quoted comma; the writer would split the name
+        model = identity_model(tmp_path, scale=0.5)
+        panel = tmp_path / "panel.csv"
+        panel.write_text('"a,b",c\n1.0,2.0\n3.0,4.0\n')
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", model, "--input", str(panel), "--output", str(out)]) == EXIT_USAGE
+        assert "'a,b'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_model_is_a_usage_error(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        write_panel_csv(str(panel), np.ones((5, 2)))
+        missing = str(tmp_path / "missing.json")
+        out = tmp_path / "out.csv"
+        for argv in (
+            ["forecast", "--model", missing, "--input", str(panel), "--output", str(out)],
+            ["eval", "--model", missing, "--input", str(panel), "--output", str(out)],
+        ):
+            assert main(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: cannot read model") and missing in err
+            assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_forecast_is_a_data_error(self, tmp_path, capsys):
@@ -510,6 +607,57 @@ class TestEvalCommand:
 
     def test_requires_a_mode(self, tmp_path):
         assert main(["eval"]) == EXIT_USAGE
+
+    def panels(self, tmp_path):
+        """A model with m = 3, p = 2 and a scaler, a panel it fits and one of
+        the wrong width."""
+        model = tmp_path / "m.json"
+        save_model(str(model), lag_two_model_doc())
+        rng = np.random.default_rng(1)
+        fits, wide = tmp_path / "fits.csv", tmp_path / "wide.csv"
+        write_panel_csv(str(fits), rng.standard_normal((40, 3)))
+        write_panel_csv(str(wide), rng.standard_normal((40, 2)))
+        return str(model), str(fits), str(wide)
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--truth", "fits", "--model", "model", "--input", "fits"],
+            ["--truth", "fits", "--pred", "fits", "--model", "model", "--input", "wide"],
+            ["--truth", "fits", "--pred", "fits", "--train-fraction", "0.5"],
+            ["--model", "model", "--train-fraction", "0.5"],
+        ],
+        ids=["truth-and-model", "both-pairs", "pair-and-fraction", "model-without-input"],
+    )
+    def test_mixed_modes_are_refused(self, tmp_path, capsys, mode):
+        model, fits, wide = self.panels(tmp_path)
+        files = {"model": model, "fits": fits, "wide": wide}
+        out = tmp_path / "report.json"
+        argv = ["eval"] + [files.get(arg, arg) for arg in mode] + ["--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: eval needs")
+        assert all(flag in captured.err for flag in mode if flag.startswith("--"))
+        assert captured.out == "" and not out.exists()
+
+    def test_wrong_width_panel_names_the_variable_count(self, tmp_path, capsys):
+        # the scaler holds 3 entries: the count is checked before it is applied
+        model, _, wide = self.panels(tmp_path)
+        assert main(["eval", "--model", model, "--input", wide]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: panel has 2 variables, model expects 3\n"
+
+    def test_split_shorter_than_the_lag_order(self, tmp_path, capsys):
+        model, fits, _ = self.panels(tmp_path)
+        # int(0.04 * 40) = 1 training row for p = 2
+        assert main(["eval", "--model", model, "--input", fits, "--train-fraction", "0.04"]) == EXIT_USAGE
+        assert "training split shorter than the lag order" in capsys.readouterr().err
+
+    def test_truth_and_pred_shapes_must_agree(self, tmp_path, capsys):
+        truth, pred = tmp_path / "t.csv", tmp_path / "p.csv"
+        write_panel_csv(str(truth), np.ones((6, 2)))
+        write_panel_csv(str(pred), np.ones((5, 2)))
+        assert main(["eval", "--truth", str(truth), "--pred", str(pred)]) == EXIT_USAGE
+        assert "panel shapes differ: (6, 2) vs (5, 2)" in capsys.readouterr().err
 
 
 class TestRankSelectCommand:

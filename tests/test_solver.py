@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -380,30 +382,30 @@ class TestStepSizes:
 class TestConvergenceMetrics:
     def test_identical_states(self):
         _, state, _, _, _ = random_problem(15)
-        assert np.max(convergence_metrics(state, state.copy())) == 0.0
+        assert np.max(convergence_metrics(state, replace(state))) == 0.0
 
     def test_relative_change_value(self):
         _, state, _, _, _ = random_problem(16)
-        prev = state.copy()
+        prev = replace(state)
         prev.core = np.zeros((2, 2, 2))
         prev.core[0, 0, 0] = 2.0
-        new = prev.copy()
+        new = replace(prev)
         new.core = prev.core.copy()
         new.core[0, 0, 0] = 2.01
         assert convergence_metrics(prev, new)[0] == pytest.approx(0.005)
 
     def test_zero_to_zero_counts_as_converged(self):
         _, state, _, _, _ = random_problem(17)
-        prev = state.copy()
+        prev = replace(state)
         prev.core = np.zeros((2, 2, 2))
-        new = prev.copy()
+        new = replace(prev)
         assert convergence_metrics(prev, new)[0] == 0.0
 
     def test_jump_from_zero_is_infinite(self):
         _, state, _, _, _ = random_problem(18)
-        prev = state.copy()
+        prev = replace(state)
         prev.core = np.zeros((2, 2, 2))
-        new = prev.copy()
+        new = replace(prev)
         new.core = np.ones((2, 2, 2))
         assert convergence_metrics(prev, new)[0] == np.inf
 
