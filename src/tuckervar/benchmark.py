@@ -158,6 +158,7 @@ def make_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
 def upsilon(spec: ScenarioSpec, n_samples: int) -> float:
     """Theoretical error scale 2 sqrt(s) sqrt(log(m^2 p) / T) with s the
     count of nonzero core entries."""
+    _require_number("n_samples", n_samples, 1, closed=True, integer=True)
     s = spec.core_nonzeros
     return 2.0 * math.sqrt(s) * math.sqrt(math.log(spec.m * spec.m * spec.p) / n_samples)
 

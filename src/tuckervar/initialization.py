@@ -67,8 +67,7 @@ def svt(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     1e-12 * ||M||_F once tau >= 1e-3 * sigma_max, and below 2e-8 * ||M||_F
     (worst 6e-9) for any tau; a zero threshold returns M to rounding.
     """
-    if tau < 0:
-        raise ValueError("threshold must be >= 0")
+    _require_number("tau", tau, 0, closed=True)
     mat = np.asarray(mat, dtype=float)
     tall = mat.shape[0] > mat.shape[1]
     a = mat.T if tall else mat
@@ -273,9 +272,9 @@ def hosvd(w: np.ndarray, ranks: tuple[int, int, int]) -> TuckerFactors:
     multiplied by the factor transposes.
     """
     w = _require_tensor3(w)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != 3 or any(r < 1 for r in ranks):
-        raise ValueError(f"ranks must be three positive integers, got {ranks}")
+    if np.ndim(ranks) != 1 or len(ranks) != 3:
+        raise ValueError(f"ranks must be three positive integers, got {ranks!r}")
+    ranks = tuple(_require_number("ranks", r, 1, closed=True, integer=True) for r in ranks)
     for i, r in enumerate(ranks):
         if r > w.shape[i]:
             raise ValueError(f"rank {r} exceeds mode-{i + 1} dimension {w.shape[i]}")
@@ -291,6 +290,8 @@ def hosvd(w: np.ndarray, ranks: tuple[int, int, int]) -> TuckerFactors:
 
 def ridge_constant(m: int, p: int, T: int) -> float:
     """Ridge offset sqrt(m p log(T) / (50 T)) used by the rank selector."""
+    for name, value in (("m", m), ("p", p), ("T", T)):
+        _require_number(name, value, 1, closed=True, integer=True)
     return math.sqrt(m * p * math.log(T) / (50.0 * T))
 
 
@@ -301,8 +302,7 @@ def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
     (sigma_{j+1} + c_bar) / (sigma_j + c_bar) over the singular values of the
     mode-i unfolding (smallest j on ties), and 1 for a mode of size n_i = 1.
     """
-    if c_bar <= 0:
-        raise ValueError("c_bar must be positive")
+    _require_number("c_bar", c_bar, 0)
     w_init = _require_tensor3(w_init)
     ranks = []
     for i, n_i in enumerate(w_init.shape, start=1):

@@ -12,7 +12,7 @@ with W = G x1 A1 x2 A2 x3 A3, subject to ||G||_inf <= c and A_i^T A_i = I
 One iteration updates G, A1, A2, A3, U1, U2, U3 in that order, each block
 from a linearized gradient step at the freshest values of the blocks updated
 before it: soft threshold + box clip for G, a polar (Procrustes) step for
-each A_i, and an exact small linear solve for each U_i. Step sizes exceed the
+each A_i, and an exact minimization for each U_i. Step sizes exceed the
 per-block Lipschitz constants, which makes the objective monotone with a
 quantified sufficient decrease.
 
@@ -35,17 +35,20 @@ term into one of the small matrices X^T X B, K and A1^T Y^T X B:
 
     <W_(1) X^T X, W_(1)> = <G_(1) K, G_(1)>,  <Y^T X, W_(1)> = <A1^T Y^T X B, G_(1)>
 
-and likewise for the block gradients (see _block_gradient). B changes only
-at the A2 update, so a sweep forms X^T X B twice and costs
-O((mp)^2 r2 r3) plus terms in m, p and the ranks, whatever the number of
-samples T; the per-sweep objective forms it once more. The identities need
-orthonormal factors: the prox maps make them so, and the objective checks
-them to 1e-10 before it uses them.
+and likewise for the block gradients (see _block_gradient). B changes at
+the A2 and A3 updates, so an iteration forms X^T X B twice: the sweep for
+the A3 gradient, and solve at the new iterate, for its objective and the
+next sweep's core, A1 and A2 gradients. An iteration costs O((mp)^2 r2 r3)
+plus terms in m, p and the ranks, whatever the number of samples T. The
+identities need orthonormal factors: the prox maps make them so, and the
+objective checks them to 1e-10 before it uses them. Each U_k step solves
+with 2 alpha_k L_k + rho I, which is fixed for a solve, through the
+eigenpairs of L_k that solve takes once.
 
 The sweep is written out block by block: each factor block steps along its
-loss gradient from _block_gradient less its coupling term gamma_k (U_k - A_k),
-and update_u forms its own right-hand side. The tests difference
-_block_gradient directly and hold the sweep to a hand-unrolled copy of it.
+loss gradient from _block_gradient less its coupling term gamma_k (U_k - A_k).
+The tests difference _block_gradient directly and hold the sweep to a
+hand-unrolled copy of it.
 """
 
 from __future__ import annotations
@@ -227,18 +230,14 @@ def procrustes(mat: np.ndarray) -> np.ndarray:
 
 
 def update_u(
-    u_prev: np.ndarray,
-    a: np.ndarray,
-    lap: np.ndarray,
-    alpha: float,
-    gamma: float,
-    rho: float,
+    u_prev: np.ndarray, a: np.ndarray, eig: tuple, alpha: float, gamma: float, rho: float
 ) -> np.ndarray:
-    """Exact minimizer of the linearized auxiliary subproblem:
-    (2 alpha L + rho I)^{-1} (rho U - gamma (U - A))."""
-    n = u_prev.shape[0]
+    """Exact minimizer of the linearized auxiliary subproblem,
+    (2 alpha L + rho I)^{-1} (rho U - gamma (U - A)), from the eigenpairs
+    ``eig`` = (e, V) of L as V ((V^T rhs) / (2 alpha e + rho))."""
+    e, v = eig
     rhs = rho * u_prev - gamma * (u_prev - a)
-    return np.linalg.solve(2.0 * alpha * lap + rho * np.eye(n), rhs)
+    return v @ ((v.T @ rhs) / (2.0 * alpha * e + rho)[:, None])
 
 
 def _block_gradient(
@@ -292,15 +291,18 @@ def _check_feasible(state: SolverState, cfg: StdgrConfig) -> None:
 
 
 def objective(
-    state: SolverState, design: DesignPair, lap: LaplacianSet, cfg: StdgrConfig
+    state: SolverState, design: DesignPair, lap: LaplacianSet, cfg: StdgrConfig, gram_b=None
 ) -> float:
     """Full objective value at a feasible state (box and orthonormality are
     constraints, not penalty terms). The loss is taken in the Tucker ranks,
-    which is exact because the feasibility check has passed first."""
+    which is exact because the feasibility check has passed first. ``gram_b``
+    is X^T X B at the state, formed here unless the caller passes it."""
     _check_feasible(state, cfg)
     b = kronecker(state.a3, state.a2)
+    if gram_b is None:
+        gram_b = design.gram @ b
     g1 = unfold(state.core, 1)
-    quad = float(np.sum((g1 @ (b.T @ (design.gram @ b))) * g1))
+    quad = float(np.sum((g1 @ (b.T @ gram_b)) * g1))
     quad -= 2.0 * float(np.sum((state.a1.T @ (design.cross @ b)) * g1))
     us, factors = (state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3)
     coupling = sum(
@@ -313,35 +315,40 @@ def objective(
     return value
 
 
-def convergence_metrics(prev: SolverState, new: SolverState) -> np.ndarray:
-    """Relative Frobenius change of each of the seven blocks. A zero-norm
-    previous block counts as converged only if the change is itself zero."""
+def convergence_metrics(prev: SolverState, new: SolverState) -> tuple[np.ndarray, float]:
+    """Relative Frobenius change of each of the seven blocks and their summed
+    squared change sum_i ||Delta_i||^2, in one pass. A zero-norm previous
+    block counts as converged only if the change is itself zero."""
     out = np.empty(7)
+    change_sq = 0.0
     for i, (b_prev, b_new) in enumerate(zip(prev.blocks(), new.blocks())):
         num = float(np.linalg.norm(b_new - b_prev))
+        change_sq += num * num
         den = float(np.linalg.norm(b_prev))
         if den > 0:
             out[i] = num / den
         else:
             out[i] = 0.0 if num <= 1e-14 else np.inf
-    return out
+    return out, change_sq
 
 
 def palm_step(
     state: SolverState,
     design: DesignPair,
-    lap: LaplacianSet,
+    eigs: tuple[tuple[np.ndarray, np.ndarray], ...],
     cfg: StdgrConfig,
     steps: StepSizes,
+    gram_b: np.ndarray,
 ) -> SolverState:
     """One full block sweep; every block sees the freshest previous blocks.
 
-    B = A3 kron A2 stays the same until the A2 update, so the core, A1 and A2
-    gradients share one X^T X B; the A3 gradient forms its own."""
+    ``eigs`` holds the eigenpairs (e, V) of L1, L2, L3 and ``gram_b`` is
+    X^T X B at ``state``, which the core, A1 and A2 gradients share: B =
+    A3 kron A2 changes at the A2 update, so the A3 gradient forms its own."""
     rho = steps.rho
     g1, g2, g3 = cfg.gamma
     a1w, a2w, a3w = cfg.alpha
-    gram_b = design.gram @ kronecker(state.a3, state.a2)
+    eig1, eig2, eig3 = eigs
 
     grad = _block_gradient(0, state.core, state.a1, state.a2, state.a3, design, gram_b)
     core = prox_core(state.core - grad / rho[0], cfg.beta / rho[0], cfg.c)
@@ -358,9 +365,9 @@ def palm_step(
     grad = grad - g3 * (state.u3 - state.a3)
     a3 = procrustes(state.a3 - grad / rho[3])
 
-    u1 = update_u(state.u1, a1, lap.l1, a1w, g1, rho[4])
-    u2 = update_u(state.u2, a2, lap.l2, a2w, g2, rho[5])
-    u3 = update_u(state.u3, a3, lap.l3, a3w, g3, rho[6])
+    u1 = update_u(state.u1, a1, eig1, a1w, g1, rho[4])
+    u2 = update_u(state.u2, a2, eig2, a2w, g2, rho[5])
+    u3 = update_u(state.u3, a3, eig3, a3w, g3, rho[6])
     return SolverState(core=core, a1=a1, a2=a2, a3=a3, u1=u1, u2=u2, u3=u3)
 
 
@@ -406,26 +413,25 @@ def solve(
     steps = compute_step_sizes(design, cfg, ranks)
     margin = steps.decrease_margin()
 
-    obj_trace = [objective(state, design, lap, cfg)]
+    eigs = tuple(np.linalg.eigh(l) for l in lap.as_tuple())
+    gram_b = design.gram @ kronecker(state.a3, state.a2)
+    obj_trace = [objective(state, design, lap, cfg, gram_b)]
     lambdas = []
 
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
         prev = state
-        state = palm_step(prev, design, lap, cfg, steps)
+        state = palm_step(prev, design, eigs, cfg, steps, gram_b)
         iterations += 1
-        metrics = convergence_metrics(prev, state)
+        metrics, change_sq = convergence_metrics(prev, state)
         lambdas.append(metrics)
+        gram_b = design.gram @ kronecker(state.a3, state.a2)
         try:
-            f_new = objective(state, design, lap, cfg)
+            f_new = objective(state, design, lap, cfg, gram_b)
         except ValueError as exc:
             raise RuntimeError(f"sweep {iterations}: {exc}") from exc
         f_prev = obj_trace[-1]
-        change_sq = sum(
-            float(np.sum((b_new - b_prev) ** 2))
-            for b_prev, b_new in zip(prev.blocks(), state.blocks())
-        )
         required = 0.5 * margin * change_sq - 1e-9 * max(1.0, abs(f_prev))
         if not f_prev - f_new >= required:
             raise RuntimeError(

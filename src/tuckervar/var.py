@@ -282,8 +282,7 @@ def rescale_to_spectral_radius(w: np.ndarray, target: float) -> np.ndarray:
     changing its Tucker ranks (the scaling is an invertible mode-3 multiply).
     """
     w = _require_transition(w)
-    if target <= 0:
-        raise ValueError("target radius must be positive")
+    _require_number("target", target, 0)
     radius = spectral_radius(w)
     if radius == 0:
         raise ValueError("cannot rescale a nilpotent transition tensor to a positive radius")

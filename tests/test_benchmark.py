@@ -78,6 +78,11 @@ class TestUpsilon:
         expected = (np.sqrt(s) + np.sqrt(s)) * np.sqrt(np.log(spec.m**2 * spec.p) / t)
         assert abs(upsilon(spec, t) - expected) <= 1e-12
 
+    @pytest.mark.parametrize("n_samples", [0, 2.5, np.nan, True])
+    def test_bad_sample_size_named(self, n_samples):
+        with pytest.raises(ValueError, match=r"^n_samples must be"):
+            upsilon(small_spec(), n_samples)
+
 
 class TestErrorCurve:
     def test_noise_free_recovery(self):

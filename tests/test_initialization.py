@@ -60,6 +60,11 @@ SVT_RATIOS = [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.3, 0.99, 1.0, 3
 
 
 class TestSvt:
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0, "1", pytest.param(10**400, id="10**400")])
+    def test_bad_threshold_names_tau(self, tau):
+        with pytest.raises(ValueError, match=r"^tau must be"):
+            svt(np.eye(3), tau)
+
     def test_diagonal_case(self):
         np.testing.assert_allclose(svt(np.diag([3.0, 1.0]), 2.0)[0], np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -453,6 +458,14 @@ class TestHosvd:
         )
         return tucker_reconstruct(f)
 
+    @pytest.mark.parametrize(
+        "ranks", [(2.7, 2, 2), (True, 2, 2), (2, np.nan, 2), ("2", 2, 2), (0, 2, 2), (2, 2)]
+    )
+    def test_bad_ranks_named(self, ranks):
+        w = np.random.default_rng(5).standard_normal((4, 4, 3))
+        with pytest.raises(ValueError, match=r"^ranks must be"):
+            hosvd(w, ranks)
+
     def test_exact_low_rank_reconstruction(self):
         rng = np.random.default_rng(6)
         w = self._exact_tucker(rng, (5, 5, 3), (2, 2, 2))
@@ -545,6 +558,19 @@ class TestSelectRanks:
     def test_bad_constant_rejected(self):
         with pytest.raises(ValueError):
             select_ranks(np.zeros((2, 2, 2)), 0.0)
+
+    @pytest.mark.parametrize("c_bar", [np.nan, np.inf, True, pytest.param(10**400, id="10**400")])
+    def test_non_finite_constant_names_c_bar(self, c_bar):
+        with pytest.raises(ValueError, match=r"^c_bar must be"):
+            select_ranks(np.ones((3, 3, 2)), c_bar)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((20, 4, 0), "T"), ((20, 4, 1.5), "T"), ((0, 4, 300), "m"), ((20, np.nan, 300), "p")],
+    )
+    def test_ridge_constant_names_the_bad_argument(self, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            ridge_constant(*args)
 
     @pytest.mark.parametrize("shape", [(5, 5, 1), (1, 1, 3), (1, 1, 1)])
     def test_size_one_modes_get_rank_one(self, shape):

@@ -10,6 +10,7 @@ from tuckervar import (
     build_laplacians,
     fold,
     hosvd,
+    kronecker,
     solve,
     tucker_reconstruct,
     unfold,
@@ -111,14 +112,16 @@ class TestUpdateU:
         rng = np.random.default_rng(2)
         u = rng.standard_normal((4, 2))
         a = rng.standard_normal((4, 2))
-        out = update_u(u, a, np.zeros((4, 4)), alpha=0.0, gamma=0.3, rho=1.5)
+        eig = np.linalg.eigh(np.zeros((4, 4)))
+        out = update_u(u, a, eig, alpha=0.0, gamma=0.3, rho=1.5)
         np.testing.assert_allclose(out, u - (0.3 / 1.5) * (u - a), atol=1e-12)
 
     def test_fixed_point(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 2))
+        eig = np.linalg.eigh(np.zeros((4, 4)))
         np.testing.assert_allclose(
-            update_u(a, a, np.zeros((4, 4)), alpha=0.0, gamma=0.3, rho=1.5), a, atol=1e-12
+            update_u(a, a, eig, alpha=0.0, gamma=0.3, rho=1.5), a, atol=1e-12
         )
 
     def test_matches_inverse_oracle(self):
@@ -128,7 +131,7 @@ class TestUpdateU:
         u = rng.standard_normal((5, 3))
         a = rng.standard_normal((5, 3))
         alpha, gamma, rho = 0.7, 0.4, 2.0
-        out = update_u(u, a, lap, alpha, gamma, rho)
+        out = update_u(u, a, np.linalg.eigh(lap), alpha, gamma, rho)
         oracle = np.linalg.inv(2 * alpha * lap + rho * np.eye(5)) @ (rho * u - gamma * (u - a))
         assert np.max(np.abs(out - oracle)) <= 1e-10
         system = 2 * alpha * lap + rho * np.eye(5)
@@ -382,7 +385,9 @@ class TestStepSizes:
 class TestConvergenceMetrics:
     def test_identical_states(self):
         _, state, _, _, _ = random_problem(15)
-        assert np.max(convergence_metrics(state, replace(state))) == 0.0
+        lambdas, change_sq = convergence_metrics(state, replace(state))
+        assert np.max(lambdas) == 0.0
+        assert change_sq == 0.0
 
     def test_relative_change_value(self):
         _, state, _, _, _ = random_problem(16)
@@ -392,14 +397,20 @@ class TestConvergenceMetrics:
         new = replace(prev)
         new.core = prev.core.copy()
         new.core[0, 0, 0] = 2.01
-        assert convergence_metrics(prev, new)[0] == pytest.approx(0.005)
+        new.u2 = prev.u2 + 0.5
+        lambdas, change_sq = convergence_metrics(prev, new)
+        assert lambdas[0] == pytest.approx(0.005)
+        assert lambdas[5] == pytest.approx(0.5 * np.sqrt(prev.u2.size) / np.linalg.norm(prev.u2))
+        assert change_sq == pytest.approx(0.01**2 + 0.25 * prev.u2.size)
 
     def test_zero_to_zero_counts_as_converged(self):
         _, state, _, _, _ = random_problem(17)
         prev = replace(state)
         prev.core = np.zeros((2, 2, 2))
         new = replace(prev)
-        assert convergence_metrics(prev, new)[0] == 0.0
+        lambdas, change_sq = convergence_metrics(prev, new)
+        assert lambdas[0] == 0.0
+        assert change_sq == 0.0
 
     def test_jump_from_zero_is_infinite(self):
         _, state, _, _, _ = random_problem(18)
@@ -407,7 +418,9 @@ class TestConvergenceMetrics:
         prev.core = np.zeros((2, 2, 2))
         new = replace(prev)
         new.core = np.ones((2, 2, 2))
-        assert convergence_metrics(prev, new)[0] == np.inf
+        lambdas, change_sq = convergence_metrics(prev, new)
+        assert lambdas[0] == np.inf
+        assert change_sq == pytest.approx(8.0)
 
 
 def noise_free_problem(seed, m=6, p=2, ranks=(2, 2, 2), t=80):
@@ -543,12 +556,49 @@ class TestSolve:
         result = solve(design, lap, StdgrConfig(ranks=(2, 2, 2), max_iter=3), big)
         assert result.init_core_clipped
 
+    @pytest.mark.parametrize(
+        "m,p,ranks,alpha",
+        [(5, 2, (2, 2, 2), 1e-3), (1, 3, (1, 1, 2), 1e-3), (5, 2, (2, 2, 2), 0.0)],
+    )
+    def test_each_quantity_formed_once(self, monkeypatch, m, p, ranks, alpha):
+        # X^T X is read by the step sizes and the starting X^T X B, then twice
+        # per sweep: for the A3 gradient and for X^T X B at the new iterate,
+        # which serves its objective and the next sweep. Each Laplacian is
+        # decomposed once, and no U step solves a linear system.
+        class CountingDesign(DesignPair):
+            gram_reads = 0
+
+            @property
+            def gram(self):
+                self.gram_reads += 1
+                return super().gram
+
+        eigh, eigh_shapes = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            eigh_shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called inside solve")
+
+        design, state, lap, _, _ = random_problem(26, m=m, p=p, ranks=ranks, t=20)
+        design = CountingDesign(x=design.x, y=design.y)
+        cfg = StdgrConfig(ranks=ranks, c=1.0, alpha=alpha, max_iter=5, tol=1e-12)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        result = solve(design, lap, cfg, state.factors())
+        assert result.iterations == 5
+        assert eigh_shapes == [(m, m), (m, m), (p, p)]
+        assert design.gram_reads == 2 + 2 * result.iterations
+
     def test_update_order_uses_fresh_blocks(self):
         # the second factor update must consume the first factor's new value:
         # replaying the sweep with the stale first factor changes the result
         design, state, lap, cfg, rng = random_problem(25, m=5, p=2, t=25)
         steps = compute_step_sizes(design, cfg, (2, 2, 2))
-        new = palm_step(state, design, lap, cfg, steps)
+        eigs = tuple(np.linalg.eigh(l) for l in lap.as_tuple())
+        new = palm_step(state, design, eigs, cfg, steps, gram_b_at(state, design))
 
         from tuckervar.solver import _block_gradient, procrustes as polar
 
@@ -571,8 +621,15 @@ def grad_free_start(design, w):
     return fold(w1.T, 1, (m, m, p))
 
 
-def unrolled_palm_step(state, design, lap, cfg, steps):
-    """The sweep written out block by block, each coupling term by hand."""
+def gram_b_at(state, design):
+    """X^T X B at a state, with B = A3 kron A2."""
+    return design.gram @ kronecker(state.a3, state.a2)
+
+
+def unrolled_palm_step(state, design, eigs, cfg, steps):
+    """The sweep written out block by block, each coupling term by hand; it
+    forms every X^T X B itself, so equality also checks the one passed to
+    palm_step."""
     from tuckervar.solver import _block_gradient
 
     rho = steps.rho
@@ -594,9 +651,9 @@ def unrolled_palm_step(state, design, lap, cfg, steps):
     g_a3 -= g3 * (state.u3 - state.a3)
     a3 = procrustes(state.a3 - g_a3 / rho[3])
 
-    u1 = update_u(state.u1, a1, lap.l1, a1w, g1, rho[4])
-    u2 = update_u(state.u2, a2, lap.l2, a2w, g2, rho[5])
-    u3 = update_u(state.u3, a3, lap.l3, a3w, g3, rho[6])
+    u1 = update_u(state.u1, a1, eigs[0], a1w, g1, rho[4])
+    u2 = update_u(state.u2, a2, eigs[1], a2w, g2, rho[5])
+    u3 = update_u(state.u3, a3, eigs[2], a3w, g3, rho[6])
 
     return SolverState(core=core, a1=a1, a2=a2, a3=a3, u1=u1, u2=u2, u3=u3)
 
@@ -610,10 +667,11 @@ class TestSweepMatchesUnrolled:
         cfg = StdgrConfig(ranks=ranks, c=1.0, alpha=(1e-3, 2e-3, 3e-3), gamma=(0.1, 0.2, 0.3))
         design, state, lap, cfg, _ = random_problem(70 + t, m=m, p=p, ranks=ranks, t=t, cfg=cfg)
         steps = compute_step_sizes(design, cfg, ranks)
+        eigs = tuple(np.linalg.eigh(l) for l in lap.as_tuple())
         ours, ref = state, state
         for _ in range(3):
-            ours = palm_step(ours, design, lap, cfg, steps)
-            ref = unrolled_palm_step(ref, design, lap, cfg, steps)
+            ours = palm_step(ours, design, eigs, cfg, steps, gram_b_at(ours, design))
+            ref = unrolled_palm_step(ref, design, eigs, cfg, steps)
             for got, want in zip(ours.blocks(), ref.blocks()):
                 assert np.array_equal(got, want)
 

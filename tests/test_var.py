@@ -150,6 +150,12 @@ class TestStability:
         scaled = rescale_to_spectral_radius(w, 0.97)
         assert abs(spectral_radius(scaled) - 0.97) < 1e-10
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, 0.0, "0.9"])
+    def test_bad_target_named(self, target):
+        w = np.random.default_rng(3).standard_normal((3, 3, 2))
+        with pytest.raises(ValueError, match=r"^target must be"):
+            rescale_to_spectral_radius(w, target)
+
 
 def dense_radius(w):
     """The reference: max |eig| of the full (mp x mp) companion matrix."""
