@@ -394,6 +394,7 @@ def diagnostics_lines(report: FitReport, n_train: int) -> list[str]:
         "ranks_selected": report.ranks_selected,
         "n_train": int(n_train),
         "nnm_iterations": nnm.iterations,
+        "nnm_reweighted_steps": nnm.reweighted_steps,
         "nnm_converged": nnm.converged,
         "lambda_nn": nnm.lambda_nn,
         "spectral_radius": spectral_radius(report.w_hat),

@@ -186,6 +186,7 @@ class TestFitCommand:
         meta = json.loads(lines[0])
         assert meta["nnm_converged"] is True
         assert 1 <= meta["nnm_iterations"] < 500
+        assert 1 <= meta["nnm_reweighted_steps"] < meta["nnm_iterations"]
         assert meta["lambda_nn"] > 0
 
     def test_diagnostics_meta_reports_spectral_radius(self, tmp_path):

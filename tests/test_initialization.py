@@ -171,10 +171,12 @@ class TestNnmEstimate:
         # the nuclear norm from a fresh SVD, must match trace entry k
         rng = np.random.default_rng(6)
         design, _ = self._design(rng, 40, 3, 2, noise=0.5)
-        lam = 0.05
+        lam = 1.0
         n_iter = 6
         full = nnm_estimate(design, NnmConfig(lambda_nn=lam, max_iter=n_iter, tol=1e-15))
         assert full.iterations == n_iter
+        # the premise: the trace holds reweighted steps and FISTA iterations
+        assert 0 < full.reweighted_steps < n_iter
         for k in range(1, n_iter + 1):
             run = nnm_estimate(design, NnmConfig(lambda_nn=lam, max_iter=k, tol=1e-15))
             np.testing.assert_array_equal(run.objective_trace, full.objective_trace[: k + 1])
@@ -245,9 +247,12 @@ def nnm_objective(design, lam, w1):
 
 
 def reference_fista(design, lam, tol, max_iter, warm=True):
-    """Reference: the monotone restarted FISTA of ``nnm_estimate`` written
-    on W itself, from ``reference_start`` (from 0 when not ``warm``), with
-    the SVT from ``np.linalg.svd`` and the gradient from ``W @ gram``.
+    """Reference: the reweighted least-squares steps and then the monotone
+    restarted FISTA of ``nnm_estimate``, written on W itself, from
+    ``reference_start`` (from 0, with no reweighted steps, when not
+    ``warm``). A reweighted step solves S W gram + (T lam / 2) W = S Y^T X,
+    S = (W W^T)^(1/2) from ``np.linalg.svd``, as one dense linear system;
+    the SVT takes ``np.linalg.svd`` and the gradient ``W @ gram``.
     Returns (W, iterations)."""
     x, y, n = design.x, design.y, design.n_samples
     gram, cross, yty = x.T @ x, y.T @ x, float(np.sum(y * y))
@@ -260,8 +265,27 @@ def reference_fista(design, lam, tol, max_iter, warm=True):
         w, f_w = reference_start(design, lam)
     else:
         w, f_w = np.zeros_like(cross), yty / n
+    k = 0
+    if warm and lam > 0 and w.any():
+        rel_prev = np.inf
+        while k < max_iter:
+            k += 1
+            u, sigma, _ = np.linalg.svd(w, full_matrices=False)
+            s = (u * sigma) @ u.T
+            # column-major vec(S W gram) = (gram kron S) vec(W)
+            system = np.kron(gram, s) + 0.5 * n * lam * np.eye(w.size)
+            z = np.linalg.solve(system, (s @ cross).ravel(order="F"))
+            z = z.reshape(w.shape, order="F")
+            f_z = objective(z, np.sum(np.linalg.svd(z, compute_uv=False)))
+            if not f_z < f_w:
+                break
+            rel = np.linalg.norm(z - w) / np.linalg.norm(z)
+            w, f_w = z, f_z
+            if rel <= tol or rel > 0.5 * rel_prev:
+                break
+            rel_prev = rel
     v, t = w, 1.0
-    for k in range(1, max_iter + 1):
+    for k in range(k + 1, max_iter + 1):
         u, sigma, vt = np.linalg.svd(v - step * 2.0 * (v @ gram - cross) / n, full_matrices=False)
         sigma = np.maximum(sigma - lam * step, 0.0)
         z = (u * sigma) @ vt
@@ -350,6 +374,8 @@ class TestNnmWarmStart:
         assert not reference_start(design, lam)[0].any()
         result = nnm_estimate(design, NnmConfig(lambda_nn=lam))
         assert result.converged and result.iterations == 1
+        # a zero start takes no reweighted step
+        assert result.reweighted_steps == 0
         assert not result.w.any()
         f_zero = design.yty / design.n_samples
         np.testing.assert_array_equal(result.objective_trace, [f_zero, f_zero])
@@ -385,6 +411,129 @@ class TestNnmWarmStart:
         w_zero, _ = reference_fista(design, lam, cfg.tol, cfg.max_iter, warm=False)
         f_zero = nnm_objective(design, lam, w_zero)
         assert abs(nnm_objective(design, lam, w1) - f_zero) <= 1e-9 * f_zero
+
+
+class TestNnmReweighted:
+    """Before FISTA, the run takes reweighted least-squares steps: each
+    minimizes the loss plus the majorizer (1/2) tr(S^-1 W W^T) + (1/2) tr(S)
+    of the nuclear norm at the current W, S = (W W^T)^(1/2), and the run
+    hands over to FISTA once a step stops paying."""
+
+    def test_one_step_is_the_dense_majorizer_solve(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((200, 8))
+        y = x @ rng.standard_normal((4, 8)).T + 0.5 * rng.standard_normal((200, 4))
+        design = DesignPair(x=x, y=y)
+        result = nnm_estimate(design, NnmConfig(max_iter=1))
+        assert result.reweighted_steps == result.iterations == 1
+        assert not result.converged
+        lam, n = result.lambda_nn, design.n_samples
+        w0, f_w0 = reference_start(design, lam)
+        u, sigma, _ = np.linalg.svd(w0, full_matrices=False)
+        s_inv = (u / sigma) @ u.T
+        ev, q = np.linalg.eigh(x.T @ x)
+        # column-major vec: (diag(ev) kron I + kappa I kron S^-1) vec(W Q) = vec(Y^T X Q)
+        system = np.kron(np.diag(ev), np.eye(4)) + 0.5 * n * lam * np.kron(np.eye(8), s_inv)
+        wq = np.linalg.solve(system, (y.T @ x @ q).ravel(order="F")).reshape((4, 8), order="F")
+        expected = wq @ q.T
+        w1 = unfold(result.w, 1)
+        assert np.linalg.norm(w1 - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert abs(result.objective_trace[0] - f_w0) <= 1e-12 * f_w0
+        assert result.objective_trace[1] < result.objective_trace[0]
+        # the cap stops the phase: the trace is the start of a full run's
+        full = nnm_estimate(design)
+        assert full.reweighted_steps >= 2
+        np.testing.assert_array_equal(result.objective_trace, full.objective_trace[:2])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_trace_never_rises_across_the_hand_over(self, seed):
+        design = scenario_design(seed=seed)
+        result = nnm_estimate(design)
+        k = result.reweighted_steps
+        assert result.converged
+        assert 0 < k < result.iterations
+        trace = result.objective_trace
+        assert trace.size == result.iterations + 1
+        assert np.all(np.diff(trace) <= 0.0)
+        # every reweighted step that did not end the phase lowered F
+        assert np.all(np.diff(trace[:k]) < 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tolerance_ends_the_phase(self, seed):
+        # at tol = 1e-2 the third or fourth step is already that small
+        design = scenario_design(seed=seed)
+        cfg = NnmConfig(tol=1e-2)
+        result = nnm_estimate(design, cfg)
+        w_ref, iterations = reference_fista(design, result.lambda_nn, cfg.tol, cfg.max_iter)
+        assert result.converged
+        assert result.iterations == iterations
+        assert result.reweighted_steps < nnm_estimate(design).reweighted_steps
+        assert np.linalg.norm(unfold(result.w, 1) - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
+
+    def test_step_that_fails_to_lower_the_objective_ends_the_phase(self):
+        # the optimum is reached to rounding after three steps; the fourth
+        # reads F a rounding error higher, and W is kept
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((40, 6))
+        y = x @ rng.standard_normal((3, 6)).T + 0.5 * rng.standard_normal((40, 3))
+        result = nnm_estimate(DesignPair(x=x, y=y), NnmConfig(lambda_nn=0.05, tol=1e-15))
+        assert result.reweighted_steps == 4
+        trace = result.objective_trace
+        assert np.all(np.diff(trace[:4]) < 0.0)
+        assert trace[4] == trace[3]
+        assert np.all(np.diff(trace) <= 0.0)
+
+    def test_rank_deficient_start_keeps_its_null_space(self):
+        # at T = 10 < m = 12 the start has rank 10; a direction with s = 0
+        # has the weight 0 and stays 0 through every reweighted step
+        t = 10
+        design = scenario_design(T=t)
+        result = nnm_estimate(design)
+        lam = result.lambda_nn
+        sigma0 = np.linalg.svd(reference_start(design, lam)[0], compute_uv=False)
+        assert np.all(sigma0[t:] <= 1e-14 * sigma0[0]) and sigma0[t - 1] > 1e-3 * sigma0[0]
+        assert result.reweighted_steps > 0
+        for k in range(1, result.reweighted_steps + 1):
+            run = nnm_estimate(design, NnmConfig(max_iter=k))
+            assert run.reweighted_steps == k
+            sigma = np.linalg.svd(unfold(run.w, 1), compute_uv=False)
+            assert np.all(sigma[t:] <= 1e-14 * sigma[0])
+        assert result.converged
+        w_zero, _ = reference_fista(design, lam, NnmConfig().tol, NnmConfig().max_iter, warm=False)
+        f_zero = nnm_objective(design, lam, w_zero)
+        assert abs(nnm_objective(design, lam, unfold(result.w, 1)) - f_zero) <= 1e-9 * f_zero
+
+    def test_zero_weight_skips_the_phase(self):
+        # m = p = 1: the automatic weight's rate factor sqrt(log(m^2 p) / T) is 0
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((50, 1))
+        result = nnm_estimate(DesignPair(x=x, y=0.5 * x + rng.standard_normal((50, 1))))
+        assert result.lambda_nn == 0.0
+        assert result.reweighted_steps == 0
+        assert result.converged and result.iterations >= 1
+
+    def test_few_iterations_at_a_full_rank_optimum(self):
+        # truth 0 of the (40, 4, 800) benchmark scenario, panel seed 1000:
+        # 83 FISTA iterations from the same start, 11 with reweighted steps
+        m, p, t = 40, 4, 800
+        spec = ScenarioSpec(m=m, p=p, ranks=(2, 2, 2), superdiag=(2.0, 2.0), noise_scale=0.5)
+        panel = simulate(make_scenario(spec, 0).w, 0.25 * np.eye(m), length=t + 500, seed=1000)
+        result = nnm_estimate(build_design(panel[:t], p))
+        assert result.converged
+        assert result.iterations <= 20
+
+    @pytest.mark.parametrize("t, seed", [(200, 1), (60, 1), (60, 3)])
+    def test_no_more_iterations_than_a_zero_start(self, t, seed):
+        # FISTA alone from the linearized start took 170, 118 and 124
+        # iterations here, against 141, 106 and 119 from 0
+        design = scenario_design(T=t, seed=seed)
+        cfg = NnmConfig()
+        result = nnm_estimate(design, cfg)
+        _, zero_iterations = reference_fista(
+            design, result.lambda_nn, cfg.tol, cfg.max_iter, warm=False
+        )
+        assert result.converged
+        assert result.iterations <= zero_iterations
 
 
 class TestAcceleratedNnm:
