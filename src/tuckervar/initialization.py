@@ -123,10 +123,12 @@ class NnmResult:
     reweighted_steps: int
 
 
-def _linearized_start(cross: np.ndarray, ev: np.ndarray, weight: float) -> np.ndarray:
-    """The start (cross - weight P) diag(ev)^+ of :func:`nnm_estimate` in the
-    eigenbasis of X^T X, with P the polar factor U V^T of the least-squares
-    fit cross diag(ev)^+.
+def _linearized_start(
+    cross: np.ndarray, ev: np.ndarray, weight: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares fit W_LS = cross diag(ev)^+ and the start
+    (cross - weight P) diag(ev)^+ of :func:`nnm_estimate` in the eigenbasis
+    of X^T X, with P the polar factor U V^T of W_LS.
 
     The pseudo-inverse scales the columns above numpy's rank tolerance by
     1 / ev and zeroes the rest. The rows of U^T W_LS have the singular
@@ -142,7 +144,7 @@ def _linearized_start(cross: np.ndarray, ev: np.ndarray, weight: float) -> np.nd
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     live = norms > np.max(norms) * max(w_ls.shape) * np.finfo(float).eps
     polar = u @ np.divide(rows, norms, out=np.zeros_like(rows), where=live)
-    return (cross - weight * polar) * inv
+    return w_ls, (cross - weight * polar) * inv
 
 
 def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
@@ -154,7 +156,8 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     The run starts at W0 = (Y^T X - (T lambda / 2) P) (X^T X)^+, with P the
     polar factor U V^T of the least-squares fit W_LS = Y^T X (X^T X)^+ and
     the pseudo-inverse at numpy's rank tolerance. W0 minimizes the loss plus
-    the penalty linearized at W_LS; it is replaced by 0 when F(W0) > F(0).
+    the penalty linearized at W_LS. When F(W0) > F(0) the run starts at W_LS
+    instead, and at 0 only when F(W_LS) > F(0) too.
     ``objective_trace[0]`` is F at the start.
 
     A reweighted step (Mohan & Fazel, JMLR 2012; Fornasier, Rauhut & Ward,
@@ -230,11 +233,16 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
         return quad + lam * nuclear
 
     kappa = 0.5 * n * lam
-    w = _linearized_start(cross, ev, kappa)
+    w_ls, w = _linearized_start(cross, ev, kappa)
     s_w, v_w = _gram_singular(w)
     f_w = objective(w, float(np.sum(s_w)))
     if f_w > yty / n:  # F(0)
-        w, f_w = np.zeros_like(w), yty / n
+        w = w_ls
+        s_w, v_w = _gram_singular(w)
+        f_w = objective(w, float(np.sum(s_w)))
+        if f_w > yty / n:
+            w, f_w = np.zeros_like(w), yty / n
+    del w_ls
     trace = [f_w]
     iterations = 0
     # reweighted least-squares steps: Z minimizes the loss plus the

@@ -346,27 +346,25 @@ def simulate(
     if factor.shape[0] != m:
         raise ValueError(f"covariance is {factor.shape[0]}x{factor.shape[0]}, expected {m}x{m}")
 
-    if initial is None:
-        lags = np.zeros((p, m))
-    else:
-        lags = np.array(initial, dtype=float)
+    total = burn_in + length
+    # the chain in reverse time: step t writes row total - 1 - t, and the p
+    # rows below it are its lag stack, most recent first
+    chain = np.zeros((total + p, m))
+    if initial is not None:
+        lags = np.asarray(initial, dtype=float)
         if lags.shape != (p, m):
             raise ValueError(f"initial lag stack must have shape ({p}, {m})")
         if not np.isfinite(lags).all():
             raise ValueError("initial lag stack entries must be finite")
+        chain[total:] = lags
 
     rng = np.random.default_rng(seed)
-    total = burn_in + length
     noise = rng.standard_normal((total, m)) @ factor.T
     w1 = unfold(w, 1)
-    out = np.empty((total, m))
     for t in range(total):
-        y = w1 @ lags.ravel() + noise[t]
-        out[t] = y
-        if p > 1:
-            lags[1:] = lags[:-1].copy()
-        lags[0] = y
-    return out[burn_in:]
+        i = total - 1 - t
+        chain[i] = w1 @ chain[i + 1 : i + 1 + p].ravel() + noise[t]
+    return chain[length - 1 :: -1].copy()
 
 
 def mse(truth: np.ndarray, pred: np.ndarray) -> float:

@@ -226,16 +226,21 @@ def plain_proximal_gradient(design, lam, n_iter):
 def reference_start(design, lam):
     """Reference: the start of ``nnm_estimate``, W0 = (Y^T X - (T lam / 2) P)
     (X^T X)^+ with P = U V^T from the SVD of the least-squares fit
-    Y^T X (X^T X)^+ and the pseudo-inverse at numpy's rank tolerance, or 0
-    when F(W0) > F(0). Returns (W0, F(W0))."""
+    W_LS = Y^T X (X^T X)^+ and the pseudo-inverse at numpy's rank tolerance;
+    W_LS when F(W0) > F(0), and 0 when F(W_LS) > F(0) too. Returns the start
+    and F there."""
     x, y, n = design.x, design.y, design.n_samples
     gram, cross = x.T @ x, y.T @ x
     gram_pinv = np.linalg.pinv(gram, rtol=None)
-    u, _, vt = np.linalg.svd(cross @ gram_pinv, full_matrices=False)
+    w_ls = cross @ gram_pinv
+    u, _, vt = np.linalg.svd(w_ls, full_matrices=False)
     w0 = (cross - 0.5 * n * lam * (u @ vt)) @ gram_pinv
-    f_w0 = np.sum((y - x @ w0.T) ** 2) / n + lam * np.sum(np.linalg.svd(w0, compute_uv=False))
     f_zero = np.sum(y * y) / n
-    return (w0, f_w0) if f_w0 <= f_zero else (np.zeros_like(w0), f_zero)
+    for w in (w0, w_ls):
+        f_w = nnm_objective(design, lam, w)
+        if f_w <= f_zero:
+            return w, f_w
+    return np.zeros_like(w0), f_zero
 
 
 def nnm_objective(design, lam, w1):
@@ -342,8 +347,8 @@ class TestNnmEigenbasis:
 class TestNnmWarmStart:
     """The run starts at W0 = (Y^T X - (T lam / 2) P) (X^T X)^+, the
     minimizer of the loss plus the penalty linearized at the least-squares
-    fit, or at 0 when F(W0) > F(0). The optimum and the stop rule are those
-    of a zero start."""
+    fit W_LS; at W_LS when F(W0) > F(0), and at 0 when F(W_LS) > F(0) too.
+    The optimum and the stop rule are those of a zero start."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_same_optimum_as_a_zero_start(self, seed):
@@ -379,6 +384,32 @@ class TestNnmWarmStart:
         assert not result.w.any()
         f_zero = design.yty / design.n_samples
         np.testing.assert_array_equal(result.objective_trace, [f_zero, f_zero])
+
+    @pytest.mark.parametrize("truth", [1, 2])
+    def test_rejected_start_falls_back_to_the_least_squares_fit(self, truth):
+        # the first 60 rows of a 560-row simulation (noise seed 1000 + truth)
+        # at (12, 3): F(W0) > F(0) >= F(W_LS), so the run starts at W_LS and
+        # takes reweighted steps, where a start at 0 could take none
+        spec = ScenarioSpec(m=12, p=3, ranks=(2, 2, 2), superdiag=(2.0, 2.0), noise_scale=0.5)
+        panel = simulate(make_scenario(spec, truth).w, 0.25 * np.eye(12), length=560, seed=1000 + truth)
+        design = build_design(panel[:60], 3)
+        cfg = NnmConfig()
+        result = nnm_estimate(design, cfg)
+        lam = result.lambda_nn
+        start, f_start = reference_start(design, lam)
+        # the premise: the start is W_LS
+        gram_pinv = np.linalg.pinv(design.x.T @ design.x, rtol=None)
+        assert np.array_equal(start, (design.y.T @ design.x) @ gram_pinv)
+        assert abs(result.objective_trace[0] - f_start) <= 1e-12 * f_start
+        assert result.converged and result.reweighted_steps > 0
+        w_ref, iterations = reference_fista(design, lam, cfg.tol, cfg.max_iter)
+        assert result.iterations == iterations
+        w1 = unfold(result.w, 1)
+        assert np.linalg.norm(w1 - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
+        w_zero, zero_iterations = reference_fista(design, lam, cfg.tol, cfg.max_iter, warm=False)
+        assert result.iterations < zero_iterations
+        f_zero = nnm_objective(design, lam, w_zero)
+        assert abs(nnm_objective(design, lam, w1) - f_zero) <= cfg.tol * f_zero
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_start_is_scale_free(self, scale):

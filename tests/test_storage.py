@@ -221,7 +221,8 @@ class TestCompanion:
         assert sorted(os.listdir(tmp_path)) == ["p.csv", "p.csv" + CACHE_SUFFIX]
         data = companion(path).read_bytes()
         assert data[8:40] == hashlib.sha256(path.read_bytes()).digest()
-        assert path.read_bytes() == b"a,b\n1.0,1.0\n1.0,1.0\n1.0,1.0\n"
+        row = b" 1.0000000000000000e+00, 1.0000000000000000e+00\n"
+        assert path.read_bytes() == b"a,b\n" + 3 * row
 
     def test_names_come_from_the_header(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -382,8 +383,23 @@ def joined_csv(panel, names):
     """The CSV bytes as one join over the whole panel: the reference the
     block writer must match byte for byte."""
     lines = [",".join(names)]
-    lines.extend(",".join(map(repr, row)) for row in panel.tolist())
+    lines.extend(",".join("% .16e" % v for v in row) for row in panel.tolist())
     return ("\n".join(lines) + "\n").encode(locale.getpreferredencoding(False))
+
+
+def fast_blocks(monkeypatch):
+    """Record, for each block the writer formats from here on, whether the
+    vectorized formatter took it."""
+    taken = []
+    formatter = storage._fixed_cells
+
+    def spy(rows):
+        cells = formatter(rows)
+        taken.append(cells is not None)
+        return cells
+
+    monkeypatch.setattr(storage, "_fixed_cells", spy)
+    return taken
 
 
 def npy_bytes(panel):
@@ -401,29 +417,128 @@ ROW_COUNTS = {
 }
 
 
+# a panel drawn at random and the extremes put in its last cells: the wide
+# panel sends nearly every block to the per-cell formatter, the in-range one
+# none
+SCALES = {
+    "wide": (
+        lambda rng, shape: rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape),
+        [-0.0, 5e-324, -1.7976931348623157e308, 1.0],
+    ),
+    "in-range": (
+        lambda rng, shape: rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-6, 17, shape),
+        [-0.0, 1.0000000000000002e-06, -9.999999999999998e16, 0.0],
+    ),
+}
+
+
 class TestBlockWriter:
     """The CSV is written a block of rows at a time; its bytes must not show
-    where one block ends."""
+    where one block ends, whichever formatter took each block."""
 
     @pytest.mark.parametrize("rows", list(ROW_COUNTS))
     @pytest.mark.parametrize("m", [1, 30])
-    def test_same_bytes_as_one_join(self, tmp_path, m, rows):
+    @pytest.mark.parametrize("scale", list(SCALES))
+    def test_same_bytes_as_one_join(self, tmp_path, monkeypatch, m, rows, scale):
         block = max(1, _BLOCK_CELLS // m)
         length = ROW_COUNTS[rows](block)
         rng = np.random.default_rng(length * m)
-        panel = rng.standard_normal((length, m)) * 10.0 ** rng.integers(-300, 300, (length, m))
-        extremes = [-0.0, 5e-324, -1.7976931348623157e308, 1.0]
+        draw, extremes = SCALES[scale]
+        panel = draw(rng, (length, m))
         panel.flat[-min(4, panel.size) :] = extremes[: panel.size]
         names = ["béta"] + [f"y{i + 2}" for i in range(m - 1)]
         path = tmp_path / "p.csv"
+        fast = fast_blocks(monkeypatch)
         write_panel_csv(str(path), panel, names=names)
         data = path.read_bytes()
         assert data == joined_csv(panel, names)
+        assert len(fast) == -(-length // block)
+        if scale == "in-range":
+            assert all(fast)
         stored = companion(path).read_bytes()
         assert stored[:8] == b"tvcache\x01"
         assert stored[8:40] == hashlib.sha256(data).digest()
         assert stored[40:] == npy_bytes(panel)
         assert sorted(os.listdir(tmp_path)) == ["p.csv", "p.csv" + CACHE_SUFFIX]
+
+
+SIGNED_IN_RANGE = st.tuples(
+    st.one_of(st.floats(1e-6, 1e17, exclude_min=True, exclude_max=True), st.just(0.0)),
+    st.booleans(),
+).map(lambda pair: -pair[0] if pair[1] else pair[0])
+
+IN_RANGE_PANELS = st.tuples(st.integers(1, 12), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=SIGNED_IN_RANGE)
+)
+
+
+def near(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+# every power of ten the fast path takes and its neighbours (1e-6 itself is
+# the double just below 10**-6), the largest double below 1e17, exact ties at
+# the 17th digit (2**50 + j/4 and 2**49 + j/8 end in 25, 75, 125, ...), and
+# exact binary fractions
+EDGES = (
+    [x for k in range(-6, 18) for x in near(float(f"1e{k}")) if 1e-6 < x < 1e17]
+    + [9.999999999999998e16, 1.0000000000000002e-06, 0.0]
+    + [2.0**50 + j / 4 for j in range(1, 400)]
+    + [2.0**49 + j / 8 for j in range(1, 400)]
+    + [2.0**j for j in range(-19, 57)]
+    + [k / 4096 for k in range(1, 8192)]
+)
+
+
+class TestFixedWidthCells:
+    """The vectorized formatter emits the bytes of ``'% .16e'`` cell for
+    cell, and a block it cannot take goes to the per-cell formatter alone."""
+
+    @SEEDED
+    @given(panel=IN_RANGE_PANELS)
+    def test_in_range_panels_read_back_bit_exact(self, tmp_path_factory, panel):
+        assert storage._fixed_cells(panel) is not None  # one block, the fast one
+        path = tmp_path_factory.mktemp("panel") / "p.csv"
+        names = [f"y{i + 1}" for i in range(panel.shape[1])]
+        write_panel_csv(str(path), panel)
+        assert path.read_bytes() == joined_csv(panel, names)
+        hit = outcome(read_panel_csv, path)
+        assert hit == ("panel", names, panel.shape, panel.tobytes())
+        os.unlink(companion(path))
+        assert outcome(read_panel_csv, path) == hit == outcome(_read_panel_rows, path)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edges_match_the_per_cell_format(self, sign):
+        column = sign * np.array(EDGES)[:, None]
+        cells = storage._fixed_cells(column)
+        assert cells is not None
+        assert cells.tobytes() == "".join("% .16e\n" % v for v in column[:, 0]).encode()
+
+    def test_exact_powers_of_ten(self):
+        powers = np.array([[float(f"1e{k}") for k in range(17)]])
+        expected = ",".join(f" 1.0000000000000000e+{k:02d}" for k in range(17)) + "\n"
+        assert storage._fixed_cells(powers).tobytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "value", [1e-6, -1e-6, 5e-324, 2.2250738585072014e-308, 1e17, -1e17, 1e300]
+    )
+    def test_out_of_range_cell_is_refused(self, value):
+        assert storage._fixed_cells(np.array([[1.0, value], [0.5, -0.0]])) is None
+
+    @pytest.mark.parametrize("value", [5e-324, 1e300])
+    def test_one_cell_sends_its_block_alone_to_the_fallback(self, tmp_path, monkeypatch, value):
+        block = _BLOCK_CELLS // 30
+        panel = SCALES["in-range"][0](np.random.default_rng(8), (3 * block, 30))
+        panel[block + 7, 11] = value
+        path = tmp_path / "p.csv"
+        fast = fast_blocks(monkeypatch)
+        write_panel_csv(str(path), panel)
+        assert fast == [True, False, True]
+        names = [f"y{i + 1}" for i in range(30)]
+        assert path.read_bytes() == joined_csv(panel, names)
+        assert outcome(read_panel_csv, path) == ("panel", names, panel.shape, panel.tobytes())
+        os.unlink(companion(path))
+        assert outcome(read_panel_csv, path)[3] == panel.tobytes()
 
 
 class FailingDigest:

@@ -25,6 +25,7 @@ from tuckervar import (
     unfold,
 )
 from tuckervar import benchmark
+from tuckervar.var import _psd_factor
 from solver_references import companion_matrix
 
 
@@ -421,6 +422,26 @@ class TestSimulate:
         covariance = (covariance + covariance.T) / 2
         with pytest.raises(ValueError, match="positive semidefinite"):
             simulate(np.zeros((2, 2, 1)), covariance, length=3, seed=0)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("with_initial", [False, True])
+    def test_same_bits_as_the_one_step_recursion(self, p, with_initial):
+        rng = np.random.default_rng(10 + p)
+        m, burn_in, length = 4, 7, 30
+        w = random_stable(rng, m, p, radius=0.9)
+        covariance = np.cov(rng.standard_normal((m, 3 * m)))
+        initial = rng.standard_normal((p, m)) if with_initial else None
+        panel = simulate(w, covariance, length=length, seed=3, burn_in=burn_in, initial=initial)
+        lags = np.zeros((p, m)) if initial is None else initial.copy()
+        noise = np.random.default_rng(3).standard_normal((burn_in + length, m)) @ _psd_factor(covariance).T
+        rows = []
+        for shock in noise:
+            y = predict_one_step(w, lags) + shock
+            rows.append(y)
+            lags = np.vstack([y, lags[:-1]])
+        expected = np.array(rows[burn_in:])
+        assert panel.flags.c_contiguous
+        assert panel.tobytes() == expected.tobytes()
 
     def test_noise_free_design_consistency(self):
         # a noise-free path satisfies the regression identity exactly
