@@ -346,24 +346,26 @@ def simulate(
     if factor.shape[0] != m:
         raise ValueError(f"covariance is {factor.shape[0]}x{factor.shape[0]}, expected {m}x{m}")
 
-    total = burn_in + length
-    # the chain in reverse time: step t writes row total - 1 - t, and the p
-    # rows below it are its lag stack, most recent first
-    chain = np.zeros((total + p, m))
-    if initial is not None:
-        lags = np.asarray(initial, dtype=float)
-        if lags.shape != (p, m):
-            raise ValueError(f"initial lag stack must have shape ({p}, {m})")
-        if not np.isfinite(lags).all():
-            raise ValueError("initial lag stack entries must be finite")
-        chain[total:] = lags
+    lags = np.zeros((p, m)) if initial is None else np.asarray(initial, dtype=float)
+    if lags.shape != (p, m):
+        raise ValueError(f"initial lag stack must have shape ({p}, {m})")
+    if not np.isfinite(lags).all():
+        raise ValueError("initial lag stack entries must be finite")
 
     rng = np.random.default_rng(seed)
+    total = burn_in + length
     noise = rng.standard_normal((total, m)) @ factor.T
     w1 = unfold(w, 1)
+    # the chain in reverse time: step t writes row total - 1 - t, and the p
+    # rows below it are its lag stack, most recent first. It is allocated
+    # after the noise, and the noise freed before the forward copy, so that
+    # no more than two (total, m) arrays are held at once.
+    chain = np.empty((total + p, m))
+    chain[total:] = lags
     for t in range(total):
         i = total - 1 - t
         chain[i] = w1 @ chain[i + 1 : i + 1 + p].ravel() + noise[t]
+    del noise
     return chain[length - 1 :: -1].copy()
 
 

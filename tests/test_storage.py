@@ -438,8 +438,16 @@ class TestBlockWriter:
 
     @pytest.mark.parametrize("rows", list(ROW_COUNTS))
     @pytest.mark.parametrize("m", [1, 30])
-    @pytest.mark.parametrize("scale", list(SCALES))
-    def test_same_bytes_as_one_join(self, tmp_path, monkeypatch, m, rows, scale):
+    def test_same_bytes_as_one_join(self, tmp_path, monkeypatch, m, rows):
+        self.check_same_bytes(tmp_path, monkeypatch, m, rows, "wide")
+
+    @pytest.mark.parametrize("rows", list(ROW_COUNTS))
+    @pytest.mark.parametrize("m", [1, 30])
+    def test_in_range_panel_same_bytes_as_one_join(self, tmp_path, monkeypatch, m, rows):
+        self.check_same_bytes(tmp_path, monkeypatch, m, rows, "in-range")
+
+    @staticmethod
+    def check_same_bytes(tmp_path, monkeypatch, m, rows, scale):
         block = max(1, _BLOCK_CELLS // m)
         length = ROW_COUNTS[rows](block)
         rng = np.random.default_rng(length * m)
