@@ -318,10 +318,7 @@ def _add_solver_flags(parser) -> None:
     )
     parser.add_argument("--c", type=float, help="box bound on the core entries")
     parser.add_argument(
-        "--abar1", dest="a_bar1", type=float, help="step multiplier for the gradient blocks"
-    )
-    parser.add_argument(
-        "--abar2", dest="a_bar2", type=float, help="step multiplier for the auxiliary blocks"
+        "--abar1", dest="a_bar1", type=float, help="step multiplier for the four blocks"
     )
     parser.add_argument("--tol", type=float, help="relative-change stopping threshold")
     parser.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")

@@ -1,20 +1,29 @@
 """Block-cyclic proximal solver for the graph-regularized sparse Tucker VAR fit.
 
-Objective, over a core tensor G, column-orthonormal factors A1..A3 and
-auxiliary factors U1..U3:
+Objective, over a core tensor G and column-orthonormal factors A1..A3:
 
-    F = (1/2T) sum_t ||y_t - W_(1) x_t||^2 + beta ||G||_1
-        + sum_i alpha_i tr(U_i^T L_i U_i) + sum_i (gamma_i/2) ||U_i - A_i||^2
+    F = (1/2T) sum_t ||y_t - W_(1) x_t||^2 + beta ||G||_1 + sum_i tr(A_i^T Lt_i A_i)
 
 with W = G x1 A1 x2 A2 x3 A3, subject to ||G||_inf <= c and A_i^T A_i = I
-(enforced exactly by the prox maps, never as penalty values).
+(enforced exactly by the prox maps, never as penalty values), and the
+graph penalty Lt_i = alpha_i gamma_i L_i (2 alpha_i L_i + gamma_i I)^{-1}.
 
-One iteration updates G, A1, A2, A3, U1, U2, U3 in that order, each block
-from a linearized gradient step at the freshest values of the blocks updated
-before it: soft threshold + box clip for G, a polar (Procrustes) step for
-each A_i, and an exact minimization for each U_i. Step sizes exceed the
-per-block Lipschitz constants, which makes the objective monotone with a
-quantified sufficient decrease.
+This is the paper's objective with its auxiliary factors U_i, penalized by
+alpha_i tr(U_i^T L_i U_i) + (gamma_i/2) ||U_i - A_i||^2, minimized out: for
+fixed A_i that penalty is least at U_i* = gamma_i (2 alpha_i L_i + gamma_i I)^{-1} A_i
+(update_u), where it equals tr(A_i^T Lt_i A_i). So the minimizer over (G, A)
+is the paper's estimator. U_i* gives both the penalty value,
+(gamma_i/2) <A_i, A_i - U_i*>, and its gradient 2 Lt_i A_i =
+gamma_i (A_i - U_i*); it comes from the eigenpairs of L_i that solve takes
+once, and no dense Lt_i is formed.
+
+One iteration updates G, A1, A2, A3 in that order, each block from a
+linearized gradient step at the freshest values of the blocks updated before
+it: soft threshold + box clip for G and a polar (Procrustes) step for each
+A_i, a PALM scheme (Bolte, Sabach & Teboulle, Math. Program. 2014). Step
+sizes exceed the per-block Lipschitz constants (the penalty adds
+2 ||Lt_i|| < gamma_i to the A_i block's), which makes the objective monotone
+with a quantified sufficient decrease.
 
 solve checks the scheme's three guarantees at every sweep: the core stays in
 the box, the factors stay orthonormal (both checked by objective), and the
@@ -38,23 +47,22 @@ term into one of the small matrices X^T X B, K and A1^T Y^T X B:
 and likewise for the block gradients (see _block_gradient). B changes at
 the A2 and A3 updates, so an iteration forms X^T X B twice: the sweep for
 the A3 gradient, and solve at the new iterate, for its objective and the
-next sweep's core, A1 and A2 gradients. An iteration costs O((mp)^2 r2 r3)
+next sweep's core, A1 and A2 gradients. solve forms each U_i* once per
+iterate too, for the same two uses. An iteration costs O((mp)^2 r2 r3)
 plus terms in m, p and the ranks, whatever the number of samples T. The
 identities need orthonormal factors: the prox maps make them so, and the
-objective checks them to 1e-10 before it uses them. Each U_k step solves
-with 2 alpha_k L_k + rho I, which is fixed for a solve, through the
-eigenpairs of L_k that solve takes once.
+objective checks them to 1e-10 before it uses them.
 
 The sweep is written out block by block: each factor block steps along its
-loss gradient from _block_gradient less its coupling term gamma_k (U_k - A_k).
-The tests difference _block_gradient directly and hold the sweep to a
-hand-unrolled copy of it.
+loss gradient from _block_gradient plus its penalty gradient
+gamma_k (A_k - U_k*). The tests difference _block_gradient directly and hold
+the sweep to a hand-unrolled copy of it.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,7 +91,9 @@ class StdgrConfig:
     ``alpha`` and ``gamma`` accept a scalar (broadcast to all three modes) or
     a triple. ``ranks`` is an explicit (r1, r2, r3) or "auto" for the
     ridge-ratio selector run on the initial estimate. ``epsilon`` is the
-    bandwidth of the Gaussian kernel behind the graph Laplacians.
+    bandwidth of the Gaussian kernel behind the graph Laplacians; ``gamma``
+    is the coupling weight that, with ``alpha``, sets the graph penalty
+    Lt = alpha gamma L (2 alpha L + gamma I)^{-1}.
     """
 
     beta: float = 1e-3
@@ -91,7 +101,6 @@ class StdgrConfig:
     gamma: tuple[float, float, float] = (0.1, 0.1, 0.1)
     c: float = 1.0
     a_bar1: float = 1.1
-    a_bar2: float = 10.0
     tol: float = 3e-3
     max_iter: int = 200
     ranks: tuple[int, int, int] | str = "auto"
@@ -101,7 +110,7 @@ class StdgrConfig:
         self.alpha = _triple("alpha", self.alpha, 0, closed=True)
         self.gamma = _triple("gamma", self.gamma, 0, closed=False)
         for name, low in (
-            ("beta", 0), ("c", 0), ("a_bar1", 1), ("a_bar2", 1), ("tol", 0), ("epsilon", 0)
+            ("beta", 0), ("c", 0), ("a_bar1", 1), ("tol", 0), ("epsilon", 0)
         ):
             _require_number(name, getattr(self, name), low)
         self.max_iter = _require_number("max_iter", self.max_iter, 1, closed=True, integer=True)
@@ -118,74 +127,43 @@ class StdgrConfig:
 
 @dataclass
 class StepSizes:
-    """Per-block proximal weights rho_1..rho_7 with the Lipschitz constants
-    they must strictly exceed (rho_5..rho_7 exceed the coupling weights)."""
+    """Per-block proximal weights rho_1..rho_4 with the Lipschitz constants
+    they must strictly exceed."""
 
-    rho: tuple[float, ...]
+    rho: tuple[float, float, float, float]
     lipschitz: tuple[float, float, float, float]
     nu: float
     c1: float
-    gamma: tuple[float, float, float]
 
     def validate(self) -> None:
-        bounds = self.lipschitz + self.gamma
-        for i, (r, b) in enumerate(zip(self.rho, bounds), start=1):
+        for i, (r, b) in enumerate(zip(self.rho, self.lipschitz), start=1):
             if not r > b:
                 raise ValueError(f"step weight rho_{i}={r} does not exceed its bound {b}")
 
     def decrease_margin(self) -> float:
         """min over blocks of rho - bound; weights the sufficient-decrease
         inequality."""
-        bounds = self.lipschitz + self.gamma
-        return min(r - b for r, b in zip(self.rho, bounds))
+        return min(r - b for r, b in zip(self.rho, self.lipschitz))
 
 
 def compute_step_sizes(
     design: DesignPair, cfg: StdgrConfig, ranks: tuple[int, int, int]
 ) -> StepSizes:
-    """Lipschitz constants of the smooth coupling and the derived step weights.
+    """Lipschitz constants of the smooth part and the derived step weights.
 
     c1 = (1/T) sum ||x_t||^2 = tr(X^T X) / T bounds the core block; the
     factor blocks add the core energy bound nu = sqrt(r1 r2 r3) c and the
-    coupling weight.
+    coupling weight gamma_k, which exceeds the graph penalty's 2 ||Lt_k||.
     """
     c1 = float(np.trace(design.gram)) / design.n_samples
     nu = float(np.sqrt(np.prod(ranks)) * cfg.c)
-    g1, g2, g3 = cfg.gamma
-    lips = (c1, nu * nu * c1 + g1, nu * nu * c1 + g2, nu * nu * c1 + g3)
+    lips = (c1, *(nu * nu * c1 + g for g in cfg.gamma))
     # an all-zero design gives L1 = 0; floor it so rho_1 stays positive
     # (the huge resulting threshold maps the core straight to zero)
-    rho = (
-        cfg.a_bar1 * max(lips[0], 1e-30),
-        cfg.a_bar1 * lips[1],
-        cfg.a_bar1 * lips[2],
-        cfg.a_bar1 * lips[3],
-        cfg.a_bar2 * g1,
-        cfg.a_bar2 * g2,
-        cfg.a_bar2 * g3,
-    )
-    steps = StepSizes(rho=rho, lipschitz=lips, nu=nu, c1=c1, gamma=cfg.gamma)
+    rho = (cfg.a_bar1 * max(lips[0], 1e-30), *(cfg.a_bar1 * l for l in lips[1:]))
+    steps = StepSizes(rho=rho, lipschitz=lips, nu=nu, c1=c1)
     steps.validate()
     return steps
-
-
-@dataclass
-class SolverState:
-    """One full iterate: core, factors, and auxiliary factors."""
-
-    core: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
-
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        return (self.core, self.a1, self.a2, self.a3, self.u1, self.u2, self.u3)
-
-    def factors(self) -> TuckerFactors:
-        return TuckerFactors(core=self.core, a1=self.a1, a2=self.a2, a3=self.a3)
 
 
 @dataclass
@@ -193,9 +171,9 @@ class FitResult:
     """Final estimate plus per-iteration diagnostics.
 
     ``objective_trace`` holds F at the start and after each sweep, and
-    ``lambdas`` the relative change of each of the seven blocks at each
-    sweep. Every iterate of a returned fit passed the in-run checks: box,
-    orthonormality and sufficient decrease (see :func:`solve`).
+    ``lambdas`` the relative change of each of the four blocks (G, A1, A2,
+    A3) at each sweep. Every iterate of a returned fit passed the in-run
+    checks: box, orthonormality and sufficient decrease (see :func:`solve`).
     """
 
     w_hat: np.ndarray
@@ -229,15 +207,21 @@ def procrustes(mat: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def update_u(
-    u_prev: np.ndarray, a: np.ndarray, eig: tuple, alpha: float, gamma: float, rho: float
-) -> np.ndarray:
-    """Exact minimizer of the linearized auxiliary subproblem,
-    (2 alpha L + rho I)^{-1} (rho U - gamma (U - A)), from the eigenpairs
-    ``eig`` = (e, V) of L as V ((V^T rhs) / (2 alpha e + rho))."""
+def update_u(a: np.ndarray, eig: tuple, alpha: float, gamma: float) -> np.ndarray:
+    """Minimizer U* = gamma (2 alpha L + gamma I)^{-1} A of
+    alpha tr(U^T L U) + (gamma/2) ||U - A||^2, from the eigenpairs ``eig`` =
+    (e, V) of L as gamma V ((V^T A) / (2 alpha e + gamma)). With
+    Lt = alpha gamma L (2 alpha L + gamma I)^{-1}, the penalty's least value
+    tr(A^T Lt A) is (gamma/2) <A, A - U*> and its gradient 2 Lt A is
+    gamma (A - U*)."""
     e, v = eig
-    rhs = rho * u_prev - gamma * (u_prev - a)
-    return v @ ((v.T @ rhs) / (2.0 * alpha * e + rho)[:, None])
+    return gamma * (v @ ((v.T @ a) / (2.0 * alpha * e + gamma)[:, None]))
+
+
+def _minimizers(f: TuckerFactors, eigs: tuple, cfg: StdgrConfig) -> tuple[np.ndarray, ...]:
+    """U_k* of each factor of ``f`` (see :func:`update_u`)."""
+    factors = (f.a1, f.a2, f.a3)
+    return tuple(map(update_u, factors, eigs, cfg.alpha, cfg.gamma))
 
 
 def _block_gradient(
@@ -283,45 +267,52 @@ def _block_gradient(
     return unfold(projected, block) @ unfold(core, block).T
 
 
-def _check_feasible(state: SolverState, cfg: StdgrConfig) -> None:
+def _check_feasible(state: TuckerFactors, cfg: StdgrConfig) -> None:
     if float(np.max(np.abs(state.core))) > cfg.c + 1e-12:
         raise ValueError("core violates the box bound")
-    if state.factors().orthonormality_defect() > 1e-10:
+    if state.orthonormality_defect() > 1e-10:
         raise ValueError("factor matrices are not column-orthonormal")
 
 
 def objective(
-    state: SolverState, design: DesignPair, lap: LaplacianSet, cfg: StdgrConfig, gram_b=None
+    state: TuckerFactors,
+    design: DesignPair,
+    eigs: tuple[tuple[np.ndarray, np.ndarray], ...],
+    cfg: StdgrConfig,
+    gram_b: np.ndarray | None = None,
+    us: tuple[np.ndarray, ...] | None = None,
 ) -> float:
     """Full objective value at a feasible state (box and orthonormality are
     constraints, not penalty terms). The loss is taken in the Tucker ranks,
-    which is exact because the feasibility check has passed first. ``gram_b``
-    is X^T X B at the state, formed here unless the caller passes it."""
+    which is exact because the feasibility check has passed first. ``eigs``
+    holds the eigenpairs (e, V) of L1, L2, L3. ``gram_b`` is X^T X B and
+    ``us`` the U_k* at the state, each formed here unless the caller passes
+    it."""
     _check_feasible(state, cfg)
     b = kronecker(state.a3, state.a2)
     if gram_b is None:
         gram_b = design.gram @ b
+    if us is None:
+        us = _minimizers(state, eigs, cfg)
     g1 = unfold(state.core, 1)
     quad = float(np.sum((g1 @ (b.T @ gram_b)) * g1))
     quad -= 2.0 * float(np.sum((state.a1.T @ (design.cross @ b)) * g1))
-    us, factors = (state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3)
-    coupling = sum(
-        0.5 * g * float(np.sum((u - a) ** 2)) for g, u, a in zip(cfg.gamma, us, factors)
-    )
-    value = (design.yty + quad) / (2.0 * design.n_samples) + coupling
+    value = (design.yty + quad) / (2.0 * design.n_samples)
     value += cfg.beta * float(np.sum(np.abs(state.core)))
-    for a_w, u, l in zip(cfg.alpha, us, lap.as_tuple()):
-        value += a_w * float(np.trace(u.T @ l @ u))
+    for g, a, u in zip(cfg.gamma, (state.a1, state.a2, state.a3), us):
+        value += 0.5 * g * float(np.sum(a * (a - u)))
     return value
 
 
-def convergence_metrics(prev: SolverState, new: SolverState) -> tuple[np.ndarray, float]:
-    """Relative Frobenius change of each of the seven blocks and their summed
-    squared change sum_i ||Delta_i||^2, in one pass. A zero-norm previous
-    block counts as converged only if the change is itself zero."""
-    out = np.empty(7)
+def convergence_metrics(prev: TuckerFactors, new: TuckerFactors) -> tuple[np.ndarray, float]:
+    """Relative Frobenius change of each of the four blocks (G, A1, A2, A3)
+    and their summed squared change sum_i ||Delta_i||^2, in one pass. A
+    zero-norm previous block counts as converged only if the change is
+    itself zero."""
+    out = np.empty(4)
     change_sq = 0.0
-    for i, (b_prev, b_new) in enumerate(zip(prev.blocks(), new.blocks())):
+    pairs = zip((prev.core, prev.a1, prev.a2, prev.a3), (new.core, new.a1, new.a2, new.a3))
+    for i, (b_prev, b_new) in enumerate(pairs):
         num = float(np.linalg.norm(b_new - b_prev))
         change_sq += num * num
         den = float(np.linalg.norm(b_prev))
@@ -333,42 +324,39 @@ def convergence_metrics(prev: SolverState, new: SolverState) -> tuple[np.ndarray
 
 
 def palm_step(
-    state: SolverState,
+    state: TuckerFactors,
     design: DesignPair,
-    eigs: tuple[tuple[np.ndarray, np.ndarray], ...],
     cfg: StdgrConfig,
     steps: StepSizes,
     gram_b: np.ndarray,
-) -> SolverState:
+    us: tuple[np.ndarray, ...],
+) -> TuckerFactors:
     """One full block sweep; every block sees the freshest previous blocks.
 
-    ``eigs`` holds the eigenpairs (e, V) of L1, L2, L3 and ``gram_b`` is
-    X^T X B at ``state``, which the core, A1 and A2 gradients share: B =
-    A3 kron A2 changes at the A2 update, so the A3 gradient forms its own."""
+    ``gram_b`` is X^T X B at ``state``, which the core, A1 and A2 gradients
+    share: B = A3 kron A2 changes at the A2 update, so the A3 gradient forms
+    its own. ``us`` holds U_k* at ``state``; each factor's penalty gradient
+    gamma_k (A_k - U_k*) depends on A_k alone, so the freshest point's is
+    the one at ``state``."""
     rho = steps.rho
     g1, g2, g3 = cfg.gamma
-    a1w, a2w, a3w = cfg.alpha
-    eig1, eig2, eig3 = eigs
+    u1, u2, u3 = us
 
     grad = _block_gradient(0, state.core, state.a1, state.a2, state.a3, design, gram_b)
     core = prox_core(state.core - grad / rho[0], cfg.beta / rho[0], cfg.c)
 
     grad = _block_gradient(1, core, state.a1, state.a2, state.a3, design, gram_b)
-    grad = grad - g1 * (state.u1 - state.a1)
+    grad = grad + g1 * (state.a1 - u1)
     a1 = procrustes(state.a1 - grad / rho[1])
 
     grad = _block_gradient(2, core, a1, state.a2, state.a3, design, gram_b)
-    grad = grad - g2 * (state.u2 - state.a2)
+    grad = grad + g2 * (state.a2 - u2)
     a2 = procrustes(state.a2 - grad / rho[2])
 
     grad = _block_gradient(3, core, a1, a2, state.a3, design)
-    grad = grad - g3 * (state.u3 - state.a3)
+    grad = grad + g3 * (state.a3 - u3)
     a3 = procrustes(state.a3 - grad / rho[3])
-
-    u1 = update_u(state.u1, a1, eig1, a1w, g1, rho[4])
-    u2 = update_u(state.u2, a2, eig2, a2w, g2, rho[5])
-    u3 = update_u(state.u3, a3, eig3, a3w, g3, rho[6])
-    return SolverState(core=core, a1=a1, a2=a2, a3=a3, u1=u1, u2=u2, u3=u3)
+    return TuckerFactors(core=core, a1=a1, a2=a2, a3=a3)
 
 
 def solve(
@@ -379,11 +367,10 @@ def solve(
 ) -> FitResult:
     """Run the block-cyclic solver from a Tucker initializer.
 
-    The auxiliary factors start at the initial factor matrices. Stops when
-    the largest relative block change drops to ``cfg.tol`` or after
-    ``cfg.max_iter`` sweeps. Every sweep is checked against the guarantees of
-    the step rules enforced by :func:`compute_step_sizes`: the new iterate
-    must be feasible, and with Delta_i the change of block i,
+    Stops when the largest relative block change drops to ``cfg.tol`` or
+    after ``cfg.max_iter`` sweeps. Every sweep is checked against the
+    guarantees of the step rules enforced by :func:`compute_step_sizes`: the
+    new iterate must be feasible, and with Delta_i the change of block i,
 
         F_k - F_{k+1} >= (margin/2) sum_i ||Delta_i||^2 - 1e-9 max(1, |F_k|)
 
@@ -394,41 +381,29 @@ def solve(
     if (design.m, design.m, design.p) != tuple(a.shape[0] for a in (init.a1, init.a2, init.a3)):
         raise ValueError("design and initializer dimensions do not match")
 
-    core0 = init.core
-    clipped = False
-    if float(np.max(np.abs(core0))) > cfg.c:
-        core0 = np.clip(core0, -cfg.c, cfg.c)
-        clipped = True
-
-    state = SolverState(
-        core=core0.copy(),
-        a1=init.a1.copy(),
-        a2=init.a2.copy(),
-        a3=init.a3.copy(),
-        u1=init.a1.copy(),
-        u2=init.a2.copy(),
-        u3=init.a3.copy(),
-    )
-    ranks = tuple(int(r) for r in core0.shape)
-    steps = compute_step_sizes(design, cfg, ranks)
+    clipped = float(np.max(np.abs(init.core))) > cfg.c
+    state = replace(init, core=np.clip(init.core, -cfg.c, cfg.c)) if clipped else init
+    steps = compute_step_sizes(design, cfg, state.ranks)
     margin = steps.decrease_margin()
 
     eigs = tuple(np.linalg.eigh(l) for l in lap.as_tuple())
     gram_b = design.gram @ kronecker(state.a3, state.a2)
-    obj_trace = [objective(state, design, lap, cfg, gram_b)]
+    us = _minimizers(state, eigs, cfg)
+    obj_trace = [objective(state, design, eigs, cfg, gram_b, us)]
     lambdas = []
 
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
         prev = state
-        state = palm_step(prev, design, eigs, cfg, steps, gram_b)
+        state = palm_step(prev, design, cfg, steps, gram_b, us)
         iterations += 1
         metrics, change_sq = convergence_metrics(prev, state)
         lambdas.append(metrics)
         gram_b = design.gram @ kronecker(state.a3, state.a2)
+        us = _minimizers(state, eigs, cfg)
         try:
-            f_new = objective(state, design, lap, cfg, gram_b)
+            f_new = objective(state, design, eigs, cfg, gram_b, us)
         except ValueError as exc:
             raise RuntimeError(f"sweep {iterations}: {exc}") from exc
         f_prev = obj_trace[-1]
@@ -444,13 +419,11 @@ def solve(
             converged = True
             break
 
-    lambdas = np.asarray(lambdas).reshape(iterations, 7)
-    factors = state.factors()
     return FitResult(
-        w_hat=tucker_reconstruct(factors),
-        factors=factors,
+        w_hat=tucker_reconstruct(state),
+        factors=state,
         objective_trace=np.asarray(obj_trace),
-        lambdas=lambdas,
+        lambdas=np.asarray(lambdas).reshape(iterations, 4),
         iterations=iterations,
         converged=converged,
         init_core_clipped=clipped,

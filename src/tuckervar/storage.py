@@ -515,7 +515,8 @@ def diagnostics_lines(report: FitReport, n_train: int) -> list[str]:
     """The fit record, one JSON object per line: a meta record (how the solver
     and the initializer ended, the ranks, ``n_train``, the rows of the fitted
     panel, and the spectral radius of the estimate), then one record per
-    sweep with its objective value and the seven relative block changes."""
+    sweep with its objective value and the relative changes of the four
+    blocks (G, A1, A2, A3)."""
     result, nnm = report.result, report.nnm
     head = {
         "record": "meta",

@@ -12,7 +12,9 @@ from tuckervar import (
     NnmConfig,
     ScenarioSpec,
     StdgrConfig,
+    TuckerFactors,
     build_design,
+    build_laplacians,
     error_curve,
     fold,
     fit_panel,
@@ -29,7 +31,7 @@ from tuckervar import (
 )
 from tuckervar.cli import EXIT_OK, main
 from solver_references import grad_partials, grad_Q_full, psi_value
-from tuckervar.solver import SolverState, procrustes, prox_core
+from tuckervar.solver import _block_gradient, procrustes, prox_core, update_u
 from tuckervar.storage import write_panel_csv
 
 
@@ -120,7 +122,9 @@ def test_criterion_3_gradient_consistency():
         design = DesignPair(
             x=rng.standard_normal((t, m * p)), y=rng.standard_normal((t, m))
         )
-        cfg = StdgrConfig(ranks=ranks)
+        # graph weights large enough that the penalty's gradient is not
+        # lost in the loss gradient's scale
+        cfg = StdgrConfig(ranks=ranks, alpha=(0.5, 0.2, 1.0))
 
         w = rng.standard_normal((m, m, p)) * 0.4
         grad = grad_Q_full(w, design)
@@ -137,17 +141,23 @@ def test_criterion_3_gradient_consistency():
             fd[idx] = (loss(plus) - loss(minus)) / (2 * h)
         worst = max(worst, np.max(np.abs(fd - grad)) / max(np.max(np.abs(grad)), 1e-12))
 
-        state = SolverState(
+        state = TuckerFactors(
             core=rng.uniform(-0.9, 0.9, size=ranks),
             a1=random_orthonormal(rng, m, 2),
             a2=random_orthonormal(rng, m, 2),
             a3=random_orthonormal(rng, p, 2),
-            u1=rng.standard_normal((m, 2)),
-            u2=rng.standard_normal((m, 2)),
-            u3=rng.standard_normal((p, 2)),
         )
-        parts = grad_partials(state, design, cfg)
-        blocks = list(state.blocks())
+        lap = build_laplacians(state, cfg.epsilon)
+        blocks = [state.core, state.a1, state.a2, state.a3]
+        parts = grad_partials(state, design, lap, cfg)
+        # the sweep's A_k gradient takes the penalty's 2 Lt_k A_k as
+        # gamma_k (A_k - U_k*); grad_partials takes it from the dense Lt_k
+        for k, (l, a_w, g) in enumerate(zip(lap.as_tuple(), cfg.alpha, cfg.gamma), start=1):
+            a = blocks[k]
+            penalty = g * (a - update_u(a, np.linalg.eigh(l), a_w, g))
+            sweep = _block_gradient(k, *blocks, design) + penalty
+            scale = max(np.max(np.abs(parts[k])), 1e-12)
+            worst = max(worst, np.max(np.abs(sweep - parts[k])) / scale)
         for b, grad_b in enumerate(parts):
             fd_b = np.zeros_like(blocks[b])
             for idx in np.ndindex(blocks[b].shape):
@@ -156,8 +166,8 @@ def test_criterion_3_gradient_consistency():
                 plus[b][idx] += h
                 minus[b][idx] -= h
                 fd_b[idx] = (
-                    psi_value(SolverState(*plus), design, cfg)
-                    - psi_value(SolverState(*minus), design, cfg)
+                    psi_value(TuckerFactors(*plus), design, lap, cfg)
+                    - psi_value(TuckerFactors(*minus), design, lap, cfg)
                 ) / (2 * h)
             worst = max(
                 worst, np.max(np.abs(fd_b - grad_b)) / max(np.max(np.abs(grad_b)), 1e-12)

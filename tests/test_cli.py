@@ -531,9 +531,12 @@ class TestModelFileChecks:
 
 def version_one_layout(doc):
     """``doc`` in the layout of model format version 1: the config echo
-    without epsilon, which sat under "laplacians" beside the three Laplacians,
-    and the solver's outcome and the training length beside the arrays."""
+    without epsilon (which sat under "laplacians" beside the three
+    Laplacians) and with a_bar2 (the step multiplier of the auxiliary factors
+    the solver then had), and the solver's outcome and the training length
+    beside the arrays."""
     config = {k: v for k, v in doc["config"].items() if k != "epsilon"}
+    config["a_bar2"] = 10.0
     old = dict(doc, version=1, config=config)
     scaler = old.pop("scaler", None)
     arrays = [
@@ -553,7 +556,8 @@ def version_one_layout(doc):
 class TestVersionOneModels:
     """A model file written in the version-1 layout still loads, and forecast
     and eval give byte-identical output from it and from its version-2
-    counterpart: the keys that version 2 dropped are ignored."""
+    counterpart: the keys that version 2 dropped, and the retired a_bar2 in
+    the config echo, are ignored."""
 
     def outputs(self, tmp_path, capsys, doc):
         model = tmp_path / "m.json"
@@ -764,7 +768,7 @@ class TestConfigsFromDataclasses:
         model = tmp_path / "m.json"
         flags = [
             "--ranks", "2,2,1", "--alpha", "0.001,0.002,0.003", "--gamma", "0.2", "--c", "2.5",
-            "--abar1", "1.3", "--abar2", "12", "--max-iter", "7", "--tol", "1e-9",
+            "--abar1", "1.3", "--max-iter", "7", "--tol", "1e-9",
         ]
         code = main(["fit", "--input", str(panel), "--output", str(model), "--p", "1",
                      "--config", cfg] + flags)
@@ -773,7 +777,7 @@ class TestConfigsFromDataclasses:
         assert doc["ranks"] == [2, 2, 1]
         assert doc["config"] == dict(
             beta=5e-3, alpha=[1e-3, 2e-3, 3e-3], gamma=[0.2, 0.2, 0.2], c=2.5,
-            a_bar1=1.3, a_bar2=12.0, tol=1e-9, max_iter=7, epsilon=0.2,
+            a_bar1=1.3, tol=1e-9, max_iter=7, epsilon=0.2,
         )
 
     def test_scenario_without_m_names_it(self, tmp_path, capsys):
@@ -798,7 +802,9 @@ class TestConfigsFromDataclasses:
 
 class TestBadHyperparameters:
     """A non-finite or mistyped hyperparameter is a usage error that names
-    its field, and no model file is written."""
+    its field, and no model file is written. ``--abar2``, the retired step
+    multiplier of the auxiliary factors, is refused whatever its value, as an
+    unrecognized argument named by its flag."""
 
     FLAGS = ["--beta", "--alpha", "--gamma", "--c", "--abar1", "--abar2", "--tol", "--lambda-nn", "--epsilon"]
 
@@ -814,7 +820,11 @@ class TestBadHyperparameters:
     def test_non_finite_flag_rejected(self, tmp_path, capsys, flag, bad):
         code, model = self.fit(tmp_path, [f"{flag}={bad}"])
         assert code == EXIT_USAGE
-        field = {"--abar1": "a_bar1", "--abar2": "a_bar2", "--lambda-nn": "lambda_nn"}
+        field = {
+            "--abar1": "a_bar1",
+            "--abar2": "unrecognized arguments: --abar2",
+            "--lambda-nn": "lambda_nn",
+        }
         assert field.get(flag, flag[2:]) in capsys.readouterr().err
         assert not model.exists()
 
@@ -826,6 +836,7 @@ class TestBadHyperparameters:
             ("solver", "ranks", [2.5, 2, 2]),
             ("solver", "beta", "0.1"),
             ("nnm", "tol", None),
+            ("solver", "a_bar2", 10.0),  # retired with the auxiliary factors
         ],
     )
     def test_mistyped_config_value_rejected(self, tmp_path, capsys, section, key, value):
@@ -1011,7 +1022,7 @@ SWEEP_KEYS = [
     (section, f.name)
     for section, cls in (("scenario", ScenarioSpec), ("solver", StdgrConfig), ("nnm", NnmConfig))
     for f in dataclasses.fields(cls)
-] + [("scenario", "length")]
+] + [("scenario", "length"), ("solver", "a_bar2")]  # a_bar2: retired, refused as unknown
 
 
 @pytest.mark.parametrize("bad", SWEEP_VALUES, ids=lambda v: "10**400" if v == 10**400 else repr(v))

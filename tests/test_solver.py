@@ -15,10 +15,9 @@ from tuckervar import (
     tucker_reconstruct,
     unfold,
 )
-from solver_references import grad_partials, grad_Q_full, psi_value
+from solver_references import dense_penalty, grad_partials, grad_Q_full, psi_value
 from tuckervar import solver
 from tuckervar.solver import (
-    SolverState,
     compute_step_sizes,
     convergence_metrics,
     objective,
@@ -40,17 +39,27 @@ def random_problem(seed, m=4, p=2, ranks=(2, 2, 2), t=30, cfg=None):
     x = rng.standard_normal((t, m * p))
     y = rng.standard_normal((t, m))
     design = DesignPair(x=x, y=y)
-    state = SolverState(
+    state = TuckerFactors(
         core=rng.uniform(-0.9, 0.9, size=ranks),
         a1=random_orthonormal(rng, m, ranks[0]),
         a2=random_orthonormal(rng, m, ranks[1]),
         a3=random_orthonormal(rng, p, ranks[2]),
-        u1=rng.standard_normal((m, ranks[0])),
-        u2=rng.standard_normal((m, ranks[1])),
-        u3=rng.standard_normal((p, ranks[2])),
     )
-    lap = build_laplacians(state.factors(), 0.2)
+    lap = build_laplacians(state, 0.2)
     return design, state, lap, cfg, rng
+
+
+def eigenpairs(lap):
+    return tuple(np.linalg.eigh(l) for l in lap.as_tuple())
+
+
+def graph_energy(state, lap, cfg):
+    """sum_k tr(A_k^T Lt_k A_k) from the dense Lt_k."""
+    factors = (state.a1, state.a2, state.a3)
+    return sum(
+        float(np.trace(a.T @ dense_penalty(l, a_w, g) @ a))
+        for a, l, a_w, g in zip(factors, lap.as_tuple(), cfg.alpha, cfg.gamma)
+    )
 
 
 def loss_value(w, design):
@@ -109,34 +118,48 @@ class TestProcrustes:
 
 class TestUpdateU:
     def test_no_graph_term_reduces_to_relaxation(self):
+        # with alpha = 0, U relaxes all the way onto A
         rng = np.random.default_rng(2)
-        u = rng.standard_normal((4, 2))
         a = rng.standard_normal((4, 2))
         eig = np.linalg.eigh(np.zeros((4, 4)))
-        out = update_u(u, a, eig, alpha=0.0, gamma=0.3, rho=1.5)
-        np.testing.assert_allclose(out, u - (0.3 / 1.5) * (u - a), atol=1e-12)
+        np.testing.assert_allclose(update_u(a, eig, alpha=0.0, gamma=0.3), a, atol=1e-12)
 
     def test_fixed_point(self):
+        # U* is where alpha tr(U^T L U) + (gamma/2) ||U - A||^2 is stationary
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 2))
-        eig = np.linalg.eigh(np.zeros((4, 4)))
-        np.testing.assert_allclose(
-            update_u(a, a, eig, alpha=0.0, gamma=0.3, rho=1.5), a, atol=1e-12
-        )
+        lap = rng.standard_normal((5, 5))
+        lap = lap @ lap.T
+        a = rng.standard_normal((5, 2))
+        alpha, gamma = 0.6, 0.3
+        u = update_u(a, np.linalg.eigh(lap), alpha, gamma)
+        stationarity = 2 * alpha * lap @ u + gamma * (u - a)
+        assert np.linalg.norm(stationarity) <= 1e-12 * np.linalg.norm(gamma * a)
 
     def test_matches_inverse_oracle(self):
         rng = np.random.default_rng(4)
         lap = rng.standard_normal((5, 5))
         lap = lap @ lap.T  # any PSD matrix works for the linear-solve check
-        u = rng.standard_normal((5, 3))
         a = rng.standard_normal((5, 3))
-        alpha, gamma, rho = 0.7, 0.4, 2.0
-        out = update_u(u, a, np.linalg.eigh(lap), alpha, gamma, rho)
-        oracle = np.linalg.inv(2 * alpha * lap + rho * np.eye(5)) @ (rho * u - gamma * (u - a))
+        alpha, gamma = 0.7, 0.4
+        out = update_u(a, np.linalg.eigh(lap), alpha, gamma)
+        system = 2 * alpha * lap + gamma * np.eye(5)
+        oracle = np.linalg.solve(system, gamma * a)
         assert np.max(np.abs(out - oracle)) <= 1e-10
-        system = 2 * alpha * lap + rho * np.eye(5)
-        rhs = rho * u - gamma * (u - a)
-        assert np.linalg.norm(system @ out - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.linalg.norm(system @ out - gamma * a) <= 1e-10 * np.linalg.norm(gamma * a)
+
+
+def seven_block_objective(state, us, design, lap, cfg):
+    """The paper's objective over (G, A, U), summed term by term from the
+    residuals: loss + beta ||G||_1 + sum_k alpha_k tr(U_k^T L_k U_k)
+    + (gamma_k/2) ||U_k - A_k||^2."""
+    residual = design.x @ unfold(tucker_reconstruct(state), 1).T - design.y
+    value = float(np.sum(residual**2)) / (2 * design.n_samples)
+    value += cfg.beta * float(np.sum(np.abs(state.core)))
+    for a, u, l, a_w, g in zip(
+        (state.a1, state.a2, state.a3), us, lap.as_tuple(), cfg.alpha, cfg.gamma
+    ):
+        value += a_w * float(np.trace(u.T @ l @ u)) + 0.5 * g * float(np.sum((u - a) ** 2))
+    return value
 
 
 class TestObjective:
@@ -144,13 +167,9 @@ class TestObjective:
         design, state, lap, cfg, _ = random_problem(5)
         design = DesignPair(x=np.zeros_like(design.x), y=np.zeros_like(design.y))
         state.core = np.zeros_like(state.core)
-        state.u1, state.u2, state.u3 = state.a1.copy(), state.a2.copy(), state.a3.copy()
-        graph_energy = sum(
-            a_w * np.trace(u.T @ l @ u)
-            for a_w, u, l in zip(cfg.alpha, (state.u1, state.u2, state.u3), lap.as_tuple())
-        )
-        assert graph_energy >= 0
-        assert objective(state, design, lap, cfg) == pytest.approx(graph_energy, abs=1e-12)
+        energy = graph_energy(state, lap, cfg)
+        assert energy > 0
+        assert objective(state, design, eigenpairs(lap), cfg) == pytest.approx(energy, abs=1e-12)
 
     def test_zero_at_truth_on_noise_free_data(self):
         rng = np.random.default_rng(6)
@@ -165,39 +184,50 @@ class TestObjective:
         x = rng.standard_normal((40, m * p))
         design = DesignPair(x=x, y=x @ unfold(w, 1).T)
         cfg = StdgrConfig(beta=1e-300, alpha=0.0, ranks=ranks)
-        state = SolverState(
-            core=factors.core,
-            a1=factors.a1,
-            a2=factors.a2,
-            a3=factors.a3,
-            u1=factors.a1.copy(),
-            u2=factors.a2.copy(),
-            u3=factors.a3.copy(),
-        )
         lap = build_laplacians(factors, 0.2)
-        assert objective(state, design, lap, cfg) <= 1e-12
+        assert objective(factors, design, eigenpairs(lap), cfg) <= 1e-12
 
     def test_matches_naive_summation(self):
         design, state, lap, cfg, rng = random_problem(7)
-        value = objective(state, design, lap, cfg)
-        w = tucker_reconstruct(state.factors())
+        value = objective(state, design, eigenpairs(lap), cfg)
+        w = tucker_reconstruct(state)
         w1 = unfold(w, 1)
         naive = 0.0
         for t in range(design.n_samples):
             naive += np.sum((design.y[t] - w1 @ design.x[t]) ** 2)
         naive /= 2 * design.n_samples
         naive += cfg.beta * np.sum(np.abs(state.core))
-        for a_w, u, l in zip(cfg.alpha, (state.u1, state.u2, state.u3), lap.as_tuple()):
-            naive += a_w * np.trace(u.T @ l @ u)
-        for g, u, a in zip(cfg.gamma, (state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3)):
-            naive += 0.5 * g * np.sum((u - a) ** 2)
+        naive += graph_energy(state, lap, cfg)
         assert abs(value - naive) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [(1e-3, 2e-3, 3e-3), (0.5, 0.2, 1.0), 0.0])
+    def test_equals_seven_block_objective_minimized_over_u(self, alpha):
+        # the estimator does not change: F(G, A) is the paper's objective at
+        # the U that minimizes it, found here by a dense solve per factor
+        cfg = StdgrConfig(ranks=(2, 2, 2), alpha=alpha, gamma=(0.1, 0.3, 0.2), beta=0.05)
+        design, state, lap, cfg, _ = random_problem(9, m=6, p=3, cfg=cfg)
+        us = [
+            np.linalg.solve(2 * a_w * l + g * np.eye(l.shape[0]), g * a)
+            for a, l, a_w, g in zip(
+                (state.a1, state.a2, state.a3), lap.as_tuple(), cfg.alpha, cfg.gamma
+            )
+        ]
+        seven = seven_block_objective(state, us, design, lap, cfg)
+        value = objective(state, design, eigenpairs(lap), cfg)
+        assert abs(value - seven) <= 1e-12 * abs(seven)
+        # no U does better: the minimum is strict
+        shifted = [u + 1e-3 for u in us]
+        assert seven_block_objective(state, shifted, design, lap, cfg) > seven
+        if cfg.alpha == (0.0, 0.0, 0.0):
+            loss = loss_value(tucker_reconstruct(state), design)
+            plain = loss + cfg.beta * float(np.sum(np.abs(state.core)))
+            assert abs(value - plain) <= 1e-12 * plain
 
     def test_infeasible_state_rejected(self):
         design, state, lap, cfg, _ = random_problem(8)
         state.core = state.core + 10.0
         with pytest.raises(ValueError):
-            objective(state, design, lap, cfg)
+            objective(state, design, eigenpairs(lap), cfg)
 
 
 class TestGradients:
@@ -231,31 +261,40 @@ class TestGradients:
         assert np.max(np.abs(fd - grad)) / max(np.max(np.abs(grad)), 1e-12) <= 1e-6
 
     def test_partials_zero_at_coupled_zero_residual(self):
-        rng = np.random.default_rng(11)
-        design, state, lap, cfg, _ = random_problem(11)
-        w = tucker_reconstruct(state.factors())
+        # alpha = 0 couples U* = A, so the graph penalty and its gradient vanish
+        design, state, lap, cfg, _ = random_problem(11, cfg=StdgrConfig(alpha=0.0, ranks=(2, 2, 2)))
+        w = tucker_reconstruct(state)
         design = DesignPair(x=design.x, y=design.x @ unfold(w, 1).T)
-        state.u1, state.u2, state.u3 = state.a1.copy(), state.a2.copy(), state.a3.copy()
-        parts = grad_partials(state, design, cfg)
+        parts = grad_partials(state, design, lap, cfg)
         for part in parts:
             assert np.max(np.abs(part)) <= 1e-10
 
     def test_coupling_gradient_value(self):
-        design, state, lap, cfg, _ = random_problem(12, cfg=StdgrConfig(gamma=2.0, ranks=(2, 2, 2)))
-        state.u1 = state.a1 + 1.0
-        parts = grad_partials(state, design, cfg)
-        np.testing.assert_allclose(parts[4], np.full_like(state.u1, 2.0), atol=1e-12)
+        # the sweep's penalty gradient gamma (A - U*) is the dense 2 Lt A
+        cfg = StdgrConfig(alpha=(0.5, 0.2, 1.0), gamma=(2.0, 0.3, 0.7), ranks=(2, 2, 2))
+        design, state, lap, cfg, _ = random_problem(12, m=6, p=3, cfg=cfg)
+        parts = grad_partials(state, design, lap, cfg)
+        point = (state.core, state.a1, state.a2, state.a3)
+        for k, (a, eig, a_w, g) in enumerate(
+            zip(point[1:], eigenpairs(lap), cfg.alpha, cfg.gamma), start=1
+        ):
+            dense = parts[k] - solver._block_gradient(k, *point, design)
+            assert np.linalg.norm(dense) > 1e-6
+            # A - U* cancels terms of size |A|, and 2 ||Lt|| < gamma, so
+            # gamma ||A|| is the scale of its rounding
+            error = np.linalg.norm(g * (a - update_u(a, eig, a_w, g)) - dense)
+            assert error <= 1e-12 * g * np.linalg.norm(a)
 
     def test_partials_match_finite_differences(self):
-        design, state, lap, cfg, _ = random_problem(13, m=5, p=2, t=20)
-        parts = grad_partials(state, design, cfg)
+        cfg = StdgrConfig(alpha=(0.5, 0.2, 1.0), ranks=(2, 2, 2))
+        design, state, lap, cfg, _ = random_problem(13, m=5, p=2, t=20, cfg=cfg)
+        parts = grad_partials(state, design, lap, cfg)
         h = 1e-6
 
         def psi_at(blocks):
-            s = SolverState(*blocks)
-            return psi_value(s, design, cfg)
+            return psi_value(TuckerFactors(*blocks), design, lap, cfg)
 
-        blocks = list(state.blocks())
+        blocks = [state.core, state.a1, state.a2, state.a3]
         for b, grad in enumerate(parts):
             fd = np.zeros_like(blocks[b])
             for idx in np.ndindex(blocks[b].shape):
@@ -304,11 +343,9 @@ class TestMomentsForm:
 
     @pytest.mark.parametrize("m,p,ranks,t", MOMENT_CASES)
     def test_loss_matches_residual_form(self, m, p, ranks, t):
-        design, state, _, cfg, _ = random_problem(30 + t, m=m, p=p, ranks=ranks, t=t)
-        ref = loss_value(tucker_reconstruct(state.factors()), design)
-        for g, u, a in zip(cfg.gamma, (state.u1, state.u2, state.u3), (state.a1, state.a2, state.a3)):
-            ref += 0.5 * g * np.sum((u - a) ** 2)
-        assert_rel_close(psi_value(state, design, cfg), ref)
+        design, state, lap, cfg, _ = random_problem(30 + t, m=m, p=p, ranks=ranks, t=t)
+        ref = loss_value(tucker_reconstruct(state), design) + graph_energy(state, lap, cfg)
+        assert_rel_close(psi_value(state, design, lap, cfg), ref)
 
     @pytest.mark.parametrize("m,p,ranks,t", MOMENT_CASES)
     def test_full_gradient_matches_residual_form(self, m, p, ranks, t):
@@ -397,11 +434,13 @@ class TestConvergenceMetrics:
         new = replace(prev)
         new.core = prev.core.copy()
         new.core[0, 0, 0] = 2.01
-        new.u2 = prev.u2 + 0.5
+        new.a2 = prev.a2 + 0.5
         lambdas, change_sq = convergence_metrics(prev, new)
+        assert lambdas.shape == (4,)
         assert lambdas[0] == pytest.approx(0.005)
-        assert lambdas[5] == pytest.approx(0.5 * np.sqrt(prev.u2.size) / np.linalg.norm(prev.u2))
-        assert change_sq == pytest.approx(0.01**2 + 0.25 * prev.u2.size)
+        assert lambdas[1] == lambdas[3] == 0.0
+        assert lambdas[2] == pytest.approx(0.5 * np.sqrt(prev.a2.size) / np.linalg.norm(prev.a2))
+        assert change_sq == pytest.approx(0.01**2 + 0.25 * prev.a2.size)
 
     def test_zero_to_zero_counts_as_converged(self):
         _, state, _, _, _ = random_problem(17)
@@ -503,23 +542,24 @@ class TestSolve:
         assert np.max(np.abs(result.factors.core)) <= cfg.c + 1e-12
         assert result.factors.orthonormality_defect() <= 1e-10
 
-    @pytest.mark.parametrize("perturb", ["shift_u", "flip_sign"])
+    @pytest.mark.parametrize("perturb", ["swap_columns", "flip_sign"])
     def test_decrease_violation_names_the_sweep(self, monkeypatch, perturb):
-        # both keep the iterate feasible: shifting U1 off A1 raises F, and
-        # flipping the sign of A1's first column, U1's and the core's first
-        # mode-1 slice leaves F unchanged but moves the blocks far, so the
-        # sweep lowers F by less than its certified (margin/2) sum ||Delta||^2
+        # both keep the iterate feasible: swapping A1's two columns without
+        # permuting the core raises F, and flipping the sign of A1's first
+        # column and the core's first mode-1 slice leaves F unchanged but
+        # moves the blocks far, so the sweep lowers F by less than its
+        # certified (margin/2) sum ||Delta||^2
         step = solver.palm_step
         sweeps = []
 
         def perturbed_step(state, *args):
             new = step(state, *args)
             sweeps.append(new)
-            if len(sweeps) == 3 and perturb == "shift_u":
-                new.u1 = new.u1 + 1.0
+            if len(sweeps) == 3 and perturb == "swap_columns":
+                new.a1 = new.a1[:, ::-1]
             elif len(sweeps) == 3:
                 flip = np.array([-1.0, 1.0])
-                new.a1, new.u1 = new.a1 * flip, new.u1 * flip
+                new.a1 = new.a1 * flip
                 new.core = new.core * flip[:, None, None]
             return new
 
@@ -564,7 +604,8 @@ class TestSolve:
         # X^T X is read by the step sizes and the starting X^T X B, then twice
         # per sweep: for the A3 gradient and for X^T X B at the new iterate,
         # which serves its objective and the next sweep. Each Laplacian is
-        # decomposed once, and no U step solves a linear system.
+        # decomposed once, U_k* is formed once per iterate, and none of it
+        # solves a linear system.
         class CountingDesign(DesignPair):
             gram_reads = 0
 
@@ -587,28 +628,31 @@ class TestSolve:
         cfg = StdgrConfig(ranks=ranks, c=1.0, alpha=alpha, max_iter=5, tol=1e-12)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "solve", no_solve)
-        result = solve(design, lap, cfg, state.factors())
+        u_calls, update = [], solver.update_u
+        monkeypatch.setattr(solver, "update_u", lambda *args: u_calls.append(args) or update(*args))
+        result = solve(design, lap, cfg, state)
         assert result.iterations == 5
         assert eigh_shapes == [(m, m), (m, m), (p, p)]
         assert design.gram_reads == 2 + 2 * result.iterations
+        assert len(u_calls) == 3 * (1 + result.iterations)
 
     def test_update_order_uses_fresh_blocks(self):
         # the second factor update must consume the first factor's new value:
         # replaying the sweep with the stale first factor changes the result
         design, state, lap, cfg, rng = random_problem(25, m=5, p=2, t=25)
         steps = compute_step_sizes(design, cfg, (2, 2, 2))
-        eigs = tuple(np.linalg.eigh(l) for l in lap.as_tuple())
-        new = palm_step(state, design, eigs, cfg, steps, gram_b_at(state, design))
+        us = solver._minimizers(state, eigenpairs(lap), cfg)
+        new = palm_step(state, design, cfg, steps, gram_b_at(state, design), us)
 
         from tuckervar.solver import _block_gradient, procrustes as polar
 
         g_a2_fresh = _block_gradient(2, new.core, new.a1, state.a2, state.a3, design)
-        g_a2_fresh -= cfg.gamma[1] * (state.u2 - state.a2)
+        g_a2_fresh += cfg.gamma[1] * (state.a2 - us[1])
         a2_fresh = polar(state.a2 - g_a2_fresh / steps.rho[2])
         np.testing.assert_array_equal(new.a2, a2_fresh)
 
         g_a2_stale = _block_gradient(2, new.core, state.a1, state.a2, state.a3, design)
-        g_a2_stale -= cfg.gamma[1] * (state.u2 - state.a2)
+        g_a2_stale += cfg.gamma[1] * (state.a2 - us[1])
         a2_stale = polar(state.a2 - g_a2_stale / steps.rho[2])
         assert np.max(np.abs(a2_stale - new.a2)) > 1e-12
 
@@ -627,9 +671,9 @@ def gram_b_at(state, design):
 
 
 def unrolled_palm_step(state, design, eigs, cfg, steps):
-    """The sweep written out block by block, each coupling term by hand; it
-    forms every X^T X B itself, so equality also checks the one passed to
-    palm_step."""
+    """The sweep written out block by block, each penalty gradient by hand
+    from U_k* at ``state``; it forms every X^T X B and U_k* itself, so
+    equality also checks the ones passed to palm_step."""
     from tuckervar.solver import _block_gradient
 
     rho = steps.rho
@@ -640,26 +684,23 @@ def unrolled_palm_step(state, design, eigs, cfg, steps):
     core = prox_core(state.core - g_core / rho[0], cfg.beta / rho[0], cfg.c)
 
     g_a1 = _block_gradient(1, core, state.a1, state.a2, state.a3, design)
-    g_a1 -= g1 * (state.u1 - state.a1)
+    g_a1 += g1 * (state.a1 - update_u(state.a1, eigs[0], a1w, g1))
     a1 = procrustes(state.a1 - g_a1 / rho[1])
 
     g_a2 = _block_gradient(2, core, a1, state.a2, state.a3, design)
-    g_a2 -= g2 * (state.u2 - state.a2)
+    g_a2 += g2 * (state.a2 - update_u(state.a2, eigs[1], a2w, g2))
     a2 = procrustes(state.a2 - g_a2 / rho[2])
 
     g_a3 = _block_gradient(3, core, a1, a2, state.a3, design)
-    g_a3 -= g3 * (state.u3 - state.a3)
+    g_a3 += g3 * (state.a3 - update_u(state.a3, eigs[2], a3w, g3))
     a3 = procrustes(state.a3 - g_a3 / rho[3])
 
-    u1 = update_u(state.u1, a1, eigs[0], a1w, g1, rho[4])
-    u2 = update_u(state.u2, a2, eigs[1], a2w, g2, rho[5])
-    u3 = update_u(state.u3, a3, eigs[2], a3w, g3, rho[6])
-
-    return SolverState(core=core, a1=a1, a2=a2, a3=a3, u1=u1, u2=u2, u3=u3)
+    return TuckerFactors(core=core, a1=a1, a2=a2, a3=a3)
 
 
 class TestSweepMatchesUnrolled:
-    """palm_step steps along the partial gradients that grad_partials returns;
+    """palm_step steps along the partial gradients that grad_partials returns
+    (test_coupling_gradient_value ties gamma (A - U*) to the dense 2 Lt A);
     the sweep must equal the unrolled one bit for bit."""
 
     @pytest.mark.parametrize("m,p,ranks,t", MOMENT_CASES)
@@ -667,12 +708,15 @@ class TestSweepMatchesUnrolled:
         cfg = StdgrConfig(ranks=ranks, c=1.0, alpha=(1e-3, 2e-3, 3e-3), gamma=(0.1, 0.2, 0.3))
         design, state, lap, cfg, _ = random_problem(70 + t, m=m, p=p, ranks=ranks, t=t, cfg=cfg)
         steps = compute_step_sizes(design, cfg, ranks)
-        eigs = tuple(np.linalg.eigh(l) for l in lap.as_tuple())
+        eigs = eigenpairs(lap)
         ours, ref = state, state
         for _ in range(3):
-            ours = palm_step(ours, design, eigs, cfg, steps, gram_b_at(ours, design))
+            us = solver._minimizers(ours, eigs, cfg)
+            ours = palm_step(ours, design, cfg, steps, gram_b_at(ours, design), us)
             ref = unrolled_palm_step(ref, design, eigs, cfg, steps)
-            for got, want in zip(ours.blocks(), ref.blocks()):
+            for got, want in zip(
+                (ours.core, ours.a1, ours.a2, ours.a3), (ref.core, ref.a1, ref.a2, ref.a3)
+            ):
                 assert np.array_equal(got, want)
 
 
@@ -685,7 +729,7 @@ class TestConfigValidation:
     and each message names the field."""
 
     @pytest.mark.parametrize("bad", NON_FINITE)
-    @pytest.mark.parametrize("field", ["beta", "c", "a_bar1", "a_bar2", "tol", "epsilon"])
+    @pytest.mark.parametrize("field", ["beta", "c", "a_bar1", "tol", "epsilon"])
     def test_non_finite_scalar_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):
             StdgrConfig(**{field: bad})
