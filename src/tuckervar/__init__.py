@@ -19,7 +19,6 @@ from .benchmark import (
 )
 from .fit import FitReport, fit_design, fit_panel
 from .initialization import (
-    LaplacianSet,
     NnmConfig,
     NnmResult,
     build_laplacians,
@@ -35,6 +34,7 @@ from .tensor import TuckerFactors, fold, kronecker, mode_product, tucker_reconst
 from .var import (
     DesignPair,
     build_design,
+    forecast,
     is_stable,
     mse,
     one_step_predictions,

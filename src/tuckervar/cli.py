@@ -33,14 +33,7 @@ from .storage import (
     write_panel_csv,
 )
 from .tensor import tucker_reconstruct
-from .var import (
-    build_design,
-    mse,
-    one_step_predictions,
-    predict_one_step,
-    simulate,
-    train_scaler,
-)
+from .var import build_design, forecast, mse, one_step_predictions, simulate, train_scaler
 
 __all__ = ["main", "console_main"]
 
@@ -222,22 +215,10 @@ def _model_and_panel(args) -> tuple[np.ndarray, dict | None, list[str], np.ndarr
 
 def cmd_forecast(args) -> int:
     w, scaler, names, scaled = _model_and_panel(args)
-    p = w.shape[2]
-    if scaled.shape[0] < p:
-        raise ValueError(f"panel needs at least {p} rows to seed the forecast")
-    if args.horizon < 1:
-        raise ValueError("horizon must be >= 1")
-
-    history = [scaled[-lag] for lag in range(1, p + 1)]
-    preds = []
-    # an overflowing forecast is reported below as a data error, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(args.horizon):
-            y = predict_one_step(w, np.concatenate(history))
-            preds.append(y)
-            history = [y] + history[: p - 1]
-        preds = np.asarray(preds)
-        if scaler is not None:
+    preds = forecast(w, scaled, args.horizon)
+    if scaler is not None:
+        # an overflowing forecast is reported below as a data error, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
             preds = preds * scaler["std"] + scaler["mean"]
     finite = np.isfinite(preds).all(axis=1)
     if not finite.all():
@@ -317,9 +298,6 @@ def _add_solver_flags(parser) -> None:
         "--gamma", type=_weights_arg, help="coupling weight, scalar or triple g1,g2,g3"
     )
     parser.add_argument("--c", type=float, help="box bound on the core entries")
-    parser.add_argument(
-        "--abar1", dest="a_bar1", type=float, help="step multiplier for the four blocks"
-    )
     parser.add_argument("--tol", type=float, help="relative-change stopping threshold")
     parser.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
     parser.add_argument("--lambda-nn", dest="lambda_nn", type=float, help="nuclear-norm weight")

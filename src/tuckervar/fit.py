@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initialization import (
-    LaplacianSet,
     NnmConfig,
     NnmResult,
     build_laplacians,
@@ -30,14 +29,13 @@ __all__ = ["FitReport", "fit_design", "fit_panel"]
 @dataclass
 class FitReport:
     """Everything produced by one fit: the solver result, the ranks and how
-    they were chosen, the Laplacians the solver used and the nuclear-norm
-    estimate it started from. The HOSVD initializer is
-    ``hosvd(report.nnm.w, report.ranks)``."""
+    they were chosen, and the nuclear-norm estimate the fit started from.
+    The HOSVD initializer is ``init = hosvd(report.nnm.w, report.ranks)``,
+    and the solver's Laplacians are ``build_laplacians(init, cfg.epsilon)``."""
 
     result: FitResult
     ranks: tuple[int, int, int]
     ranks_selected: bool
-    laplacians: LaplacianSet
     nnm: NnmResult
 
     @property
@@ -64,9 +62,8 @@ def fit_design(
     else:
         ranks = cfg.ranks
     init = hosvd(nnm.w, ranks)
-    lap = build_laplacians(init, cfg.epsilon)
-    result = solve(design, lap, cfg, init)
-    return FitReport(result=result, ranks=ranks, ranks_selected=selected, laplacians=lap, nnm=nnm)
+    result = solve(design, build_laplacians(init, cfg.epsilon), cfg, init)
+    return FitReport(result=result, ranks=ranks, ranks_selected=selected, nnm=nnm)
 
 
 def fit_panel(

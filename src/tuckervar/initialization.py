@@ -30,7 +30,6 @@ __all__ = [
     "hosvd",
     "ridge_constant",
     "select_ranks",
-    "LaplacianSet",
     "laplacian_from_rows",
     "build_laplacians",
 ]
@@ -126,9 +125,9 @@ class NnmResult:
 def _linearized_start(
     cross: np.ndarray, ev: np.ndarray, weight: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The least-squares fit W_LS = cross diag(ev)^+ and the start
-    (cross - weight P) diag(ev)^+ of :func:`nnm_estimate` in the eigenbasis
-    of X^T X, with P the polar factor U V^T of W_LS.
+    """The start (cross - weight P) diag(ev)^+ of :func:`nnm_estimate` and
+    the least-squares fit W_LS = cross diag(ev)^+ in the eigenbasis of
+    X^T X, with P the polar factor U V^T of W_LS.
 
     The pseudo-inverse scales the columns above numpy's rank tolerance by
     1 / ev and zeroes the rest. The rows of U^T W_LS have the singular
@@ -144,7 +143,8 @@ def _linearized_start(
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     live = norms > np.max(norms) * max(w_ls.shape) * np.finfo(float).eps
     polar = u @ np.divide(rows, norms, out=np.zeros_like(rows), where=live)
-    return w_ls, (cross - weight * polar) * inv
+    with np.errstate(over="ignore"):  # nnm_estimate passes over a start that overflows
+        return (cross - weight * polar) * inv, w_ls
 
 
 def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
@@ -158,7 +158,9 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     the pseudo-inverse at numpy's rank tolerance. W0 minimizes the loss plus
     the penalty linearized at W_LS. When F(W0) > F(0) the run starts at W_LS
     instead, and at 0 only when F(W_LS) > F(0) too.
-    ``objective_trace[0]`` is F at the start.
+    ``objective_trace[0]`` is F at the start. A lambda for which T lambda / 2
+    or lambda / L (L the Lipschitz constant of the loss gradient) is not
+    finite is a ValueError naming ``lambda_nn``.
 
     A reweighted step (Mohan & Fazel, JMLR 2012; Fornasier, Rauhut & Ward,
     SIAM J. Optim. 2011) bounds the penalty at the iterate W by its
@@ -220,6 +222,9 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
         )
     step = 1.0 / lip
     tau = lam * step
+    kappa = 0.5 * n * lam
+    if not (math.isfinite(tau) and math.isfinite(kappa)):
+        raise ValueError(f"lambda_nn={lam} overflows T lambda/2 = {kappa} or lambda/L = {tau}")
 
     # The loop runs on W Q. A right rotation leaves singular values, norms
     # and inner products unchanged, so the objective, restart and stop tests
@@ -232,17 +237,19 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
         quad = (yty - 2.0 * float(np.sum(cross * w)) + float(np.sum((w * w) @ ev))) / n
         return quad + lam * nuclear
 
-    kappa = 0.5 * n * lam
-    w_ls, w = _linearized_start(cross, ev, kappa)
-    s_w, v_w = _gram_singular(w)
-    f_w = objective(w, float(np.sum(s_w)))
-    if f_w > yty / n:  # F(0)
-        w = w_ls
-        s_w, v_w = _gram_singular(w)
-        f_w = objective(w, float(np.sum(s_w)))
-        if f_w > yty / n:
-            w, f_w = np.zeros_like(w), yty / n
-    del w_ls
+    # the start is the first of W0 and W_LS with F <= F(0), else 0. As
+    # F(W) >= lam max|W_ij|, a candidate whose bound exceeds F(0), a
+    # non-finite one too, is passed over before its SVD or F can overflow
+    f_zero = yty / n
+    w, f_w, s_w, v_w = np.zeros_like(cross), f_zero, None, None
+    for candidate in _linearized_start(cross, ev, kappa):
+        if not lam * float(np.max(np.abs(candidate))) <= f_zero:
+            continue
+        s_c, v_c = _gram_singular(candidate)
+        f_c = objective(candidate, float(np.sum(s_c)))
+        if f_c <= f_zero:
+            w, f_w, s_w, v_w = candidate, f_c, s_c, v_c
+            break
     trace = [f_w]
     iterations = 0
     # reweighted least-squares steps: Z minimizes the loss plus the
@@ -370,42 +377,26 @@ def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
     return tuple(ranks)
 
 
-@dataclass
-class LaplacianSet:
-    """The three graph Laplacians (response, predictor, temporal)."""
-
-    l1: np.ndarray
-    l2: np.ndarray
-    l3: np.ndarray
-
-    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.l1, self.l2, self.l3)
-
-    def validate(self) -> None:
-        for lap in self.as_tuple():
-            if np.linalg.norm(lap - lap.T) > 1e-12 * max(1.0, np.linalg.norm(lap)):
-                raise ValueError("Laplacian is not symmetric")
-            if np.max(np.abs(lap.sum(axis=1))) > 1e-10:
-                raise ValueError("Laplacian rows do not sum to zero")
-            if np.linalg.eigvalsh(lap)[0] < -1e-8:
-                raise ValueError("Laplacian is not positive semidefinite")
-
-
 def laplacian_from_rows(a: np.ndarray, epsilon: float) -> np.ndarray:
     """Gaussian-kernel graph Laplacian L = D - Z over the rows of ``a``,
-    with weights z_lt = exp(-||a_l - a_t||^2 / (2 epsilon^2))."""
+    with weights z_lt = exp(-||a_l - a_t||^2 / (2 epsilon^2)). A weight whose
+    exponent would exceed 746, where exp underflows to 0, is set to 0 without
+    a division, so a 2 epsilon^2 that underflows gives the kernel's limit (1
+    between coinciding rows, 0 elsewhere) with no overflow and no 0/0."""
     _require_number("epsilon", epsilon, 0)
     a = np.asarray(a, dtype=float)
     diff = a[:, None, :] - a[None, :, :]
     d2 = np.sum(diff * diff, axis=2)
-    z = np.exp(-d2 / (2.0 * epsilon * epsilon))
+    scale = 2.0 * epsilon * epsilon
+    near = d2 <= 746.0 * scale
+    quotient = np.divide(d2, scale, out=np.where(near, 0.0, np.inf), where=near & (d2 > 0))
+    z = np.exp(-quotient)
     return np.diag(z.sum(axis=1)) - z
 
 
-def build_laplacians(factors: TuckerFactors, epsilon: float) -> LaplacianSet:
-    """One Laplacian per factor matrix, built from its rows."""
-    return LaplacianSet(
-        l1=laplacian_from_rows(factors.a1, epsilon),
-        l2=laplacian_from_rows(factors.a2, epsilon),
-        l3=laplacian_from_rows(factors.a3, epsilon),
-    )
+def build_laplacians(
+    factors: TuckerFactors, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Laplacians (L1, L2, L3) of the response, predictor and temporal
+    factors, each built from its factor's rows."""
+    return tuple(laplacian_from_rows(a, epsilon) for a in (factors.a1, factors.a2, factors.a3))

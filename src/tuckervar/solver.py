@@ -12,18 +12,19 @@ This is the paper's objective with its auxiliary factors U_i, penalized by
 alpha_i tr(U_i^T L_i U_i) + (gamma_i/2) ||U_i - A_i||^2, minimized out: for
 fixed A_i that penalty is least at U_i* = gamma_i (2 alpha_i L_i + gamma_i I)^{-1} A_i
 (update_u), where it equals tr(A_i^T Lt_i A_i). So the minimizer over (G, A)
-is the paper's estimator. U_i* gives both the penalty value,
-(gamma_i/2) <A_i, A_i - U_i*>, and its gradient 2 Lt_i A_i =
-gamma_i (A_i - U_i*); it comes from the eigenpairs of L_i that solve takes
-once, and no dense Lt_i is formed.
+is the paper's estimator. U_i* gives the penalty's gradient 2 Lt_i A_i as
+2 alpha_i L_i U_i* and its value as alpha_i <A_i, L_i U_i*>, not through
+A_i - U_i*, which cancels catastrophically once gamma_i >> 2 alpha_i ||L_i||.
+Both come from the eigenpairs of L_i that solve takes once, and no dense
+Lt_i is formed.
 
 One iteration updates G, A1, A2, A3 in that order, each block from a
 linearized gradient step at the freshest values of the blocks updated before
 it: soft threshold + box clip for G and a polar (Procrustes) step for each
-A_i, a PALM scheme (Bolte, Sabach & Teboulle, Math. Program. 2014). Step
-sizes exceed the per-block Lipschitz constants (the penalty adds
-2 ||Lt_i|| < gamma_i to the A_i block's), which makes the objective monotone
-with a quantified sufficient decrease.
+A_i, a PALM scheme (Bolte, Sabach & Teboulle, Math. Program. 2014). Each
+step weight is A_BAR1 = 1.1 times its block's Lipschitz constant (the
+penalty adds 2 ||Lt_i|| < gamma_i to the A_i block's), which makes the
+objective monotone with a quantified sufficient decrease.
 
 solve checks the scheme's three guarantees at every sweep: the core stays in
 the box, the factors stay orthonormal (both checked by objective), and the
@@ -47,30 +48,34 @@ term into one of the small matrices X^T X B, K and A1^T Y^T X B:
 and likewise for the block gradients (see _block_gradient). B changes at
 the A2 and A3 updates, so an iteration forms X^T X B twice: the sweep for
 the A3 gradient, and solve at the new iterate, for its objective and the
-next sweep's core, A1 and A2 gradients. solve forms each U_i* once per
-iterate too, for the same two uses. An iteration costs O((mp)^2 r2 r3)
-plus terms in m, p and the ranks, whatever the number of samples T. The
-identities need orthonormal factors: the prox maps make them so, and the
-objective checks them to 1e-10 before it uses them.
+next sweep's core, A1 and A2 gradients. solve forms each U_i* and
+L_i U_i* once per iterate too, for the same two uses. An iteration costs
+O((mp)^2 r2 r3) plus terms in m, p and the ranks, whatever the number of
+samples T. The identities need orthonormal factors: the prox maps make them
+so, and the objective checks them to 1e-10 before it uses them.
 
 The sweep is written out block by block: each factor block steps along its
 loss gradient from _block_gradient plus its penalty gradient
-gamma_k (A_k - U_k*). The tests difference _block_gradient directly and hold
+2 alpha_k L_k U_k*. The tests difference _block_gradient directly and hold
 the sweep to a hand-unrolled copy of it.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .initialization import LaplacianSet
 from .tensor import TuckerFactors, fold, kronecker, mode_product, tucker_reconstruct, unfold
 from .var import DesignPair, _require_number
 
 __all__ = ["StdgrConfig", "StepSizes", "FitResult", "solve"]
+
+# PALM's step weight over each block's Lipschitz constant; any value above 1
+# sets only the path to the estimate, not the estimate
+A_BAR1 = 1.1
 
 
 def _triple(name: str, value, low: float, closed: bool) -> tuple[float, float, float]:
@@ -100,7 +105,6 @@ class StdgrConfig:
     alpha: tuple[float, float, float] = (1e-3, 1e-3, 1e-3)
     gamma: tuple[float, float, float] = (0.1, 0.1, 0.1)
     c: float = 1.0
-    a_bar1: float = 1.1
     tol: float = 3e-3
     max_iter: int = 200
     ranks: tuple[int, int, int] | str = "auto"
@@ -110,7 +114,7 @@ class StdgrConfig:
         self.alpha = _triple("alpha", self.alpha, 0, closed=True)
         self.gamma = _triple("gamma", self.gamma, 0, closed=False)
         for name, low in (
-            ("beta", 0), ("c", 0), ("a_bar1", 1), ("tol", 0), ("epsilon", 0)
+            ("beta", 0), ("c", 0), ("tol", 0), ("epsilon", 0)
         ):
             _require_number(name, getattr(self, name), low)
         self.max_iter = _require_number("max_iter", self.max_iter, 1, closed=True, integer=True)
@@ -132,8 +136,6 @@ class StepSizes:
 
     rho: tuple[float, float, float, float]
     lipschitz: tuple[float, float, float, float]
-    nu: float
-    c1: float
 
     def validate(self) -> None:
         for i, (r, b) in enumerate(zip(self.rho, self.lipschitz), start=1):
@@ -154,14 +156,18 @@ def compute_step_sizes(
     c1 = (1/T) sum ||x_t||^2 = tr(X^T X) / T bounds the core block; the
     factor blocks add the core energy bound nu = sqrt(r1 r2 r3) c and the
     coupling weight gamma_k, which exceeds the graph penalty's 2 ||Lt_k||.
+    A ``c`` or ``gamma`` that makes a factor block's weight overflow is a
+    ValueError naming both.
     """
     c1 = float(np.trace(design.gram)) / design.n_samples
-    nu = float(np.sqrt(np.prod(ranks)) * cfg.c)
+    nu = math.sqrt(math.prod(ranks)) * cfg.c
     lips = (c1, *(nu * nu * c1 + g for g in cfg.gamma))
     # an all-zero design gives L1 = 0; floor it so rho_1 stays positive
     # (the huge resulting threshold maps the core straight to zero)
-    rho = (cfg.a_bar1 * max(lips[0], 1e-30), *(cfg.a_bar1 * l for l in lips[1:]))
-    steps = StepSizes(rho=rho, lipschitz=lips, nu=nu, c1=c1)
+    rho = (A_BAR1 * max(lips[0], 1e-30), *(A_BAR1 * l for l in lips[1:]))
+    if not all(map(math.isfinite, rho[1:])):
+        raise ValueError(f"c={cfg.c} or gamma={cfg.gamma} overflows the step weights {rho[1:]}")
+    steps = StepSizes(rho=rho, lipschitz=lips)
     steps.validate()
     return steps
 
@@ -212,16 +218,20 @@ def update_u(a: np.ndarray, eig: tuple, alpha: float, gamma: float) -> np.ndarra
     alpha tr(U^T L U) + (gamma/2) ||U - A||^2, from the eigenpairs ``eig`` =
     (e, V) of L as gamma V ((V^T A) / (2 alpha e + gamma)). With
     Lt = alpha gamma L (2 alpha L + gamma I)^{-1}, the penalty's least value
-    tr(A^T Lt A) is (gamma/2) <A, A - U*> and its gradient 2 Lt A is
-    gamma (A - U*)."""
+    tr(A^T Lt A) is alpha <A, L U*> and its gradient 2 Lt A is
+    2 alpha L U* (= gamma (A - U*), which cancels for a large gamma)."""
     e, v = eig
     return gamma * (v @ ((v.T @ a) / (2.0 * alpha * e + gamma)[:, None]))
 
 
-def _minimizers(f: TuckerFactors, eigs: tuple, cfg: StdgrConfig) -> tuple[np.ndarray, ...]:
-    """U_k* of each factor of ``f`` (see :func:`update_u`)."""
-    factors = (f.a1, f.a2, f.a3)
-    return tuple(map(update_u, factors, eigs, cfg.alpha, cfg.gamma))
+def _penalty_gradients(f: TuckerFactors, eigs: tuple, cfg: StdgrConfig) -> tuple[np.ndarray, ...]:
+    """The graph penalty's gradient 2 alpha_k L_k U_k* at each factor of
+    ``f`` (see :func:`update_u`), with L_k applied through its eigenpairs."""
+    out = []
+    for a, eig, alpha, gamma in zip((f.a1, f.a2, f.a3), eigs, cfg.alpha, cfg.gamma):
+        e, v = eig
+        out.append(2.0 * alpha * (v @ (e[:, None] * (v.T @ update_u(a, eig, alpha, gamma)))))
+    return tuple(out)
 
 
 def _block_gradient(
@@ -280,27 +290,28 @@ def objective(
     eigs: tuple[tuple[np.ndarray, np.ndarray], ...],
     cfg: StdgrConfig,
     gram_b: np.ndarray | None = None,
-    us: tuple[np.ndarray, ...] | None = None,
+    pen: tuple[np.ndarray, ...] | None = None,
 ) -> float:
     """Full objective value at a feasible state (box and orthonormality are
     constraints, not penalty terms). The loss is taken in the Tucker ranks,
     which is exact because the feasibility check has passed first. ``eigs``
     holds the eigenpairs (e, V) of L1, L2, L3. ``gram_b`` is X^T X B and
-    ``us`` the U_k* at the state, each formed here unless the caller passes
-    it."""
+    ``pen`` the penalty gradients 2 alpha_k L_k U_k* at the state, each
+    formed here unless the caller passes it; penalty k is half of
+    <A_k, pen_k>."""
     _check_feasible(state, cfg)
     b = kronecker(state.a3, state.a2)
     if gram_b is None:
         gram_b = design.gram @ b
-    if us is None:
-        us = _minimizers(state, eigs, cfg)
+    if pen is None:
+        pen = _penalty_gradients(state, eigs, cfg)
     g1 = unfold(state.core, 1)
     quad = float(np.sum((g1 @ (b.T @ gram_b)) * g1))
     quad -= 2.0 * float(np.sum((state.a1.T @ (design.cross @ b)) * g1))
     value = (design.yty + quad) / (2.0 * design.n_samples)
     value += cfg.beta * float(np.sum(np.abs(state.core)))
-    for g, a, u in zip(cfg.gamma, (state.a1, state.a2, state.a3), us):
-        value += 0.5 * g * float(np.sum(a * (a - u)))
+    for a, grad in zip((state.a1, state.a2, state.a3), pen):
+        value += 0.5 * float(np.sum(a * grad))
     return value
 
 
@@ -329,43 +340,40 @@ def palm_step(
     cfg: StdgrConfig,
     steps: StepSizes,
     gram_b: np.ndarray,
-    us: tuple[np.ndarray, ...],
+    pen: tuple[np.ndarray, ...],
 ) -> TuckerFactors:
     """One full block sweep; every block sees the freshest previous blocks.
 
     ``gram_b`` is X^T X B at ``state``, which the core, A1 and A2 gradients
     share: B = A3 kron A2 changes at the A2 update, so the A3 gradient forms
-    its own. ``us`` holds U_k* at ``state``; each factor's penalty gradient
-    gamma_k (A_k - U_k*) depends on A_k alone, so the freshest point's is
-    the one at ``state``."""
+    its own. ``pen`` holds the penalty gradients 2 alpha_k L_k U_k* at
+    ``state``; each depends on A_k alone, so the freshest point's is the one
+    at ``state``."""
     rho = steps.rho
-    g1, g2, g3 = cfg.gamma
-    u1, u2, u3 = us
+    p1, p2, p3 = pen
 
     grad = _block_gradient(0, state.core, state.a1, state.a2, state.a3, design, gram_b)
     core = prox_core(state.core - grad / rho[0], cfg.beta / rho[0], cfg.c)
 
-    grad = _block_gradient(1, core, state.a1, state.a2, state.a3, design, gram_b)
-    grad = grad + g1 * (state.a1 - u1)
+    grad = _block_gradient(1, core, state.a1, state.a2, state.a3, design, gram_b) + p1
     a1 = procrustes(state.a1 - grad / rho[1])
 
-    grad = _block_gradient(2, core, a1, state.a2, state.a3, design, gram_b)
-    grad = grad + g2 * (state.a2 - u2)
+    grad = _block_gradient(2, core, a1, state.a2, state.a3, design, gram_b) + p2
     a2 = procrustes(state.a2 - grad / rho[2])
 
-    grad = _block_gradient(3, core, a1, a2, state.a3, design)
-    grad = grad + g3 * (state.a3 - u3)
+    grad = _block_gradient(3, core, a1, a2, state.a3, design) + p3
     a3 = procrustes(state.a3 - grad / rho[3])
     return TuckerFactors(core=core, a1=a1, a2=a2, a3=a3)
 
 
 def solve(
     design: DesignPair,
-    lap: LaplacianSet,
+    laps: tuple[np.ndarray, np.ndarray, np.ndarray],
     cfg: StdgrConfig,
     init: TuckerFactors,
 ) -> FitResult:
-    """Run the block-cyclic solver from a Tucker initializer.
+    """Run the block-cyclic solver from a Tucker initializer, with the graph
+    Laplacians ``laps`` = (L1, L2, L3) of :func:`build_laplacians`.
 
     Stops when the largest relative block change drops to ``cfg.tol`` or
     after ``cfg.max_iter`` sweeps. Every sweep is checked against the
@@ -386,24 +394,24 @@ def solve(
     steps = compute_step_sizes(design, cfg, state.ranks)
     margin = steps.decrease_margin()
 
-    eigs = tuple(np.linalg.eigh(l) for l in lap.as_tuple())
+    eigs = tuple(np.linalg.eigh(l) for l in laps)
     gram_b = design.gram @ kronecker(state.a3, state.a2)
-    us = _minimizers(state, eigs, cfg)
-    obj_trace = [objective(state, design, eigs, cfg, gram_b, us)]
+    pen = _penalty_gradients(state, eigs, cfg)
+    obj_trace = [objective(state, design, eigs, cfg, gram_b, pen)]
     lambdas = []
 
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
         prev = state
-        state = palm_step(prev, design, cfg, steps, gram_b, us)
+        state = palm_step(prev, design, cfg, steps, gram_b, pen)
         iterations += 1
         metrics, change_sq = convergence_metrics(prev, state)
         lambdas.append(metrics)
         gram_b = design.gram @ kronecker(state.a3, state.a2)
-        us = _minimizers(state, eigs, cfg)
+        pen = _penalty_gradients(state, eigs, cfg)
         try:
-            f_new = objective(state, design, eigs, cfg, gram_b, us)
+            f_new = objective(state, design, eigs, cfg, gram_b, pen)
         except ValueError as exc:
             raise RuntimeError(f"sweep {iterations}: {exc}") from exc
         f_prev = obj_trace[-1]

@@ -25,6 +25,7 @@ __all__ = [
     "is_stable",
     "rescale_to_spectral_radius",
     "simulate",
+    "forecast",
     "mse",
     "PRNG_ALGORITHM",
 ]
@@ -321,6 +322,19 @@ def _psd_factor(covariance: np.ndarray) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
+def _recursion(w1: np.ndarray, lags: np.ndarray, shocks: np.ndarray) -> np.ndarray:
+    """The chain y_t = W_(1) (y_{t-1}, ..., y_{t-p}) + shock_t from the (p, m)
+    stack ``lags`` (most recent first), one step per row of ``shocks``, in
+    reverse time: row i < steps is step steps - 1 - i, and the p rows below
+    it are its lag stack, so that each step reads one contiguous slice."""
+    steps, p = shocks.shape[0], lags.shape[0]
+    chain = np.empty((steps + p, lags.shape[1]))
+    chain[steps:] = lags
+    for i in range(steps - 1, -1, -1):
+        chain[i] = w1 @ chain[i + 1 : i + 1 + p].ravel() + shocks[steps - 1 - i]
+    return chain
+
+
 def simulate(
     w: np.ndarray,
     covariance: np.ndarray,
@@ -334,7 +348,8 @@ def simulate(
     The chain starts from ``initial`` (a (p, m) stack of lag values, most
     recent lag first) or from zero lags, runs ``burn_in + length`` steps with
     i.i.d. Gaussian noise of the given covariance, and returns the last
-    ``length`` rows. Deterministic given the seed (pcg64 generator).
+    ``length`` rows. Deterministic given the seed (pcg64 generator). The
+    recursion is :func:`forecast`'s, fed noise in place of zeros.
     """
     w = _require_transition(w)
     m, _, p = w.shape
@@ -353,20 +368,29 @@ def simulate(
         raise ValueError("initial lag stack entries must be finite")
 
     rng = np.random.default_rng(seed)
-    total = burn_in + length
-    noise = rng.standard_normal((total, m)) @ factor.T
-    w1 = unfold(w, 1)
-    # the chain in reverse time: step t writes row total - 1 - t, and the p
-    # rows below it are its lag stack, most recent first. It is allocated
-    # after the noise, and the noise freed before the forward copy, so that
-    # no more than two (total, m) arrays are held at once.
-    chain = np.empty((total + p, m))
-    chain[total:] = lags
-    for t in range(total):
-        i = total - 1 - t
-        chain[i] = w1 @ chain[i + 1 : i + 1 + p].ravel() + noise[t]
+    noise = rng.standard_normal((burn_in + length, m)) @ factor.T
+    # the chain is allocated after the noise, and the noise freed before the
+    # forward copy, so that at most two (burn_in + length, m) arrays are held
+    chain = _recursion(unfold(w, 1), lags, noise)
     del noise
     return chain[length - 1 :: -1].copy()
+
+
+def forecast(w: np.ndarray, panel: np.ndarray, horizon: int) -> np.ndarray:
+    """The (horizon, m) noise-free forecasts that follow the panel's last p
+    rows: :func:`simulate`'s recursion fed zeros. Forecasts that overflow
+    (an unstable ``w``) are inf or NaN, without a numpy warning."""
+    w = _require_transition(w)
+    m, _, p = w.shape
+    horizon = _require_number("horizon", horizon, 1, closed=True, integer=True)
+    panel = _require_panel(panel)
+    if panel.shape[1] != m:
+        raise ValueError(f"panel has {panel.shape[1]} variables, transition tensor expects {m}")
+    if panel.shape[0] < p:
+        raise ValueError(f"panel needs at least {p} rows to seed the forecast")
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = _recursion(unfold(w, 1), panel[-p:][::-1], np.zeros((horizon, m)))
+    return chain[horizon - 1 :: -1].copy()
 
 
 def mse(truth: np.ndarray, pred: np.ndarray) -> float:

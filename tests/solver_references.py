@@ -34,7 +34,7 @@ def dense_penalty(lap, alpha, gamma):
 
 
 def _penalties(lap, cfg):
-    return [dense_penalty(l, a_w, g) for l, a_w, g in zip(lap.as_tuple(), cfg.alpha, cfg.gamma)]
+    return [dense_penalty(l, a_w, g) for l, a_w, g in zip(lap, cfg.alpha, cfg.gamma)]
 
 
 def grad_partials(state, design, lap, cfg):

@@ -31,7 +31,7 @@ from tuckervar import (
 )
 from tuckervar.cli import EXIT_OK, main
 from solver_references import grad_partials, grad_Q_full, psi_value
-from tuckervar.solver import _block_gradient, procrustes, prox_core, update_u
+from tuckervar.solver import _block_gradient, _penalty_gradients, procrustes, prox_core
 from tuckervar.storage import write_panel_csv
 
 
@@ -151,10 +151,9 @@ def test_criterion_3_gradient_consistency():
         blocks = [state.core, state.a1, state.a2, state.a3]
         parts = grad_partials(state, design, lap, cfg)
         # the sweep's A_k gradient takes the penalty's 2 Lt_k A_k as
-        # gamma_k (A_k - U_k*); grad_partials takes it from the dense Lt_k
-        for k, (l, a_w, g) in enumerate(zip(lap.as_tuple(), cfg.alpha, cfg.gamma), start=1):
-            a = blocks[k]
-            penalty = g * (a - update_u(a, np.linalg.eigh(l), a_w, g))
+        # 2 alpha_k L_k U_k*; grad_partials takes it from the dense Lt_k
+        eigs = tuple(np.linalg.eigh(l) for l in lap)
+        for k, penalty in enumerate(_penalty_gradients(state, eigs, cfg), start=1):
             sweep = _block_gradient(k, *blocks, design) + penalty
             scale = max(np.max(np.abs(parts[k])), 1e-12)
             worst = max(worst, np.max(np.abs(sweep - parts[k])) / scale)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -406,16 +407,19 @@ class TestForecastCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_forecast_is_a_data_error(self, tmp_path, capsys):
+        # W_1 = 1e200 I: lags of 1e200 overflow at step 1, lags of 1e100
+        # reach 1e300 at step 1 and overflow at step 2
         model = identity_model(tmp_path, scale=1e200)
         panel = tmp_path / "panel.csv"
-        write_panel_csv(str(panel), np.full((2, 2), 1e200))
         out = tmp_path / "fc.csv"
-        code = main(
-            ["forecast", "--model", model, "--input", str(panel), "--output", str(out), "--horizon", "3"]
-        )
-        assert code == EXIT_DATA
-        assert "forecast step 1 is not finite" in capsys.readouterr().err
-        assert not out.exists() and not (tmp_path / "fc.csv.tvcache").exists()
+        for lag, step in ((1e200, 1), (1e100, 2)):
+            write_panel_csv(str(panel), np.full((2, 2), lag))
+            code = main(
+                ["forecast", "--model", model, "--input", str(panel), "--output", str(out), "--horizon", "3"]
+            )
+            assert code == EXIT_DATA
+            assert f"forecast step {step} is not finite" in capsys.readouterr().err
+            assert not out.exists() and not (tmp_path / "fc.csv.tvcache").exists()
 
 
 def lag_two_model_doc():
@@ -532,11 +536,11 @@ class TestModelFileChecks:
 def version_one_layout(doc):
     """``doc`` in the layout of model format version 1: the config echo
     without epsilon (which sat under "laplacians" beside the three
-    Laplacians) and with a_bar2 (the step multiplier of the auxiliary factors
-    the solver then had), and the solver's outcome and the training length
-    beside the arrays."""
+    Laplacians) and with a_bar1 and a_bar2 (the retired step multipliers of
+    the four blocks and of the auxiliary factors the solver then had), and
+    the solver's outcome and the training length beside the arrays."""
     config = {k: v for k, v in doc["config"].items() if k != "epsilon"}
-    config["a_bar2"] = 10.0
+    config.update(a_bar1=1.1, a_bar2=10.0)
     old = dict(doc, version=1, config=config)
     scaler = old.pop("scaler", None)
     arrays = [
@@ -545,7 +549,7 @@ def version_one_layout(doc):
     ]
     lap = build_laplacians(TuckerFactors(np.zeros(doc["ranks"]), *arrays), doc["config"]["epsilon"])
     old["laplacians"] = {"epsilon": doc["config"]["epsilon"]}
-    for key, matrix in zip(("l1", "l2", "l3"), lap.as_tuple()):
+    for key, matrix in zip(("l1", "l2", "l3"), lap):
         old["laplacians"][key] = {"n": matrix.shape[0], "values": matrix.ravel(order="F").tolist()}
     old.update(ranks_selected=False, n_train=24, converged=True, iterations=17)
     if scaler is not None:
@@ -556,8 +560,8 @@ def version_one_layout(doc):
 class TestVersionOneModels:
     """A model file written in the version-1 layout still loads, and forecast
     and eval give byte-identical output from it and from its version-2
-    counterpart: the keys that version 2 dropped, and the retired a_bar2 in
-    the config echo, are ignored."""
+    counterpart: the keys that version 2 dropped, and the retired a_bar1 and
+    a_bar2 in the config echo, are ignored."""
 
     def outputs(self, tmp_path, capsys, doc):
         model = tmp_path / "m.json"
@@ -768,7 +772,7 @@ class TestConfigsFromDataclasses:
         model = tmp_path / "m.json"
         flags = [
             "--ranks", "2,2,1", "--alpha", "0.001,0.002,0.003", "--gamma", "0.2", "--c", "2.5",
-            "--abar1", "1.3", "--max-iter", "7", "--tol", "1e-9",
+            "--max-iter", "7", "--tol", "1e-9",
         ]
         code = main(["fit", "--input", str(panel), "--output", str(model), "--p", "1",
                      "--config", cfg] + flags)
@@ -777,7 +781,7 @@ class TestConfigsFromDataclasses:
         assert doc["ranks"] == [2, 2, 1]
         assert doc["config"] == dict(
             beta=5e-3, alpha=[1e-3, 2e-3, 3e-3], gamma=[0.2, 0.2, 0.2], c=2.5,
-            a_bar1=1.3, tol=1e-9, max_iter=7, epsilon=0.2,
+            tol=1e-9, max_iter=7, epsilon=0.2,
         )
 
     def test_scenario_without_m_names_it(self, tmp_path, capsys):
@@ -802,9 +806,10 @@ class TestConfigsFromDataclasses:
 
 class TestBadHyperparameters:
     """A non-finite or mistyped hyperparameter is a usage error that names
-    its field, and no model file is written. ``--abar2``, the retired step
-    multiplier of the auxiliary factors, is refused whatever its value, as an
-    unrecognized argument named by its flag."""
+    its field, and no model file is written. ``--abar1`` and ``--abar2``, the
+    retired step multipliers of the four blocks and of the auxiliary factors,
+    are refused whatever their value, as unrecognized arguments named by their
+    flags."""
 
     FLAGS = ["--beta", "--alpha", "--gamma", "--c", "--abar1", "--abar2", "--tol", "--lambda-nn", "--epsilon"]
 
@@ -821,7 +826,7 @@ class TestBadHyperparameters:
         code, model = self.fit(tmp_path, [f"{flag}={bad}"])
         assert code == EXIT_USAGE
         field = {
-            "--abar1": "a_bar1",
+            "--abar1": "unrecognized arguments: --abar1",
             "--abar2": "unrecognized arguments: --abar2",
             "--lambda-nn": "lambda_nn",
         }
@@ -836,6 +841,7 @@ class TestBadHyperparameters:
             ("solver", "ranks", [2.5, 2, 2]),
             ("solver", "beta", "0.1"),
             ("nnm", "tol", None),
+            ("solver", "a_bar1", 1.1),  # retired: a constant of the step rule
             ("solver", "a_bar2", 10.0),  # retired with the auxiliary factors
         ],
     )
@@ -912,15 +918,40 @@ class TestSolverFault:
         assert not out.exists()
 
 
+def read_readme() -> str:
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as handle:
+        return handle.read()
+
+
 def test_documented_exit_codes_are_the_constants():
     """README and the cli module docstring list exactly the EXIT_* codes."""
     constants = sorted(v for k, v in vars(tuckervar.cli).items() if k.startswith("EXIT_"))
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(readme) as handle:
-        readme_text = handle.read()
-    for text in (tuckervar.cli.__doc__, readme_text):
+    for text in (tuckervar.cli.__doc__, read_readme()):
         listed = re.search(r"Exit codes:(.*?)\.\s", text, re.S).group(1)
         assert sorted(int(code) for code in re.findall(r"\b\d+\b", listed)) == constants
+
+
+def test_documented_solver_flags_and_fields_match_the_code():
+    """README's solver-flag list is what the fit and bench parsers both
+    accept beyond --config and --output, and its StdgrConfig field list is
+    the dataclass's fields, in order."""
+    readme = read_readme()
+    documented = re.search(r"Solver flags \(`fit` and `bench`\): `([^`]*)`", readme).group(1)
+    flags = [token for token in documented.split() if token.startswith("--")]
+    subparsers = next(
+        action for action in tuckervar.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = [
+        {option for action in subparsers.choices[name]._actions for option in action.option_strings}
+        for name in ("fit", "bench")
+    ]
+    assert set(flags) == (accepted[0] & accepted[1]) - {"-h", "--help", "--config", "--output"}
+    assert len(flags) == len(set(flags))
+    listed = re.search(r"`StdgrConfig` \(([^)]*)\)", readme).group(1)
+    fields = [name.strip(" `\n") for name in listed.split(",")]
+    assert fields == [f.name for f in dataclasses.fields(StdgrConfig)]
 
 
 class TestModuleEntryPoints:
@@ -1022,7 +1053,7 @@ SWEEP_KEYS = [
     (section, f.name)
     for section, cls in (("scenario", ScenarioSpec), ("solver", StdgrConfig), ("nnm", NnmConfig))
     for f in dataclasses.fields(cls)
-] + [("scenario", "length"), ("solver", "a_bar2")]  # a_bar2: retired, refused as unknown
+] + [("scenario", "length"), ("solver", "a_bar1"), ("solver", "a_bar2")]  # retired, refused as unknown
 
 
 @pytest.mark.parametrize("bad", SWEEP_VALUES, ids=lambda v: "10**400" if v == 10**400 else repr(v))

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 import tuckervar
 from tuckervar import (
+    NnmConfig,
     ScenarioSpec,
     StdgrConfig,
     build_design,
+    build_laplacians,
     fit_panel,
     hosvd,
     laplacian_from_rows,
@@ -26,6 +28,8 @@ from tuckervar import (
     simulate,
     solve,
 )
+from tuckervar.cli import EXIT_MAX_ITER, EXIT_OK, EXIT_USAGE, main
+from tuckervar.storage import write_panel_csv
 
 PACKAGE = Path(tuckervar.__file__).resolve().parent
 
@@ -89,9 +93,8 @@ class TestStagesFromReport:
     def test_solver_starts_from_hosvd(self, panel, ranks):
         cfg = StdgrConfig(c=2.0, ranks=ranks)
         report = fit_panel(panel, self.P, cfg)
-        again = solve(
-            build_design(panel, self.P), report.laplacians, cfg, hosvd(report.nnm.w, report.ranks)
-        )
+        init = hosvd(report.nnm.w, report.ranks)
+        again = solve(build_design(panel, self.P), build_laplacians(init, cfg.epsilon), cfg, init)
         assert report.result.iterations > 1
         np.testing.assert_array_equal(again.w_hat, report.w_hat)
         np.testing.assert_array_equal(again.objective_trace, report.result.objective_trace)
@@ -100,5 +103,60 @@ class TestStagesFromReport:
         cfg = StdgrConfig(c=2.0, ranks=(3, 2, 1), epsilon=0.5)
         report = fit_panel(panel, self.P, cfg)
         init = hosvd(report.nnm.w, report.ranks)
-        for got, rows in zip(report.laplacians.as_tuple(), (init.a1, init.a2, init.a3)):
-            np.testing.assert_array_equal(got, laplacian_from_rows(rows, cfg.epsilon))
+        design = build_design(panel, self.P)
+
+        def trace(epsilon):
+            laps = tuple(laplacian_from_rows(a, epsilon) for a in (init.a1, init.a2, init.a3))
+            return solve(design, laps, cfg, init).objective_trace
+
+        np.testing.assert_array_equal(trace(cfg.epsilon), report.result.objective_trace)
+        assert not np.array_equal(trace(0.2), report.result.objective_trace)
+
+
+class TestExtremeSettings:
+    """A huge coupling weight, a bandwidth whose 2 epsilon^2 is subnormal or
+    0, a nuclear-norm weight at the float range's edge and a huge box bound
+    each fit, or are refused by a ValueError (exit 64) naming their field;
+    none is an internal error (exit 70) and no numpy warning escapes."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        spec = ScenarioSpec(m=8, p=2, ranks=(2, 2, 2), superdiag=(2.0, 1.5), noise_scale=0.25)
+        return simulate(make_scenario(spec, 0).w, 0.25 * np.eye(8), length=600, seed=0)
+
+    @pytest.mark.parametrize(
+        "flag,value,refused",
+        [
+            ("gamma", 1e13, None),
+            ("gamma", 1e14, None),
+            ("gamma", 1e100, None),
+            ("epsilon", 1e-160, None),
+            ("epsilon", 1e-200, None),
+            ("epsilon", 1e-300, None),
+            ("lambda_nn", 1.7e308, "lambda_nn"),
+            ("lambda_nn", 1e300, None),
+            ("c", 1e300, "c="),
+        ],
+    )
+    def test_fits_or_names_the_field(self, panel, tmp_path, capsys, flag, value, refused):
+        cfg, nnm_cfg = StdgrConfig(ranks=(2, 2, 2)), NnmConfig()
+        if flag == "lambda_nn":
+            nnm_cfg = NnmConfig(lambda_nn=value)
+        else:
+            cfg = StdgrConfig(ranks=(2, 2, 2), **{flag: value})
+        if refused is None:
+            assert np.isfinite(fit_panel(panel, 2, cfg, nnm_cfg).w_hat).all()
+        else:
+            with pytest.raises(ValueError, match=refused):
+                fit_panel(panel, 2, cfg, nnm_cfg)
+
+        path = str(tmp_path / "panel.csv")
+        write_panel_csv(path, panel)
+        argv = ["fit", "--input", path, "--output", str(tmp_path / "m.json"), "--p", "2"]
+        argv += ["--ranks", "2,2,2", "--" + flag.replace("_", "-"), repr(value)]
+        code = main(argv)
+        if refused is None:
+            assert code in (EXIT_OK, EXIT_MAX_ITER)
+        else:
+            assert code == EXIT_USAGE
+            assert refused in capsys.readouterr().err

@@ -802,11 +802,11 @@ class TestLaplacians:
             a3=random_orthonormal(rng, 4, 2),
         )
         laps = build_laplacians(factors, 0.2)
-        laps.validate()
-        for lap, a in zip(laps.as_tuple(), (factors.a1, factors.a2, factors.a3)):
+        for lap, a in zip(laps, (factors.a1, factors.a2, factors.a3)):
             n = lap.shape[0]
             assert np.max(np.abs(lap - lap.T)) <= 1e-12
             assert np.max(np.abs(lap.sum(axis=1))) <= 1e-10
+            assert np.linalg.eigvalsh(lap)[0] >= -1e-8
             for _ in range(100):
                 x = rng.standard_normal(n)
                 assert x @ lap @ x >= -1e-8
@@ -819,6 +819,23 @@ class TestLaplacians:
                 for j in range(n):
                     energy += 0.5 * z[i, j] * np.sum((b[i] - b[j]) ** 2)
             assert abs(energy - np.trace(b.T @ lap @ b)) <= 1e-9
+
+    @pytest.mark.parametrize("epsilon", [0.2, 1e-3, 1e-153])
+    def test_kernel_bits_where_the_scale_is_normal(self, epsilon):
+        # rows a bandwidth apart, so that the weights are neither 0 nor 1
+        a = np.random.default_rng(16).standard_normal((6, 2)) * epsilon
+        d2 = np.sum((a[:, None, :] - a[None, :, :]) ** 2, axis=2)
+        z = np.exp(-d2 / (2.0 * epsilon * epsilon))
+        assert ((z > 0) & (z < 1)).any()
+        np.testing.assert_array_equal(laplacian_from_rows(a, epsilon), np.diag(z.sum(axis=1)) - z)
+
+    @pytest.mark.parametrize("epsilon", [1e-160, 1e-200, 1e-300])
+    def test_vanishing_bandwidth_gives_the_kernel_limit(self, epsilon):
+        # 2 epsilon^2 is subnormal or 0: weight 1 where rows coincide, 0
+        # elsewhere, with no overflow, no 0/0 and no warning
+        a = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [0.5, 0.0]])
+        z = (a[:, None, :] == a[None, :, :]).all(axis=2).astype(float)
+        np.testing.assert_array_equal(laplacian_from_rows(a, epsilon), np.diag(z.sum(axis=1)) - z)
 
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ def random_problem(seed, m=4, p=2, ranks=(2, 2, 2), t=30, cfg=None):
 
 
 def eigenpairs(lap):
-    return tuple(np.linalg.eigh(l) for l in lap.as_tuple())
+    return tuple(np.linalg.eigh(l) for l in lap)
 
 
 def graph_energy(state, lap, cfg):
@@ -58,7 +58,7 @@ def graph_energy(state, lap, cfg):
     factors = (state.a1, state.a2, state.a3)
     return sum(
         float(np.trace(a.T @ dense_penalty(l, a_w, g) @ a))
-        for a, l, a_w, g in zip(factors, lap.as_tuple(), cfg.alpha, cfg.gamma)
+        for a, l, a_w, g in zip(factors, lap, cfg.alpha, cfg.gamma)
     )
 
 
@@ -156,7 +156,7 @@ def seven_block_objective(state, us, design, lap, cfg):
     value = float(np.sum(residual**2)) / (2 * design.n_samples)
     value += cfg.beta * float(np.sum(np.abs(state.core)))
     for a, u, l, a_w, g in zip(
-        (state.a1, state.a2, state.a3), us, lap.as_tuple(), cfg.alpha, cfg.gamma
+        (state.a1, state.a2, state.a3), us, lap, cfg.alpha, cfg.gamma
     ):
         value += a_w * float(np.trace(u.T @ l @ u)) + 0.5 * g * float(np.sum((u - a) ** 2))
     return value
@@ -209,7 +209,7 @@ class TestObjective:
         us = [
             np.linalg.solve(2 * a_w * l + g * np.eye(l.shape[0]), g * a)
             for a, l, a_w, g in zip(
-                (state.a1, state.a2, state.a3), lap.as_tuple(), cfg.alpha, cfg.gamma
+                (state.a1, state.a2, state.a3), lap, cfg.alpha, cfg.gamma
             )
         ]
         seven = seven_block_objective(state, us, design, lap, cfg)
@@ -222,6 +222,18 @@ class TestObjective:
             loss = loss_value(tucker_reconstruct(state), design)
             plain = loss + cfg.beta * float(np.sum(np.abs(state.core)))
             assert abs(value - plain) <= 1e-12 * plain
+
+    def test_large_gamma_gives_the_plain_graph_penalty(self):
+        # as gamma grows U* -> A, and F tends to loss + beta ||G||_1 +
+        # sum_k alpha_k tr(A_k^T L_k A_k); at 1e100 it is that to rounding
+        cfg = StdgrConfig(ranks=(2, 2, 2), alpha=(0.5, 0.2, 1.0), gamma=1e100, beta=0.05)
+        design, state, lap, cfg, _ = random_problem(10, m=6, p=3, cfg=cfg)
+        value = objective(state, design, eigenpairs(lap), cfg)
+        plain = loss_value(tucker_reconstruct(state), design)
+        plain += cfg.beta * float(np.sum(np.abs(state.core)))
+        for a, l, a_w in zip((state.a1, state.a2, state.a3), lap, cfg.alpha):
+            plain += a_w * float(np.trace(a.T @ l @ a))
+        assert abs(value - plain) <= 1e-12 * plain
 
     def test_infeasible_state_rejected(self):
         design, state, lap, cfg, _ = random_problem(8)
@@ -270,20 +282,19 @@ class TestGradients:
             assert np.max(np.abs(part)) <= 1e-10
 
     def test_coupling_gradient_value(self):
-        # the sweep's penalty gradient gamma (A - U*) is the dense 2 Lt A
-        cfg = StdgrConfig(alpha=(0.5, 0.2, 1.0), gamma=(2.0, 0.3, 0.7), ranks=(2, 2, 2))
-        design, state, lap, cfg, _ = random_problem(12, m=6, p=3, cfg=cfg)
-        parts = grad_partials(state, design, lap, cfg)
-        point = (state.core, state.a1, state.a2, state.a3)
-        for k, (a, eig, a_w, g) in enumerate(
-            zip(point[1:], eigenpairs(lap), cfg.alpha, cfg.gamma), start=1
-        ):
-            dense = parts[k] - solver._block_gradient(k, *point, design)
-            assert np.linalg.norm(dense) > 1e-6
-            # A - U* cancels terms of size |A|, and 2 ||Lt|| < gamma, so
-            # gamma ||A|| is the scale of its rounding
-            error = np.linalg.norm(g * (a - update_u(a, eig, a_w, g)) - dense)
-            assert error <= 1e-12 * g * np.linalg.norm(a)
+        # the sweep's penalty gradient 2 alpha L U* is the dense 2 Lt A to
+        # rounding in the gradient itself, also at gamma = 1e100, where
+        # gamma (A - U*), the same quantity, would cancel terms of size
+        # gamma |A|
+        for gamma in ((2.0, 0.3, 0.7), 1e100):
+            cfg = StdgrConfig(alpha=(0.5, 0.2, 1.0), gamma=gamma, ranks=(2, 2, 2))
+            design, state, lap, cfg, _ = random_problem(12, m=6, p=3, cfg=cfg)
+            sweep = solver._penalty_gradients(state, eigenpairs(lap), cfg)
+            factors = (state.a1, state.a2, state.a3)
+            for got, a, l, a_w, g in zip(sweep, factors, lap, cfg.alpha, cfg.gamma):
+                dense = 2.0 * dense_penalty(l, a_w, g) @ a
+                assert np.linalg.norm(dense) > 1e-6
+                assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_partials_match_finite_differences(self):
         cfg = StdgrConfig(alpha=(0.5, 0.2, 1.0), ranks=(2, 2, 2))
@@ -394,29 +405,24 @@ class TestStepSizes:
         design = DesignPair(x=np.array([[1.0, 1.0]]), y=np.array([[0.0]]))
         cfg = StdgrConfig(ranks=(1, 1, 1))
         steps = compute_step_sizes(design, cfg, (1, 1, 1))
-        assert steps.c1 == pytest.approx(2.0)
         assert steps.lipschitz[0] == pytest.approx(2.0)
 
     def test_unit_rank_factor_bound(self):
         design = DesignPair(x=np.array([[1.0, 1.0]]), y=np.array([[0.0]]))
         cfg = StdgrConfig(ranks=(1, 1, 1), c=1.0, gamma=(0.5, 0.5, 0.5))
         steps = compute_step_sizes(design, cfg, (1, 1, 1))
-        assert steps.nu == pytest.approx(1.0)
-        assert steps.lipschitz[1] == pytest.approx(steps.c1 + 0.5)
+        # nu^2 c1 + gamma with nu = sqrt(r1 r2 r3) c = 1 and c1 = tr(X^T X) / T = 2
+        assert steps.lipschitz == pytest.approx((2.0, 2.5, 2.5, 2.5))
 
     def test_strict_margins(self):
         rng = np.random.default_rng(14)
         design = DesignPair(x=rng.standard_normal((10, 4)), y=rng.standard_normal((10, 2)))
-        cfg = StdgrConfig(ranks=(2, 2, 1), a_bar1=1.1)
+        cfg = StdgrConfig(ranks=(2, 2, 1))
         steps = compute_step_sizes(design, cfg, (2, 2, 1))
         steps.validate()
-        assert steps.rho[0] == pytest.approx(1.1 * steps.lipschitz[0])
+        assert steps.rho == pytest.approx(tuple(1.1 * l for l in steps.lipschitz))
         assert steps.rho[0] > steps.lipschitz[0]
         assert steps.decrease_margin() > 0
-
-    def test_multiplier_at_most_one_rejected(self):
-        with pytest.raises(ValueError):
-            StdgrConfig(a_bar1=1.0)
 
 
 class TestConvergenceMetrics:
@@ -604,8 +610,8 @@ class TestSolve:
         # X^T X is read by the step sizes and the starting X^T X B, then twice
         # per sweep: for the A3 gradient and for X^T X B at the new iterate,
         # which serves its objective and the next sweep. Each Laplacian is
-        # decomposed once, U_k* is formed once per iterate, and none of it
-        # solves a linear system.
+        # decomposed once, U_k* and L_k U_k* are formed once per iterate, and
+        # none of it solves a linear system.
         class CountingDesign(DesignPair):
             gram_reads = 0
 
@@ -641,18 +647,18 @@ class TestSolve:
         # replaying the sweep with the stale first factor changes the result
         design, state, lap, cfg, rng = random_problem(25, m=5, p=2, t=25)
         steps = compute_step_sizes(design, cfg, (2, 2, 2))
-        us = solver._minimizers(state, eigenpairs(lap), cfg)
-        new = palm_step(state, design, cfg, steps, gram_b_at(state, design), us)
+        pen = solver._penalty_gradients(state, eigenpairs(lap), cfg)
+        new = palm_step(state, design, cfg, steps, gram_b_at(state, design), pen)
 
         from tuckervar.solver import _block_gradient, procrustes as polar
 
         g_a2_fresh = _block_gradient(2, new.core, new.a1, state.a2, state.a3, design)
-        g_a2_fresh += cfg.gamma[1] * (state.a2 - us[1])
+        g_a2_fresh += pen[1]
         a2_fresh = polar(state.a2 - g_a2_fresh / steps.rho[2])
         np.testing.assert_array_equal(new.a2, a2_fresh)
 
         g_a2_stale = _block_gradient(2, new.core, state.a1, state.a2, state.a3, design)
-        g_a2_stale += cfg.gamma[1] * (state.a2 - us[1])
+        g_a2_stale += pen[1]
         a2_stale = polar(state.a2 - g_a2_stale / steps.rho[2])
         assert np.max(np.abs(a2_stale - new.a2)) > 1e-12
 
@@ -670,10 +676,16 @@ def gram_b_at(state, design):
     return design.gram @ kronecker(state.a3, state.a2)
 
 
+def penalty_gradient(a, eig, alpha, gamma):
+    """2 alpha L U* at ``a``, with L applied through its eigenpairs ``eig``."""
+    e, v = eig
+    return 2.0 * alpha * (v @ (e[:, None] * (v.T @ update_u(a, eig, alpha, gamma))))
+
+
 def unrolled_palm_step(state, design, eigs, cfg, steps):
     """The sweep written out block by block, each penalty gradient by hand
-    from U_k* at ``state``; it forms every X^T X B and U_k* itself, so
-    equality also checks the ones passed to palm_step."""
+    from U_k* at ``state``; it forms every X^T X B and penalty gradient
+    itself, so equality also checks the ones passed to palm_step."""
     from tuckervar.solver import _block_gradient
 
     rho = steps.rho
@@ -684,15 +696,15 @@ def unrolled_palm_step(state, design, eigs, cfg, steps):
     core = prox_core(state.core - g_core / rho[0], cfg.beta / rho[0], cfg.c)
 
     g_a1 = _block_gradient(1, core, state.a1, state.a2, state.a3, design)
-    g_a1 += g1 * (state.a1 - update_u(state.a1, eigs[0], a1w, g1))
+    g_a1 += penalty_gradient(state.a1, eigs[0], a1w, g1)
     a1 = procrustes(state.a1 - g_a1 / rho[1])
 
     g_a2 = _block_gradient(2, core, a1, state.a2, state.a3, design)
-    g_a2 += g2 * (state.a2 - update_u(state.a2, eigs[1], a2w, g2))
+    g_a2 += penalty_gradient(state.a2, eigs[1], a2w, g2)
     a2 = procrustes(state.a2 - g_a2 / rho[2])
 
     g_a3 = _block_gradient(3, core, a1, a2, state.a3, design)
-    g_a3 += g3 * (state.a3 - update_u(state.a3, eigs[2], a3w, g3))
+    g_a3 += penalty_gradient(state.a3, eigs[2], a3w, g3)
     a3 = procrustes(state.a3 - g_a3 / rho[3])
 
     return TuckerFactors(core=core, a1=a1, a2=a2, a3=a3)
@@ -700,7 +712,7 @@ def unrolled_palm_step(state, design, eigs, cfg, steps):
 
 class TestSweepMatchesUnrolled:
     """palm_step steps along the partial gradients that grad_partials returns
-    (test_coupling_gradient_value ties gamma (A - U*) to the dense 2 Lt A);
+    (test_coupling_gradient_value ties 2 alpha L U* to the dense 2 Lt A);
     the sweep must equal the unrolled one bit for bit."""
 
     @pytest.mark.parametrize("m,p,ranks,t", MOMENT_CASES)
@@ -711,8 +723,8 @@ class TestSweepMatchesUnrolled:
         eigs = eigenpairs(lap)
         ours, ref = state, state
         for _ in range(3):
-            us = solver._minimizers(ours, eigs, cfg)
-            ours = palm_step(ours, design, cfg, steps, gram_b_at(ours, design), us)
+            pen = solver._penalty_gradients(ours, eigs, cfg)
+            ours = palm_step(ours, design, cfg, steps, gram_b_at(ours, design), pen)
             ref = unrolled_palm_step(ref, design, eigs, cfg, steps)
             for got, want in zip(
                 (ours.core, ours.a1, ours.a2, ours.a3), (ref.core, ref.a1, ref.a2, ref.a3)
@@ -729,7 +741,7 @@ class TestConfigValidation:
     and each message names the field."""
 
     @pytest.mark.parametrize("bad", NON_FINITE)
-    @pytest.mark.parametrize("field", ["beta", "c", "a_bar1", "tol", "epsilon"])
+    @pytest.mark.parametrize("field", ["beta", "c", "tol", "epsilon"])
     def test_non_finite_scalar_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):
             StdgrConfig(**{field: bad})

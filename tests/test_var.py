@@ -12,6 +12,7 @@ from tuckervar import (
     TuckerFactors,
     build_design,
     fold,
+    forecast,
     is_stable,
     make_scenario,
     mse,
@@ -452,6 +453,53 @@ class TestSimulate:
         pair = build_design(panel, 2)
         residual = pair.y - pair.x @ unfold(w, 1).T
         assert np.max(np.abs(residual)) <= 1e-10
+
+
+def nan_as_one(x):
+    """The bytes of ``x`` with every NaN made the same NaN."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+class TestForecast:
+    # (m, p, spectral radius): radius 8 makes the (5, 1) model diverge into
+    # inf and then NaN within the 500 steps
+    @pytest.mark.parametrize(
+        "m,p,radius", [(30, 3, 0.9), (8, 2, 0.9), (1, 1, 0.5), (5, 1, 8.0), (12, 4, 0.95)]
+    )
+    def test_same_bits_as_the_one_step_recursion(self, m, p, radius):
+        rng = np.random.default_rng(m + p)
+        w = random_stable(rng, m, p, radius=radius)
+        panel = rng.standard_normal((p + 5, m))
+        got = forecast(w, panel, 500)
+        history, rows = [panel[-lag] for lag in range(1, p + 1)], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(500):
+                y = predict_one_step(w, np.concatenate(history))
+                rows.append(y)
+                history = [y] + history[: p - 1]
+        expected = np.asarray(rows)
+        assert got.shape == (500, m) and got.flags.c_contiguous
+        assert nan_as_one(got) == nan_as_one(expected)
+        assert np.isfinite(got).all() == (radius < 1)
+
+    def test_panel_of_p_rows_is_enough(self):
+        w = np.zeros((2, 2, 3))
+        w[:, :, 2] = np.eye(2)  # y_t = y_{t-3}
+        panel = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(forecast(w, panel, 4), np.vstack([panel, panel[:1]]))
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, np.nan])
+    def test_horizon_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="horizon"):
+            forecast(np.zeros((2, 2, 1)), np.ones((3, 2)), bad)
+
+    def test_panel_shorter_than_p_rejected(self):
+        with pytest.raises(ValueError, match="at least 3 rows"):
+            forecast(np.zeros((2, 2, 3)), np.ones((2, 2)), 1)
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="panel has 3 variables, transition tensor expects 2"):
+            forecast(np.zeros((2, 2, 1)), np.ones((4, 3)), 1)
 
 
 class TestMse:
