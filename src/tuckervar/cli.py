@@ -200,21 +200,33 @@ def cmd_fit(args) -> int:
     return EXIT_OK if report.result.converged else EXIT_MAX_ITER
 
 
-def _model_and_panel(args) -> tuple[np.ndarray, dict | None, list[str], np.ndarray]:
+def _model_and_panel(
+    args, lags_only: bool = False
+) -> tuple[np.ndarray, dict | None, list[str], np.ndarray]:
     """The tensor and scaler of ``--model``, and the names and panel of
-    ``--input`` in the model's units; the variable count is checked first."""
+    ``--input`` in the model's units, only its last p rows with
+    ``lags_only``; the variable count is checked first. A panel that is not
+    finite in the model's units is a data error."""
     model = _load_model(args.model)
     names, panel = _read_panel(args.input)
     w, scaler = tucker_reconstruct(model["factors"]), model["scaler"]
     if panel.shape[1] != w.shape[0]:
         raise ValueError(f"panel has {panel.shape[1]} variables, model expects {w.shape[0]}")
+    if lags_only:
+        panel = panel[-w.shape[2] :]
     if scaler is not None:
-        panel = (panel - scaler["mean"]) / scaler["std"]
+        # an overflow is reported below as a data error, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            panel = (panel - scaler["mean"]) / scaler["std"]
+        if not np.isfinite(panel).all():
+            raise PanelFormatError(
+                f"{args.input}: panel entries overflow when scaled to the model's units"
+            )
     return w, scaler, names, panel
 
 
 def cmd_forecast(args) -> int:
-    w, scaler, names, scaled = _model_and_panel(args)
+    w, scaler, names, scaled = _model_and_panel(args, lags_only=True)
     preds = forecast(w, scaled, args.horizon)
     if scaler is not None:
         # an overflowing forecast is reported below as a data error, not as a warning

@@ -10,6 +10,11 @@ column scaling by the eigenvalues),
 truncated higher-order SVD of the initial tensor,
 ridge-ratio rank selection on its unfoldings, and Gaussian-kernel graph
 Laplacians built from factor rows.
+
+The iteration loops take reductions through ndarray methods and Frobenius
+norms through ``tensor._frobenius``, which returns what ``np.linalg.norm``
+does bit for bit, without numpy's Python-level wrappers: an iteration on a
+small problem costs little more than its eigendecomposition.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import TuckerFactors, _require_tensor3, fold, mode_product, unfold
+from .tensor import TuckerFactors, _frobenius, _require_tensor3, fold, mode_product, unfold
 from .var import DesignPair, _require_number
 
 __all__ = [
@@ -40,9 +45,10 @@ def _gram_singular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix A, from the eigendecomposition of A A^T.
 
     The Gram matrix is taken of A divided by a power of two near its largest
-    entry, which is exact and keeps A A^T from overflowing or underflowing.
+    entry, which is exact and keeps A A^T from overflowing or underflowing;
+    2**1023, the largest power of two, serves entries above it.
     """
-    unit = np.ldexp(1.0, np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    unit = math.ldexp(1.0, min(math.frexp(np.abs(a).max(initial=0.0))[1], 1023))
     b = a / unit
     sigma2, u = np.linalg.eigh(b @ b.T)
     return unit * np.sqrt(np.maximum(sigma2, 0.0)), u
@@ -73,7 +79,7 @@ def svt(mat: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     tall = mat.shape[0] > mat.shape[1]
     a = mat.T if tall else mat
     sigma, u = _gram_singular(a)
-    if np.all(sigma <= tau):
+    if sigma.size == 0 or sigma[-1] <= tau:  # sigma is ascending
         # the exact answer; A - U U^T A would leave rounding residue
         return np.zeros_like(mat), np.zeros_like(sigma)
     factor = tau / np.maximum(sigma, tau) if tau > 0 else np.zeros_like(sigma)
@@ -234,7 +240,7 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     push = (2.0 * step / n) * cross
 
     def objective(w: np.ndarray, nuclear: float) -> float:
-        quad = (yty - 2.0 * float(np.sum(cross * w)) + float(np.sum((w * w) @ ev))) / n
+        quad = (yty - 2.0 * float((cross * w).sum()) + float(((w * w) @ ev).sum())) / n
         return quad + lam * nuclear
 
     # the start is the first of W0 and W_LS with F <= F(0), else 0. As
@@ -243,10 +249,10 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     f_zero = yty / n
     w, f_w, s_w, v_w = np.zeros_like(cross), f_zero, None, None
     for candidate in _linearized_start(cross, ev, kappa):
-        if not lam * float(np.max(np.abs(candidate))) <= f_zero:
+        if not lam * float(np.abs(candidate).max()) <= f_zero:
             continue
         s_c, v_c = _gram_singular(candidate)
-        f_c = objective(candidate, float(np.sum(s_c)))
+        f_c = objective(candidate, float(s_c.sum()))
         if f_c <= f_zero:
             w, f_w, s_w, v_w = candidate, f_c, s_c, v_c
             break
@@ -260,12 +266,12 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
             iterations += 1
             z = v_w @ (s_w[:, None] / (s_w[:, None] * ev + kappa) * (v_w.T @ cross))
             s_z, v_z = _gram_singular(z)
-            f_z = objective(z, float(np.sum(s_z)))
+            f_z = objective(z, float(s_z.sum()))
             if not f_z < f_w:
                 # a step cannot raise F: rounding hides the decrease
                 trace.append(f_w)
                 break
-            rel = float(np.linalg.norm(z - w)) / float(np.linalg.norm(z))
+            rel = _frobenius(z - w) / _frobenius(z)
             w, f_w, s_w, v_w = z, f_z, s_z, v_z
             trace.append(f_w)
             # a slow step means a rank-deficient optimum, where FISTA is faster
@@ -278,14 +284,14 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     converged = False
     for k in range(reweighted_steps, cfg.max_iter):
         z, s_z = svt(y * shrink + push, tau)
-        f_z = objective(z, float(np.sum(s_z)))
-        delta = float(np.linalg.norm(z - y))
-        size = float(np.linalg.norm(z))
+        f_z = objective(z, float(s_z.sum()))
+        delta = _frobenius(z - y)
+        size = _frobenius(z)
         rel = delta / size if size > 0 else (0.0 if delta == 0 else np.inf)
         iterations = k + 1
         accepted = f_z <= f_w
         if accepted:
-            if float(np.sum((y - z) * (z - w))) > 0:
+            if float(((y - z) * (z - w)).sum()) > 0:
                 t = 1.0
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next

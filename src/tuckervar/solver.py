@@ -57,7 +57,9 @@ so, and the objective checks them to 1e-10 before it uses them.
 The sweep is written out block by block: each factor block steps along its
 loss gradient from _block_gradient plus its penalty gradient
 2 alpha_k L_k U_k*. The tests difference _block_gradient directly and hold
-the sweep to a hand-unrolled copy of it.
+the sweep to a hand-unrolled copy of it. The objective, the feasibility
+check and the block changes take reductions through ndarray methods and
+norms through tensor._frobenius, which mirrors np.linalg.norm bit for bit.
 """
 
 from __future__ import annotations
@@ -68,7 +70,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import TuckerFactors, fold, kronecker, mode_product, tucker_reconstruct, unfold
+from .tensor import (
+    TuckerFactors,
+    _frobenius,
+    fold,
+    kronecker,
+    mode_product,
+    tucker_reconstruct,
+    unfold,
+)
 from .var import DesignPair, _require_number
 
 __all__ = ["StdgrConfig", "StepSizes", "FitResult", "solve"]
@@ -278,7 +288,7 @@ def _block_gradient(
 
 
 def _check_feasible(state: TuckerFactors, cfg: StdgrConfig) -> None:
-    if float(np.max(np.abs(state.core))) > cfg.c + 1e-12:
+    if float(np.abs(state.core).max(initial=0.0)) > cfg.c + 1e-12:
         raise ValueError("core violates the box bound")
     if state.orthonormality_defect() > 1e-10:
         raise ValueError("factor matrices are not column-orthonormal")
@@ -306,12 +316,12 @@ def objective(
     if pen is None:
         pen = _penalty_gradients(state, eigs, cfg)
     g1 = unfold(state.core, 1)
-    quad = float(np.sum((g1 @ (b.T @ gram_b)) * g1))
-    quad -= 2.0 * float(np.sum((state.a1.T @ (design.cross @ b)) * g1))
+    quad = float(((g1 @ (b.T @ gram_b)) * g1).sum())
+    quad -= 2.0 * float(((state.a1.T @ (design.cross @ b)) * g1).sum())
     value = (design.yty + quad) / (2.0 * design.n_samples)
-    value += cfg.beta * float(np.sum(np.abs(state.core)))
+    value += cfg.beta * float(np.abs(state.core).sum())
     for a, grad in zip((state.a1, state.a2, state.a3), pen):
-        value += 0.5 * float(np.sum(a * grad))
+        value += 0.5 * float((a * grad).sum())
     return value
 
 
@@ -324,9 +334,9 @@ def convergence_metrics(prev: TuckerFactors, new: TuckerFactors) -> tuple[np.nda
     change_sq = 0.0
     pairs = zip((prev.core, prev.a1, prev.a2, prev.a3), (new.core, new.a1, new.a2, new.a3))
     for i, (b_prev, b_new) in enumerate(pairs):
-        num = float(np.linalg.norm(b_new - b_prev))
+        num = _frobenius(b_new - b_prev)
         change_sq += num * num
-        den = float(np.linalg.norm(b_prev))
+        den = _frobenius(b_prev)
         if den > 0:
             out[i] = num / den
         else:
@@ -423,7 +433,7 @@ def solve(
                 f"(margin/2) sum ||Delta_i||^2 - slack"
             )
         obj_trace.append(f_new)
-        if float(np.max(metrics)) <= cfg.tol:
+        if float(metrics.max()) <= cfg.tol:
             converged = True
             break
 

@@ -9,6 +9,7 @@ which for a numpy array of shape (n1, n2, n3) is ``ravel(order="F")``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,17 @@ def _require_tensor3(t: np.ndarray) -> np.ndarray:
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
     return t
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """The Frobenius norm of a float array, bit for bit what
+    ``np.linalg.norm(x)`` returns: the square root of the dot product of
+    ``x.ravel(order="K")`` with itself, without that function's Python-level
+    argument handling. Order "K" takes the entries of a transposed or
+    strided view (a HOSVD core is one) in memory order, as
+    ``np.linalg.norm`` does, so the dot product sums them in the same order."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -127,7 +139,7 @@ class TuckerFactors:
     def orthonormality_defect(self) -> float:
         """Largest ||A_i^T A_i - I||_F over the three factors."""
         return max(
-            float(np.linalg.norm(a.T @ a - np.eye(a.shape[1])))
+            _frobenius(a.T @ a - np.eye(a.shape[1]))
             for a in (self.a1, self.a2, self.a3)
         )
 

@@ -12,6 +12,7 @@ import numbers
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import unfold
 
@@ -326,12 +327,21 @@ def _recursion(w1: np.ndarray, lags: np.ndarray, shocks: np.ndarray) -> np.ndarr
     """The chain y_t = W_(1) (y_{t-1}, ..., y_{t-p}) + shock_t from the (p, m)
     stack ``lags`` (most recent first), one step per row of ``shocks``, in
     reverse time: row i < steps is step steps - 1 - i, and the p rows below
-    it are its lag stack, so that each step reads one contiguous slice."""
-    steps, p = shocks.shape[0], lags.shape[0]
-    chain = np.empty((steps + p, lags.shape[1]))
+    it are its lag stack, one contiguous run of mp numbers.
+
+    Those runs are the windows of one read-only view, taken m numbers apart,
+    so a step is one BLAS matrix-vector product written into its row and one
+    add of its shock in place, with no slice, copy or temporary. The product
+    has the operands of :func:`predict_one_step`'s ``W_(1) @ x``, so each
+    step has its bits."""
+    steps, (p, m) = shocks.shape[0], lags.shape
+    chain = np.empty((steps + p, m))
     chain[steps:] = lags
-    for i in range(steps - 1, -1, -1):
-        chain[i] = w1 @ chain[i + 1 : i + 1 + p].ravel() + shocks[steps - 1 - i]
+    stacks = sliding_window_view(chain.reshape(-1)[m:], m * p)[::m]
+    dot, add = w1.dot, np.add
+    for row, stack, shock in zip(chain[steps - 1 :: -1], stacks[::-1], shocks):
+        dot(stack, out=row)
+        add(row, shock, out=row)
     return chain
 
 
@@ -349,7 +359,9 @@ def simulate(
     recent lag first) or from zero lags, runs ``burn_in + length`` steps with
     i.i.d. Gaussian noise of the given covariance, and returns the last
     ``length`` rows. Deterministic given the seed (pcg64 generator). The
-    recursion is :func:`forecast`'s, fed noise in place of zeros.
+    recursion is :func:`forecast`'s, fed noise in place of zeros: each step
+    is one BLAS matrix-vector product and one add of its shock, with the
+    bits of :func:`predict_one_step` plus that shock.
     """
     w = _require_transition(w)
     m, _, p = w.shape
@@ -378,8 +390,10 @@ def simulate(
 
 def forecast(w: np.ndarray, panel: np.ndarray, horizon: int) -> np.ndarray:
     """The (horizon, m) noise-free forecasts that follow the panel's last p
-    rows: :func:`simulate`'s recursion fed zeros. Forecasts that overflow
-    (an unstable ``w``) are inf or NaN, without a numpy warning."""
+    rows: :func:`simulate`'s recursion fed zeros, one BLAS matrix-vector
+    product per step, each with the bits of :func:`predict_one_step` on the
+    rows before it. Forecasts that overflow (an unstable ``w``) are inf or
+    NaN, without a numpy warning."""
     w = _require_transition(w)
     m, _, p = w.shape
     horizon = _require_number("horizon", horizon, 1, closed=True, integer=True)

@@ -421,6 +421,25 @@ class TestForecastCommand:
             assert f"forecast step {step} is not finite" in capsys.readouterr().err
             assert not out.exists() and not (tmp_path / "fc.csv.tvcache").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_panel_that_overflows_when_scaled_is_a_data_error(self, tmp_path, capsys):
+        # an identity model whose scaler std of 1e-10 takes 1e300 past the float range
+        factors = TuckerFactors(core=np.eye(2)[:, :, None], a1=np.eye(2), a2=np.eye(2), a3=np.ones((1, 1)))
+        scaler = {"mean": np.zeros(2), "std": np.full(2, 1e-10)}
+        model = str(tmp_path / "model.json")
+        save_model(model, model_document(factors, StdgrConfig(ranks=(2, 2, 1)), scaler))
+        panel = str(tmp_path / "panel.csv")
+        write_panel_csv(panel, np.full((3, 2), 1e300))
+        out = tmp_path / "out.csv"
+        for argv in (
+            ["forecast", "--model", model, "--input", panel, "--output", str(out), "--horizon", "3"],
+            ["eval", "--model", model, "--input", panel, "--output", str(out)],
+        ):
+            assert main(argv) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "overflow when scaled" in err
+            assert not out.exists()
+
 
 def lag_two_model_doc():
     """A valid model document with m = 3, p = 2, ranks (2, 2, 1) and a scaler."""

@@ -23,6 +23,7 @@ from tuckervar import (
     tucker_reconstruct,
     unfold,
 )
+from tuckervar.initialization import _gram_singular
 from tuckervar.tensor import TuckerFactors
 
 
@@ -96,13 +97,26 @@ class TestSvt:
         assert out.shape == shape
         assert not out.any() and not shrunk.any()
 
+    @pytest.mark.parametrize("shape", [(4, 9), (9, 4), (5, 5)])
+    def test_threshold_at_the_largest_singular_value_gives_exact_zero(self, shape):
+        # the zero shortcut compares tau with the largest sigma the Gram
+        # eigendecomposition reports: it takes tau equal to that sigma, and
+        # one ulp below it leaves a nonzero result
+        mat = np.random.default_rng(sum(shape)).standard_normal(shape)
+        top = float(_gram_singular(mat.T if shape[0] > shape[1] else mat)[0][-1])
+        out, shrunk = svt(mat, top)
+        assert not out.any() and not shrunk.any()
+        out, shrunk = svt(mat, np.nextafter(top, 0.0))
+        assert out.any() and shrunk[-1] > 0
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.1)
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 5e307])
     def test_extreme_magnitudes(self, scale):
-        # squaring 1e200 overflows and squaring 1e-200 underflows
+        # squaring 1e200 overflows and squaring 1e-200 underflows; 1.5e308
+        # lies above the largest power of two
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = svt(np.diag([3.0, 1.0]) * scale, 2.0 * scale)[0]

@@ -393,8 +393,8 @@ def fast_blocks(monkeypatch):
     taken = []
     formatter = storage._fixed_cells
 
-    def spy(rows):
-        cells = formatter(rows)
+    def spy(rows, *work):
+        cells = formatter(rows, *work)
         taken.append(cells is not None)
         return cells
 

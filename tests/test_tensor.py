@@ -9,6 +9,7 @@ from tuckervar import (
     tucker_reconstruct,
     unfold,
 )
+from tuckervar.tensor import _frobenius
 
 
 def naive_unfold(t, mode):
@@ -232,3 +233,34 @@ class TestTuckerReconstruct:
         )
         with pytest.raises(ValueError):
             f.validate()
+
+
+def norm_cases():
+    """Arrays of every layout the solver and the initializer take norms of,
+    with entries over 16 orders of magnitude, so that a different summation
+    order would change the last bits."""
+    rng = np.random.default_rng(40)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    square = draw(30, 30)
+    return {
+        "1-d": draw(400),
+        "2-d C-ordered": draw(12, 36),
+        "2-d F-ordered": np.asfortranarray(draw(12, 36)),
+        "transposed": square.T,
+        "strided": draw(40, 60)[::3, 1::2],
+        "3-d": draw(5, 6, 7),
+        "3-d folded view": fold(draw(4, 30), 2, (6, 4, 5)),
+        "3-d transposed": draw(5, 6, 7).transpose(2, 0, 1),
+    }
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("name", list(norm_cases()))
+    def test_same_bits_as_numpy_norm(self, name):
+        x = norm_cases()[name]
+        got = _frobenius(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.linalg.norm(x).tobytes()

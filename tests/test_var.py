@@ -424,11 +424,21 @@ class TestSimulate:
         with pytest.raises(ValueError, match="positive semidefinite"):
             simulate(np.zeros((2, 2, 1)), covariance, length=3, seed=0)
 
-    @pytest.mark.parametrize("p", [1, 3])
+    # (m, p, burn_in, length): the m = 4 cases are named by p alone; the
+    # others are the bench cell at T = 800 (1303 steps) and a 30-variable
+    # panel of 2000 steps, as the CLI simulates
+    @pytest.mark.parametrize(
+        "m,p,burn_in,length",
+        [
+            pytest.param(4, 1, 7, 30, id="1"),
+            pytest.param(4, 3, 7, 30, id="3"),
+            (12, 3, 500, 803),
+            (30, 3, 500, 1500),
+        ],
+    )
     @pytest.mark.parametrize("with_initial", [False, True])
-    def test_same_bits_as_the_one_step_recursion(self, p, with_initial):
+    def test_same_bits_as_the_one_step_recursion(self, m, p, burn_in, length, with_initial):
         rng = np.random.default_rng(10 + p)
-        m, burn_in, length = 4, 7, 30
         w = random_stable(rng, m, p, radius=0.9)
         covariance = np.cov(rng.standard_normal((m, 3 * m)))
         initial = rng.standard_normal((p, m)) if with_initial else None
