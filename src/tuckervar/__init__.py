@@ -29,7 +29,7 @@ from .initialization import (
     select_ranks,
     svt,
 )
-from .solver import FitResult, StdgrConfig, StepSizes, solve
+from .solver import FitResult, StdgrConfig, solve
 from .tensor import TuckerFactors, fold, kronecker, mode_product, tucker_reconstruct, unfold
 from .var import (
     DesignPair,

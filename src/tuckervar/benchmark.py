@@ -17,6 +17,7 @@ from .tensor import TuckerFactors, tucker_reconstruct, unfold
 from .var import (
     DesignPair,
     _require_number,
+    _standardized,
     build_design,
     is_stable,
     mse,
@@ -271,7 +272,8 @@ def rolling_eval(
 
     With ``standardize`` the per-variable mean and standard deviation are
     estimated on the training split only and applied to the whole panel;
-    the reported MSE is in standardized units.
+    the reported MSE is in standardized units. A panel that overflows when
+    standardized, or is too large for the fit's moments, is a ValueError.
     """
     panel = np.asarray(panel, dtype=float)
     if not 0 < train_fraction < 1:
@@ -282,8 +284,7 @@ def rolling_eval(
         raise ValueError("training split too short for the lag order")
 
     if standardize:
-        mean, std = train_scaler(panel[:n_train])
-        panel = (panel - mean) / std
+        panel = _standardized(panel, *train_scaler(panel[:n_train]))
 
     report = fit_panel(panel[:n_train], p, cfg, nnm_cfg)
     return RollingReport(

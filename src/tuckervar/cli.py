@@ -11,6 +11,7 @@ is a usage error), ``PanelFormatError`` to 65 and ``RuntimeError`` to 70;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -33,7 +34,16 @@ from .storage import (
     write_panel_csv,
 )
 from .tensor import tucker_reconstruct
-from .var import build_design, forecast, mse, one_step_predictions, simulate, train_scaler
+from .var import (
+    _require_moment_scale,
+    _standardized,
+    build_design,
+    forecast,
+    mse,
+    one_step_predictions,
+    simulate,
+    train_scaler,
+)
 
 __all__ = ["main", "console_main"]
 
@@ -146,6 +156,15 @@ def _require_rows(panel: np.ndarray, p: int) -> None:
         raise PanelFormatError(f"panel has {panel.shape[0]} rows, need at least {p + 2}")
 
 
+@contextlib.contextmanager
+def _data_errors(path: str):
+    """Report a ValueError raised inside as a data error in ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise PanelFormatError(f"{path}: {exc}") from None
+
+
 def _load_model(path: str) -> dict:
     try:
         return load_model(path)
@@ -172,10 +191,12 @@ def cmd_fit(args) -> int:
     train = panel[:n_train]
 
     scaler = None
-    if args.standardize:
-        mean, std = train_scaler(train)
-        train = (train - mean) / std
-        scaler = {"mean": mean, "std": std}
+    with _data_errors(args.input):
+        if args.standardize:
+            mean, std = train_scaler(train)
+            train = _standardized(train, mean, std)
+            scaler = {"mean": mean, "std": std}
+        _require_moment_scale(train)
 
     report = fit_panel(train, args.p, cfg, nnm_cfg)
     save_model(args.output, model_document(report.result.factors, cfg, scaler))
@@ -215,13 +236,8 @@ def _model_and_panel(
     if lags_only:
         panel = panel[-w.shape[2] :]
     if scaler is not None:
-        # an overflow is reported below as a data error, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            panel = (panel - scaler["mean"]) / scaler["std"]
-        if not np.isfinite(panel).all():
-            raise PanelFormatError(
-                f"{args.input}: panel entries overflow when scaled to the model's units"
-            )
+        with _data_errors(args.input):
+            panel = _standardized(panel, scaler["mean"], scaler["std"])
     return w, scaler, names, panel
 
 
@@ -271,6 +287,8 @@ def cmd_rank_select(args) -> int:
     nnm_cfg = _configured("nnm", _load_config(args.config), args)
     _, panel = _read_panel(args.input)
     _require_rows(panel, args.p)
+    with _data_errors(args.input):
+        _require_moment_scale(panel)
     design = build_design(panel, args.p)
     result = nnm_estimate(design, nnm_cfg)
     c_bar = ridge_constant(design.m, design.p, design.n_samples)

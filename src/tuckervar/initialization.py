@@ -141,7 +141,7 @@ def _linearized_start(
     or below the rank tolerance, whose direction is rounding, are dropped.
     """
     inv = np.zeros_like(ev)
-    keep = ev > ev[-1] * ev.size * np.finfo(float).eps
+    keep = ev > ev[-1] * (ev.size * np.finfo(float).eps)  # the same bits, without overflow
     inv[keep] = 1.0 / ev[keep]
     w_ls = cross * inv
     _, u = _gram_singular(w_ls)

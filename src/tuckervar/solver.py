@@ -81,7 +81,7 @@ from .tensor import (
 )
 from .var import DesignPair, _require_number
 
-__all__ = ["StdgrConfig", "StepSizes", "FitResult", "solve"]
+__all__ = ["StdgrConfig", "FitResult", "solve"]
 
 # PALM's step weight over each block's Lipschitz constant; any value above 1
 # sets only the path to the estimate, not the estimate

@@ -16,13 +16,13 @@ the SHA-256 of the CSV bytes and the array as an ``.npy`` payload. A read
 hashes the CSV and takes the array from the companion when the digest
 matches and the array passes the parser's checks; in every other case it
 parses the CSV. A read never writes a companion, and deleting one is always
-safe. The writer formats, writes and hashes the rows a block at a time, with
-one vectorized numpy routine for a block whose nonzero numbers lie in
-[1e-6, 1e17) and per cell otherwise, and a companion read hashes the CSV in
-fixed-size blocks, so writing or reading a panel holds one block of rows
-beyond the array, never the whole CSV text or bytes. The reader accepts any
-decimal text, so CSVs written with other digits, such as the shortest
-``repr`` of earlier versions, still read.
+safe. The writer formats, writes and hashes the rows a block at a time,
+each block with one vectorized numpy routine and each row that routine
+flags (one holding a nonzero number outside (1e-6, 1e17)) per cell, and a
+companion read hashes the CSV in fixed-size blocks, so writing or reading a
+panel holds one block of rows beyond the array, never the whole CSV text or
+bytes. The reader accepts any decimal text, so CSVs written with other
+digits, such as the shortest ``repr`` of earlier versions, still read.
 
 A model is a single JSON document holding what ``forecast`` and ``eval``
 read (dims, ranks, the core and factor arrays flattened in i1-fastest
@@ -271,18 +271,20 @@ def _write_csv(path: str, panel: np.ndarray, names: list[str]) -> bytes:
         write((",".join(names) + "\n").encode(encoding))
         for start in range(0, len(panel), step):
             rows = panel[start : start + step]
-            cells = _fixed_cells(rows, work)
-            if cells is None:
-                text = "".join([",".join(map(_CELL.__mod__, row)) + "\n" for row in rows.tolist()])
-                cells = text.encode(encoding)
-            write(cells)
+            words, flagged = _fixed_cells(rows, work)
+            done = 0
+            for i in np.flatnonzero(flagged).tolist():
+                write(words[done:i])
+                write((",".join(map(_CELL.__mod__, rows[i].tolist())) + "\n").encode(encoding))
+                done = i + 1
+            write(words[done:])
     return digest.digest()
 
 
 # Every cell is written as ``_CELL`` formats it: 17 significant digits, which
 # read back to the same double, in 23 characters for exponents within +-99.
-# The vectorized formatter below emits the same bytes for a block of rows
-# whose nonzero cells lie in [1e-6, 1e17), as six 4-byte words per cell
+# The vectorized formatter below emits the same bytes for a row whose nonzero
+# cells lie in (1e-6, 1e17), as six 4-byte words per cell
 # (sign, digit, point, digit | 4 digits | 4 | 4 | 3 digits, e | exponent sign,
 # 2 digits, separator), each looked up in a table of ASCII bytes.
 _CELL = "% .16e"
@@ -348,16 +350,13 @@ def _cell_work(cells: int) -> tuple:
     )
 
 
-def _scaled(a: np.ndarray, e: np.ndarray, work: tuple | None = None) -> np.ndarray:
+def _scaled(a: np.ndarray, e: np.ndarray, work: tuple) -> np.ndarray:
     """a * 10**(16 - e) rounded half to even to int64, exactly, for
     0 <= 16 - e <= 22 and a product of at least 10**16 - 1/2: the product is
     hi + lo with no rounding error (Dekker, Numer. Math. 18, 1971), and hi,
     a double above 2**53, is an even integer, so rounding lo half to even
     rounds hi + lo half to even. ``work`` holds six float and two int64
-    arrays of a's shape, the second of which receives the result; they are
-    allocated when it is None."""
-    if work is None:
-        work = (*np.empty((6,) + a.shape), *np.empty((2,) + a.shape, np.int64))
+    arrays of a's shape, the second of which receives the result."""
     a_high, a_low, p_low, p_high, hi, lo, index, n = work
     _split(a, a_high, a_low)
     np.subtract(16, e, out=index)
@@ -376,41 +375,38 @@ def _scaled(a: np.ndarray, e: np.ndarray, work: tuple | None = None) -> np.ndarr
     return n
 
 
-def _fixed_cells(rows: np.ndarray, work: tuple | None = None) -> np.ndarray | None:
+def _fixed_cells(rows: np.ndarray, work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The CSV bytes of a (k, m) block, one ``_CELL`` per number and a
-    comma or line break after it, as a (k, m, 6) array of 4-byte words; None
-    when a nonzero number lies outside [1e-6, 1e17), where 10**(16 - e) is
-    not an exact double. The words and every block-sized intermediate live
-    in ``work`` from :func:`_cell_work` (allocated for this block when
-    None), so the result is overwritten by the next block formatted in the
-    same work arrays."""
+    comma or line break after it, as a (k, m, 6) array of 4-byte words, and
+    a (k,) flag set on each row whose words are not its bytes: one that holds
+    a nonzero number outside (1e-6, 1e17), where 10**(16 - e) is not an
+    exact double, or one whose exponent the logarithm misjudged. The words
+    and every block-sized intermediate live in ``work`` from
+    :func:`_cell_work` (allocated for this block when None), so the result
+    is overwritten by the next block formatted in the same work arrays."""
     *groups, words = work or _cell_work(rows.size)
     floats, ints, digits, bools = ([a[: rows.size].reshape(rows.shape) for a in g] for g in groups)
     words = words[: rows.size].reshape(rows.shape + (6,))
-    a, e, zero = floats.pop(0), ints.pop(0), bools[0]
+    a, e, (zero, off, mask) = floats.pop(0), ints.pop(0), bools
     np.abs(rows, out=a)
     np.equal(a, 0, out=zero)
-    np.copyto(a, 1.0, where=zero)
-    if not (a.min() > 1e-6 and a.max() < 1e17):  # the double 1e-6 is below 10**-6
-        return None
+    # zero and a cell out of range (the double 1e-6 is below 10**-6) go
+    # through the tables as 1.0; zero is then written as such, and the
+    # other flags its row
+    np.logical_or(np.less_equal(a, 1e-6, out=off), np.greater_equal(a, 1e17, out=mask), out=off)
+    np.copyto(a, 1.0, where=off)
+    off ^= zero
     # e = floor(log10 a), which the logarithm can miss by one next to a power
-    # of ten; the 17 digits are then out of [10**16, 10**17) and taken again.
-    # Only a double within 5e-17 relative below a power of ten could round
-    # into range from the wrong side, and no such double lies in range; and
-    # none rounds up to a power of ten at 17 digits (one that did would be
-    # refused below).
+    # of ten, leaving the 17 digits out of [10**16, 10**17): the row is then
+    # flagged. Only a double within 5e-17 relative below a power of ten could
+    # round into range from the wrong side, and none lies in range; nor does
+    # one round up to a power of ten at 17 digits (it would be flagged).
     np.copyto(e, np.floor(np.log10(a, out=floats[0]), out=floats[0]), casting="unsafe")
     np.clip(e, -6, 16, out=e)
     n = _scaled(a, e, (*floats, *ints))
-    off = np.logical_or(
-        np.less(n, 10**16, out=bools[1]), np.greater_equal(n, 10**17, out=bools[2]), out=bools[1]
-    )
-    if off.any():
-        e_off = np.clip(e[off] + np.where(n[off] < 10**16, -1, 1), -6, 16)
-        n_off = _scaled(a[off], e_off)
-        if not np.all((n_off >= 10**16) & (n_off < 10**17)):
-            return None
-        n[off], e[off] = n_off, e_off
+    off |= np.less(n, 10**16, out=mask)
+    off |= np.greater_equal(n, 10**17, out=mask)
+    flagged = off.any(axis=1)
     np.copyto(n, 0, where=zero)
     np.copyto(e, 0, where=zero)
     # n = high * 10**9 + low, both below 2**31; the digit arithmetic runs in
@@ -429,7 +425,7 @@ def _fixed_cells(rows: np.ndarray, work: tuple | None = None) -> np.ndarray | No
         np.take(table, index, out=words[..., word], mode="clip")  # indices are in range
 
     np.floor_divide(high, 10**6, out=index)
-    np.add(index, 100, out=index, where=np.signbit(rows, out=bools[1]))
+    np.add(index, 100, out=index, where=np.signbit(rows, out=mask))
     put(0, _HEAD)
     np.floor_divide(high, 100, out=index)
     remainder(index, 10**4)
@@ -447,7 +443,7 @@ def _fixed_cells(rows: np.ndarray, work: tuple | None = None) -> np.ndarray | No
     e *= 2
     e[:, -1] += 1
     np.take(_TAIL, e, out=words[..., 5], mode="clip")
-    return words
+    return words, flagged
 
 
 def _flat(arr) -> list[float]:

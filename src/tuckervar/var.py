@@ -179,17 +179,37 @@ class LaggedDesign(DesignPair):
         return self._moments[: self.m, self.m :]
 
 
+# Room for a panel's sum of squares, which bounds every entry of its moments:
+# the sums of up to 2**16 of them that a fit forms stay finite.
+_MOMENT_ROOM = 2.0**-16 * np.finfo(float).max
+
+
+def _require_moment_scale(panel: np.ndarray) -> None:
+    """A ValueError for a panel whose sum of squares exceeds ``_MOMENT_ROOM``."""
+    flat = panel.ravel()
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        squares = float(flat @ flat)
+    if not squares <= _MOMENT_ROOM:
+        raise ValueError(
+            f"panel entries too large for the moments of a VAR fit: their sum of squares"
+            f" {squares:.3g} exceeds {_MOMENT_ROOM:.3g}; standardize them first, as"
+            " tuckervar fit --standardize does"
+        )
+
+
 def build_design(panel: np.ndarray, p: int) -> LaggedDesign:
     """The regression pair of a VAR(p) fit to a panel, backed by the panel
     (see :class:`LaggedDesign`): its moments come from p + 1 lagged products
     of the panel, ``x`` is built only when read, and the panel must not be
-    modified afterwards."""
+    modified afterwards. A panel too large for its moments to stay finite
+    is a ValueError."""
     panel = _require_panel(panel)
     if p < 1:
         raise ValueError("lag order p must be >= 1")
     length = panel.shape[0]
     if length < p + 1:
         raise ValueError(f"panel of length {length} is too short for lag order {p}")
+    _require_moment_scale(panel)
     return LaggedDesign(panel, p)
 
 
@@ -205,23 +225,41 @@ def predict_one_step(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def one_step_predictions(w: np.ndarray, panel: np.ndarray, start: int) -> np.ndarray:
     """Noise-free one-step predictions of rows ``start:`` of the panel, each
-    from its true lagged values: the design rows of that tail times W_(1)^T."""
+    from its true lagged values: the design rows of that tail times W_(1)^T.
+    No moments are formed, so unlike :func:`build_design` this takes a panel
+    of any scale."""
     w = _require_transition(w)
     m, _, p = w.shape
     if start < p:
         raise ValueError(f"first predicted row {start} precedes the lag order {p}")
-    design = build_design(panel[start - p :], p)
-    if design.m != m:
-        raise ValueError(f"panel has {design.m} variables, transition tensor expects {m}")
-    return design.x @ unfold(w, 1).T
+    panel = _require_panel(panel)
+    if start >= panel.shape[0]:
+        raise ValueError(f"first predicted row {start} lies past the panel's {panel.shape[0]} rows")
+    if panel.shape[1] != m:
+        raise ValueError(f"panel has {panel.shape[1]} variables, transition tensor expects {m}")
+    return LaggedDesign(panel[start - p :], p).x @ unfold(w, 1).T
 
 
 def train_scaler(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-variable mean and standard deviation of a training split; a
-    constant variable gets standard deviation 1, so scaling only centres it."""
+    constant variable gets standard deviation 1, so scaling only centres it.
+    Both are taken of each column divided by a power of two near its largest
+    magnitude (at most 2**1023), which is exact and keeps its squares finite."""
     train = _require_panel(train)
-    std = train.std(axis=0)
-    return train.mean(axis=0), np.where(std > 0, std, 1.0)
+    peak = np.abs(train).max(axis=0, initial=0.0)
+    unit = np.ldexp(1.0, np.minimum(np.frexp(peak)[1], 1023))
+    scaled = train / unit
+    std = scaled.std(axis=0) * unit
+    return scaled.mean(axis=0) * unit, np.where(std > 0, std, 1.0)
+
+
+def _standardized(panel: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """(panel - mean) / std, or a ValueError when an entry overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (panel - mean) / std
+    if not np.isfinite(scaled).all():
+        raise ValueError("panel entries overflow when scaled to standard units")
+    return scaled
 
 
 def _companion(top: np.ndarray, p: int) -> np.ndarray:

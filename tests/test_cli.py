@@ -884,6 +884,62 @@ class TestUndecodablePanel:
         assert err.startswith("data error:") and str(bad) in err
 
 
+def huge_panel(tmp_path, scale):
+    path = tmp_path / "huge.csv"
+    write_panel_csv(str(path), np.random.default_rng(0).standard_normal((60, 3)) * scale)
+    return str(path)
+
+
+class TestHugePanels:
+    """A panel whose moments could overflow is refused as a data error before
+    any numpy warning; standardized, it fits."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e150, 1e153, 1e154, 1e200, 1e300])
+    def test_fit_and_rank_select_fit_or_refuse_the_panel(self, tmp_path, capsys, scale):
+        path = huge_panel(tmp_path, scale)
+        model = tmp_path / "m.json"
+        fit = main(["fit", "--input", path, "--output", str(model), "--p", "1", "--ranks", "1,1,1"])
+        ranks = main(["rank-select", "--input", path, "--p", "1"])
+        err = capsys.readouterr().err
+        if scale == 1e150:
+            assert fit in (EXIT_OK, EXIT_MAX_ITER) and ranks == EXIT_OK and err == ""
+        else:
+            assert (fit, ranks) == (EXIT_DATA, EXIT_DATA) and not model.exists()
+            assert [line.startswith("data error:") and "--standardize" in line
+                    for line in err.splitlines()] == [True, True]
+
+    @pytest.mark.filterwarnings("error")
+    def test_standardized_huge_panel_fits_and_forecasts(self, tmp_path):
+        path = huge_panel(tmp_path, 1e160)
+        model = str(tmp_path / "m.json")
+        argv = ["fit", "--standardize", "--input", path, "--output", model, "--p", "1",
+                "--ranks", "1,1,1"]
+        assert main(argv) in (EXIT_OK, EXIT_MAX_ITER)
+        doc = load_model(model)  # which refuses a scaler that is not finite
+        assert doc["factors"].core.any()
+        out = str(tmp_path / "fc.csv")
+        assert main(["forecast", "--model", model, "--input", path, "--output", out]) == EXIT_OK
+        report = rolling_eval(read_panel_csv(path)[1], 0.7, 1, StdgrConfig(ranks=(1, 1, 1)), standardize=True)
+        assert np.isfinite(report.mse) and report.mse > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_panel_that_overflows_when_standardized_is_refused(self, tmp_path, capsys):
+        # one largest double among its negatives: x - mean overflows
+        panel = np.random.default_rng(1).standard_normal((20, 2))
+        panel[:, 0] = -1.7e308
+        panel[3, 0] = 1.7e308
+        path = str(tmp_path / "p.csv")
+        write_panel_csv(path, panel)
+        model = tmp_path / "m.json"
+        argv = ["fit", "--standardize", "--input", path, "--output", str(model), "--p", "1",
+                "--ranks", "1,1,1"]
+        assert main(argv) == EXIT_DATA
+        assert "overflow when scaled" in capsys.readouterr().err and not model.exists()
+        with pytest.raises(ValueError, match="overflow when scaled"):
+            rolling_eval(panel, 0.7, 1, StdgrConfig(ranks=(1, 1, 1)), standardize=True)
+
+
 class TestOversizedCell:
     """A cell longer than the csv module's field limit (131072 characters) is
     a data error naming the file, not a traceback."""

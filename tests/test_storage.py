@@ -387,19 +387,32 @@ def joined_csv(panel, names):
     return ("\n".join(lines) + "\n").encode(locale.getpreferredencoding(False))
 
 
-def fast_blocks(monkeypatch):
-    """Record, for each block the writer formats from here on, whether the
-    vectorized formatter took it."""
-    taken = []
+def flagged_rows(monkeypatch):
+    """Record, for each block the writer formats from here on, the rows the
+    vectorized formatter flagged for the per-cell one."""
+    flagged = []
     formatter = storage._fixed_cells
 
     def spy(rows, *work):
-        cells = formatter(rows, *work)
-        taken.append(cells is not None)
-        return cells
+        words, flags = formatter(rows, *work)
+        flagged.append(np.flatnonzero(flags).tolist())
+        return words, flags
 
     monkeypatch.setattr(storage, "_fixed_cells", spy)
-    return taken
+    return flagged
+
+
+def cell_calls(monkeypatch):
+    """Record every number the writer formats with ``'% .16e'`` from here on."""
+    calls = []
+
+    class Counting(str):
+        def __mod__(self, value):
+            calls.append(value)
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(storage, "_CELL", Counting(storage._CELL))
+    return calls
 
 
 def npy_bytes(panel):
@@ -456,13 +469,13 @@ class TestBlockWriter:
         panel.flat[-min(4, panel.size) :] = extremes[: panel.size]
         names = ["béta"] + [f"y{i + 2}" for i in range(m - 1)]
         path = tmp_path / "p.csv"
-        fast = fast_blocks(monkeypatch)
+        flagged = flagged_rows(monkeypatch)
         write_panel_csv(str(path), panel, names=names)
         data = path.read_bytes()
         assert data == joined_csv(panel, names)
-        assert len(fast) == -(-length // block)
+        assert len(flagged) == -(-length // block)
         if scale == "in-range":
-            assert all(fast)
+            assert flagged == [[]] * len(flagged)
         stored = companion(path).read_bytes()
         assert stored[:8] == b"tvcache\x01"
         assert stored[8:40] == hashlib.sha256(data).digest()
@@ -484,10 +497,10 @@ def near(x):
     return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
 
 
-# every power of ten the fast path takes and its neighbours (1e-6 itself is
-# the double just below 10**-6), the largest double below 1e17, exact ties at
-# the 17th digit (2**50 + j/4 and 2**49 + j/8 end in 25, 75, 125, ...), and
-# exact binary fractions
+# every power of ten the tables take and its neighbours (1e-6 itself is the
+# double just below 10**-6), the largest double below 1e17, exact ties at the
+# 17th digit (2**50 + j/4 and 2**49 + j/8 end in 25, 75, 125, ...), and exact
+# binary fractions
 EDGES = (
     [x for k in range(-6, 18) for x in near(float(f"1e{k}")) if 1e-6 < x < 1e17]
     + [9.999999999999998e16, 1.0000000000000002e-06, 0.0]
@@ -498,14 +511,34 @@ EDGES = (
 )
 
 
+def checked_flags(rows):
+    """The rows of a block that the vectorized formatter flags, after
+    checking that the words of every other row are its ``'% .16e'`` bytes."""
+    words, flagged = storage._fixed_cells(rows)
+    assert flagged.shape == (len(rows),)
+    for row, row_words, flag in zip(rows.tolist(), words, flagged.tolist()):
+        if not flag:
+            assert row_words.tobytes() == (",".join("% .16e" % v for v in row) + "\n").encode()
+    return np.flatnonzero(flagged).tolist()
+
+
+def misjudged(x):
+    """Whether numpy's floor(log10 |x|), clipped to the tables' exponents
+    -6 .. 16, misses the exponent of a nonzero in-range ``x``."""
+    exponent = int(("% .16e" % x).split("e")[1])
+    return x != 0 and np.clip(np.floor(np.log10(abs(x))), -6, 16) != exponent
+
+
 class TestFixedWidthCells:
     """The vectorized formatter emits the bytes of ``'% .16e'`` cell for
-    cell, and a block it cannot take goes to the per-cell formatter alone."""
+    cell, and a row it cannot place goes to the per-cell formatter alone."""
 
     @SEEDED
     @given(panel=IN_RANGE_PANELS)
     def test_in_range_panels_read_back_bit_exact(self, tmp_path_factory, panel):
-        assert storage._fixed_cells(panel) is not None  # one block, the fast one
+        # only a misjudged exponent flags an in-range row
+        for i in checked_flags(panel):
+            assert any(map(misjudged, panel[i].tolist()))
         path = tmp_path_factory.mktemp("panel") / "p.csv"
         names = [f"y{i + 1}" for i in range(panel.shape[1])]
         write_panel_csv(str(path), panel)
@@ -518,35 +551,55 @@ class TestFixedWidthCells:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_edges_match_the_per_cell_format(self, sign):
         column = sign * np.array(EDGES)[:, None]
-        cells = storage._fixed_cells(column)
-        assert cells is not None
-        assert cells.tobytes() == "".join("% .16e\n" % v for v in column[:, 0]).encode()
+        flagged = checked_flags(column)
+        values = column[:, 0].tolist()
+        assert flagged == [i for i, v in enumerate(values) if misjudged(v)]
+        # each lies one ulp below a power of ten
+        for i in flagged:
+            power = float(f"1e{int(('% .16e' % values[i]).split('e')[1]) + 1}")
+            assert np.nextafter(abs(values[i]), np.inf) == power
 
     def test_exact_powers_of_ten(self):
         powers = np.array([[float(f"1e{k}") for k in range(17)]])
         expected = ",".join(f" 1.0000000000000000e+{k:02d}" for k in range(17)) + "\n"
-        assert storage._fixed_cells(powers).tobytes() == expected.encode()
+        words, flagged = storage._fixed_cells(powers)
+        assert flagged.tolist() == [False]
+        assert words.tobytes() == expected.encode()
 
     @pytest.mark.parametrize(
         "value", [1e-6, -1e-6, 5e-324, 2.2250738585072014e-308, 1e17, -1e17, 1e300]
     )
     def test_out_of_range_cell_is_refused(self, value):
-        assert storage._fixed_cells(np.array([[1.0, value], [0.5, -0.0]])) is None
+        assert checked_flags(np.array([[1.0, value], [0.5, -0.0]])) == [0]
 
     @pytest.mark.parametrize("value", [5e-324, 1e300])
-    def test_one_cell_sends_its_block_alone_to_the_fallback(self, tmp_path, monkeypatch, value):
+    def test_one_cell_sends_its_row_alone_to_the_fallback(self, tmp_path, monkeypatch, value):
         block = _BLOCK_CELLS // 30
         panel = SCALES["in-range"][0](np.random.default_rng(8), (3 * block, 30))
         panel[block + 7, 11] = value
         path = tmp_path / "p.csv"
-        fast = fast_blocks(monkeypatch)
+        flagged = flagged_rows(monkeypatch)
+        calls = cell_calls(monkeypatch)
         write_panel_csv(str(path), panel)
-        assert fast == [True, False, True]
+        assert flagged == [[], [7], []]
+        assert calls == panel[block + 7].tolist()
         names = [f"y{i + 1}" for i in range(30)]
         assert path.read_bytes() == joined_csv(panel, names)
         assert outcome(read_panel_csv, path) == ("panel", names, panel.shape, panel.tobytes())
         os.unlink(companion(path))
         assert outcome(read_panel_csv, path)[3] == panel.tobytes()
+
+    def test_tiny_cells_send_only_their_rows_to_the_fallback(self, tmp_path, monkeypatch):
+        panel = np.random.default_rng(9).standard_normal((20000, 30))
+        assert np.abs(panel).min() > 1e-6  # no draw of its own goes to the fallback
+        block = _BLOCK_CELLS // 30
+        rows = [5, 3 * block + 100, 20000 - 2]
+        panel[rows, [0, 17, 29]] = 1e-7
+        path = tmp_path / "p.csv"
+        calls = cell_calls(monkeypatch)
+        write_panel_csv(str(path), panel)
+        assert calls == panel[rows].ravel().tolist()
+        assert path.read_bytes() == joined_csv(panel, [f"y{i + 1}" for i in range(30)])
 
 
 class FailingDigest:

@@ -25,7 +25,8 @@ from tuckervar import (
     tucker_reconstruct,
     unfold,
 )
-from tuckervar import benchmark
+import tuckervar.var
+from tuckervar import StdgrConfig, benchmark, fit_panel
 from tuckervar.var import _psd_factor
 from solver_references import companion_matrix
 
@@ -58,6 +59,32 @@ class TestBuildDesign:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             build_design(np.zeros((3, 2)), 3)
+
+    @pytest.mark.parametrize("scale", [1e153, 1e154, 1e200, 1e300, -1.7976931348623157e308])
+    def test_panel_too_large_for_its_moments_is_refused(self, scale):
+        panel = np.random.default_rng(0).uniform(-1, 1, (60, 3)) * scale
+        with pytest.raises(ValueError, match="standardize"):
+            build_design(panel, 1)
+
+    @pytest.mark.parametrize("shape", [(10, 1, 1), (60, 3, 1), (40, 2, 3), (100, 5, 10), (200, 1, 40)])
+    @pytest.mark.parametrize("kind", ["gaussian", "constant", "spike"])
+    def test_largest_panel_accepted_fits_without_a_warning(self, shape, kind):
+        length, m, p = shape
+        rng = np.random.default_rng(length + m + p)
+        panel = {
+            "gaussian": rng.standard_normal((length, m)),
+            "constant": np.ones((length, m)),
+            "spike": np.eye(length, m, -(length // 2)) + 1e-3 * rng.standard_normal((length, m)),
+        }[kind]
+        # scaled to the largest sum of squares the check lets through
+        panel *= np.sqrt(tuckervar.var._MOMENT_ROOM / np.sum(panel**2)) * (1 - 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ranks in ((1, 1, 1), "auto"):
+                report = fit_panel(panel, p, StdgrConfig(ranks=ranks))
+                assert np.isfinite(report.w_hat).all()
+        with pytest.raises(ValueError, match="standardize"):
+            build_design(1.001 * panel, p)
 
 
 class TestPredictOneStep:
@@ -104,6 +131,18 @@ class TestOneStepPredictions:
         with pytest.raises(ValueError, match="variables"):
             one_step_predictions(np.zeros((2, 2, 1)), np.zeros((10, 3)), 5)
 
+    def test_first_row_past_the_panel_rejected(self):
+        with pytest.raises(ValueError, match="past the panel"):
+            one_step_predictions(np.zeros((2, 2, 1)), np.zeros((10, 2)), 10)
+
+    def test_takes_a_panel_too_large_to_fit(self):
+        # forming no moments, it predicts what build_design refuses to fit
+        panel = np.random.default_rng(3).standard_normal((30, 2)) * 1e160
+        w = 0.5 * np.eye(2)[:, :, None]
+        with pytest.raises(ValueError, match="standardize"):
+            build_design(panel, 1)
+        np.testing.assert_array_equal(one_step_predictions(w, panel, 20), 0.5 * panel[19:-1])
+
 
 class TestTrainScaler:
     def test_constant_column_gets_unit_std(self):
@@ -111,6 +150,24 @@ class TestTrainScaler:
         mean, std = train_scaler(train)
         np.testing.assert_array_equal(mean, train.mean(axis=0))
         np.testing.assert_array_equal(std, [1.0, np.arange(10.0).std()])
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 7.0, 1e5])
+    def test_same_bits_as_the_plain_statistics(self, scale):
+        train = np.random.default_rng(1).standard_normal((500, 4)) * scale + [0.0, 1.0, -3.0, 1e3]
+        mean, std = train_scaler(train)
+        assert mean.tobytes() == train.mean(axis=0).tobytes()
+        assert std.tobytes() == train.std(axis=0).tobytes()
+
+    @pytest.mark.parametrize("power", [-900, 500, 1000])
+    def test_scales_exactly_by_a_power_of_two_without_overflow(self, power):
+        train = np.random.default_rng(2).standard_normal((60, 3))
+        train[:, 2] *= 1e-3
+        mean, std = train_scaler(train)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big_mean, big_std = train_scaler(np.ldexp(train, power))
+        assert big_mean.tobytes() == np.ldexp(mean, power).tobytes()
+        assert big_std.tobytes() == np.ldexp(std, power).tobytes()
 
 
 class TestStability:
