@@ -38,7 +38,6 @@ from .var import (
     is_stable,
     mse,
     one_step_predictions,
-    predict_one_step,
     rescale_to_spectral_radius,
     simulate,
     spectral_radius,

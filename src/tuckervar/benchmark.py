@@ -272,8 +272,8 @@ def rolling_eval(
 
     With ``standardize`` the per-variable mean and standard deviation are
     estimated on the training split only and applied to the whole panel;
-    the reported MSE is in standardized units. A panel that overflows when
-    standardized, or is too large for the fit's moments, is a ValueError.
+    the reported MSE is in standardized units. A panel too large to
+    standardize, fit or score is a ``PanelFormatError``, a ValueError.
     """
     panel = np.asarray(panel, dtype=float)
     if not 0 < train_fraction < 1:

@@ -6,12 +6,13 @@ Exit codes: 0 success (fit converged), 2 fit ran to the iteration cap,
 broken). ``main`` maps ``ValueError`` to 64 (a file that cannot be opened
 is a usage error), ``PanelFormatError`` to 65 and ``RuntimeError`` to 70;
 ``storage`` builds every file, the fit record and the truth file included.
+The library raises ``PanelFormatError`` for a panel it cannot use (too large
+to standardize, fit or score), so the CLI re-checks nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
@@ -35,7 +36,6 @@ from .storage import (
 )
 from .tensor import tucker_reconstruct
 from .var import (
-    _require_moment_scale,
     _standardized,
     build_design,
     forecast,
@@ -156,15 +156,6 @@ def _require_rows(panel: np.ndarray, p: int) -> None:
         raise PanelFormatError(f"panel has {panel.shape[0]} rows, need at least {p + 2}")
 
 
-@contextlib.contextmanager
-def _data_errors(path: str):
-    """Report a ValueError raised inside as a data error in ``path``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise PanelFormatError(f"{path}: {exc}") from None
-
-
 def _load_model(path: str) -> dict:
     try:
         return load_model(path)
@@ -191,12 +182,10 @@ def cmd_fit(args) -> int:
     train = panel[:n_train]
 
     scaler = None
-    with _data_errors(args.input):
-        if args.standardize:
-            mean, std = train_scaler(train)
-            train = _standardized(train, mean, std)
-            scaler = {"mean": mean, "std": std}
-        _require_moment_scale(train)
+    if args.standardize:
+        mean, std = train_scaler(train)
+        train = _standardized(train, mean, std)
+        scaler = {"mean": mean, "std": std}
 
     report = fit_panel(train, args.p, cfg, nnm_cfg)
     save_model(args.output, model_document(report.result.factors, cfg, scaler))
@@ -236,8 +225,7 @@ def _model_and_panel(
     if lags_only:
         panel = panel[-w.shape[2] :]
     if scaler is not None:
-        with _data_errors(args.input):
-            panel = _standardized(panel, scaler["mean"], scaler["std"])
+        panel = _standardized(panel, scaler["mean"], scaler["std"])
     return w, scaler, names, panel
 
 
@@ -287,8 +275,6 @@ def cmd_rank_select(args) -> int:
     nnm_cfg = _configured("nnm", _load_config(args.config), args)
     _, panel = _read_panel(args.input)
     _require_rows(panel, args.p)
-    with _data_errors(args.input):
-        _require_moment_scale(panel)
     design = build_design(panel, args.p)
     result = nnm_estimate(design, nnm_cfg)
     c_bar = ridge_constant(design.m, design.p, design.n_samples)

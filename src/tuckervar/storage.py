@@ -6,7 +6,8 @@ padded with spaces or tabs, quoted, or use ``_`` between digits (anything
 Python's ``float`` accepts), blank lines are skipped, and NaN, infinities,
 empty cells and comment lines are rejected. The whole panel is parsed in one
 ``np.loadtxt`` call; a file that call cannot return as a valid panel is
-rescanned row by row only to name the bad row.
+rescanned row by row only to name the bad row. A bad panel is a
+``PanelFormatError``, which ``var`` defines and raises for a panel too large.
 
 ``write_panel_csv`` writes only panels that ``read_panel_csv`` returns
 unchanged, each number as ``'% .16e'`` formats it (17 significant digits,
@@ -55,7 +56,7 @@ from .benchmark import Scenario, ScenarioSpec
 from .fit import FitReport
 from .solver import StdgrConfig
 from .tensor import TuckerFactors
-from .var import PRNG_ALGORITHM, spectral_radius
+from .var import PRNG_ALGORITHM, PanelFormatError, spectral_radius
 
 __all__ = [
     "PanelFormatError",
@@ -79,10 +80,6 @@ _CACHE_TAG = b"tvcache\x01"
 # beyond the array
 _BLOCK_CELLS = 1 << 14
 _HASH_BLOCK = 1 << 20
-
-
-class PanelFormatError(ValueError):
-    """Raised when a panel CSV cannot be parsed."""
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -17,9 +17,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import unfold
 
 __all__ = [
+    "PanelFormatError",
     "DesignPair",
     "build_design",
-    "predict_one_step",
     "one_step_predictions",
     "train_scaler",
     "spectral_radius",
@@ -33,6 +33,10 @@ __all__ = [
 
 # np.random.default_rng
 PRNG_ALGORITHM = "pcg64"
+
+
+class PanelFormatError(ValueError):
+    """Raised for a panel CSV that cannot be parsed or a panel too large to use."""
 
 
 def _require_panel(panel: np.ndarray) -> np.ndarray:
@@ -185,12 +189,12 @@ _MOMENT_ROOM = 2.0**-16 * np.finfo(float).max
 
 
 def _require_moment_scale(panel: np.ndarray) -> None:
-    """A ValueError for a panel whose sum of squares exceeds ``_MOMENT_ROOM``."""
+    """A PanelFormatError for a panel whose sum of squares exceeds ``_MOMENT_ROOM``."""
     flat = panel.ravel()
     with np.errstate(over="ignore"):  # an overflow is refused below
         squares = float(flat @ flat)
     if not squares <= _MOMENT_ROOM:
-        raise ValueError(
+        raise PanelFormatError(
             f"panel entries too large for the moments of a VAR fit: their sum of squares"
             f" {squares:.3g} exceeds {_MOMENT_ROOM:.3g}; standardize them first, as"
             " tuckervar fit --standardize does"
@@ -202,7 +206,7 @@ def build_design(panel: np.ndarray, p: int) -> LaggedDesign:
     (see :class:`LaggedDesign`): its moments come from p + 1 lagged products
     of the panel, ``x`` is built only when read, and the panel must not be
     modified afterwards. A panel too large for its moments to stay finite
-    is a ValueError."""
+    is a :class:`PanelFormatError`."""
     panel = _require_panel(panel)
     if p < 1:
         raise ValueError("lag order p must be >= 1")
@@ -214,7 +218,10 @@ def build_design(panel: np.ndarray, p: int) -> LaggedDesign:
 
 
 def predict_one_step(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Noise-free one-step prediction: mode-1 unfolding times the lag vector."""
+    """Noise-free one-step prediction: mode-1 unfolding times the lag vector.
+
+    Not exported: it is the reference the tests hold :func:`_recursion`'s
+    bits to, and the benchmark's tracer wraps it by name."""
     w = _require_transition(w)
     x = np.asarray(x, dtype=float).ravel()
     m, _, p = w.shape
@@ -254,11 +261,11 @@ def train_scaler(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _standardized(panel: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """(panel - mean) / std, or a ValueError when an entry overflows."""
+    """(panel - mean) / std, or a PanelFormatError when an entry overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = (panel - mean) / std
     if not np.isfinite(scaled).all():
-        raise ValueError("panel entries overflow when scaled to standard units")
+        raise PanelFormatError("panel entries overflow when scaled to standard units")
     return scaled
 
 
@@ -446,9 +453,19 @@ def forecast(w: np.ndarray, panel: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def mse(truth: np.ndarray, pred: np.ndarray) -> float:
-    """Mean squared error (1 / (m T0)) sum_t ||truth_t - pred_t||^2."""
+    """Mean squared error (1 / (m T0)) sum_t ||truth_t - pred_t||^2 whenever it
+    is a finite double, even if single squares are not; else a PanelFormatError."""
     truth = _require_panel(truth)
     pred = _require_panel(pred)
     if truth.shape != pred.shape:
         raise ValueError(f"panel shapes differ: {truth.shape} vs {pred.shape}")
-    return float(np.mean((truth - pred) ** 2))
+    # residuals over a power of two near the largest: exact, with finite squares
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        resid = truth - pred
+        exp = np.frexp(np.abs(resid).max(initial=0.0))[1]
+        value = float(np.ldexp(np.mean(np.ldexp(resid, -exp) ** 2), 2 * exp))
+    if not math.isfinite(value):
+        raise PanelFormatError(
+            "mean squared error overflows the float range; compare standardized panels"
+        )
+    return value

@@ -18,7 +18,6 @@ from tuckervar import (
     build_laplacians,
     fit_panel,
     make_scenario,
-    predict_one_step,
     rolling_eval,
     simulate,
     spectral_radius,
@@ -27,7 +26,9 @@ from tuckervar import (
 )
 import tuckervar.cli
 import tuckervar.solver
+import tuckervar.storage
 import tuckervar.var
+from tuckervar.var import PanelFormatError, predict_one_step
 from tuckervar.cli import EXIT_DATA, EXIT_MAX_ITER, EXIT_OK, EXIT_SOFTWARE, EXIT_USAGE, main
 from tuckervar.storage import (
     load_model,
@@ -938,6 +939,71 @@ class TestHugePanels:
         assert "overflow when scaled" in capsys.readouterr().err and not model.exists()
         with pytest.raises(ValueError, match="overflow when scaled"):
             rolling_eval(panel, 0.7, 1, StdgrConfig(ranks=(1, 1, 1)), standardize=True)
+
+
+class TestDataErrorsFromTheLibrary:
+    """The library raises PanelFormatError for a panel it cannot use, and the
+    CLI reports it as a data error without checking the panel again."""
+
+    def test_one_panel_format_error_class(self):
+        assert tuckervar.storage.PanelFormatError is PanelFormatError
+        assert issubclass(PanelFormatError, ValueError)
+
+    def test_moment_scale_is_checked_once_per_command(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "sim.json", scenario=small_scenario())
+        panel = str(tmp_path / "panel.csv")
+        assert main(["simulate", "--config", cfg, "--output", panel, "--seed", "0"]) == EXIT_OK
+        calls = []
+        check = tuckervar.var._require_moment_scale
+
+        def spy(values):
+            calls.append(values.shape)
+            return check(values)
+
+        # every binding of the check counts, the CLI's own included
+        monkeypatch.setattr(tuckervar.var, "_require_moment_scale", spy)
+        monkeypatch.setattr(tuckervar.cli, "_require_moment_scale", spy, raising=False)
+        model = str(tmp_path / "m.json")
+        fit = ["fit", "--input", panel, "--output", model, "--p", "2", "--ranks", "2,2,2"]
+        for argv in (fit, fit + ["--standardize"], ["rank-select", "--input", panel, "--p", "2"]):
+            calls.clear()
+            assert main(argv) in (EXIT_OK, EXIT_MAX_ITER)
+            assert len(calls) == 1, argv
+
+    def test_rolling_eval_raises_a_panel_format_error(self):
+        # one largest double among its negatives: x - mean overflows
+        panel = np.random.default_rng(1).standard_normal((20, 2))
+        panel[:, 0] = -1.7e308
+        panel[3, 0] = 1.7e308
+        with pytest.raises(PanelFormatError, match="overflow when scaled") as caught:
+            rolling_eval(panel, 0.7, 1, StdgrConfig(ranks=(1, 1, 1)), standardize=True)
+        assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e153, 1e160])
+    def test_eval_reports_a_finite_mse_or_a_data_error(self, tmp_path, capsys, scale):
+        values = np.random.default_rng(2).standard_normal((40, 2)) * scale
+        truth, pred = str(tmp_path / "truth.csv"), str(tmp_path / "pred.csv")
+        write_panel_csv(truth, values)
+        write_panel_csv(pred, -values)
+        model = identity_model(tmp_path, scale=0.5)
+        unit, n_train = values / scale, int(0.6 * 40)
+        # in units of the scale: at 1e153 the plain sum of squares would overflow
+        expected = {
+            ("--truth", truth, "--pred", pred): np.mean((2 * unit) ** 2),
+            ("--model", model, "--input", truth): np.mean(
+                (unit[n_train:] - 0.5 * unit[n_train - 1 : -1]) ** 2
+            ),
+        }
+        for flags, value in expected.items():
+            code = main(["eval", *flags])
+            out, err = capsys.readouterr()
+            if scale == 1e153:
+                assert (code, err) == (EXIT_OK, "")
+                assert json.loads(out)["mse"] == pytest.approx(value * scale**2, rel=1e-12)
+            else:
+                assert (code, out) == (EXIT_DATA, "")
+                assert err.startswith("data error: mean squared error overflows")
 
 
 class TestOversizedCell:

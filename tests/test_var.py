@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from tuckervar import (
     make_scenario,
     mse,
     one_step_predictions,
-    predict_one_step,
     rescale_to_spectral_radius,
     simulate,
     spectral_radius,
@@ -27,7 +27,7 @@ from tuckervar import (
 )
 import tuckervar.var
 from tuckervar import StdgrConfig, benchmark, fit_panel
-from tuckervar.var import _psd_factor
+from tuckervar.var import PanelFormatError, _psd_factor, predict_one_step
 from solver_references import companion_matrix
 
 
@@ -65,6 +65,13 @@ class TestBuildDesign:
         panel = np.random.default_rng(0).uniform(-1, 1, (60, 3)) * scale
         with pytest.raises(ValueError, match="standardize"):
             build_design(panel, 1)
+
+    def test_panel_too_large_for_its_moments_is_a_panel_format_error(self):
+        panel = np.random.default_rng(0).standard_normal((60, 3)) * 1e154
+        for call in (lambda: build_design(panel, 1), lambda: fit_panel(panel, 1)):
+            with pytest.raises(PanelFormatError, match="standardize") as caught:
+                call()
+            assert isinstance(caught.value, ValueError)
 
     @pytest.mark.parametrize("shape", [(10, 1, 1), (60, 3, 1), (40, 2, 3), (100, 5, 10), (200, 1, 40)])
     @pytest.mark.parametrize("kind", ["gaussian", "constant", "spike"])
@@ -593,6 +600,27 @@ class TestMse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mse(np.zeros((3, 2)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e5, 1e150])
+    def test_same_bits_as_the_plain_mean(self, scale):
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((2, 50, 4)) * scale
+        assert mse(a, b) == float(np.mean((a - b) ** 2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_mean_of_squares_beyond_the_float_range(self):
+        # (2e154)^2 exceeds the largest double; a quarter of it does not
+        truth = np.array([[2e154], [0.0], [0.0], [0.0]])
+        assert mse(truth, np.zeros((4, 1))) == float(Fraction(2e154) ** 2 / 4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1.7e308], ids=["squares", "residual"])
+    def test_mean_beyond_the_float_range_is_a_panel_format_error(self, scale):
+        # at 1.7e308 truth - pred itself overflows
+        truth = np.full((3, 2), scale)
+        with pytest.raises(PanelFormatError, match="overflows the float range") as caught:
+            mse(truth, -truth)
+        assert isinstance(caught.value, ValueError)
 
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
