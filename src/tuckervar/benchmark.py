@@ -130,7 +130,7 @@ def _orthonormal_factor(rng: np.random.Generator, n: int, r: int, style: str) ->
 def make_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
     """Draw a ground truth for the spec, shrinking the superdiagonal by 0.9
     until the process is stable (at most 50 passes; a ValueError after)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_number("seed", seed, 0, closed=True, integer=True))
     a1 = _orthonormal_factor(rng, spec.m, spec.ranks[0], spec.factor_style)
     a2 = _orthonormal_factor(rng, spec.m, spec.ranks[1], spec.factor_style)
     a3 = _orthonormal_factor(rng, spec.p, spec.ranks[2], spec.factor_style)

@@ -3,11 +3,13 @@
 Subcommands: simulate, fit, forecast, eval, rank-select, bench.
 Exit codes: 0 success (fit converged), 2 fit ran to the iteration cap,
 64 usage error, 65 data format error, 70 internal error (a solver guarantee
-broken). ``main`` maps ``ValueError`` to 64 (a file that cannot be opened
-is a usage error), ``PanelFormatError`` to 65 and ``RuntimeError`` to 70;
-``storage`` builds every file, the fit record and the truth file included.
-The library raises ``PanelFormatError`` for a panel it cannot use (too large
-to standardize, fit or score), so the CLI re-checks nothing.
+broken). ``main`` maps ``ValueError`` and ``OSError`` to 64 (a file that
+cannot be opened or written is a usage error named by its path),
+``PanelFormatError`` to 65 and ``RuntimeError`` to 70; ``storage`` builds
+every file, the fit record and the truth file included. The library raises
+``PanelFormatError`` for a panel or model it cannot use (one that does not
+parse or check, or too large to standardize, fit or score), so the CLI
+wraps no read and re-checks nothing.
 """
 
 from __future__ import annotations
@@ -71,13 +73,11 @@ _SECTIONS = {
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as handle:
+    with open(path) as handle:
+        try:
             doc = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     unknown = set(doc) - set(_SECTIONS)
@@ -144,32 +144,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_panel(path: str) -> tuple[list[str], np.ndarray]:
-    try:
-        return read_panel_csv(path)
-    except OSError as exc:
-        raise ValueError(f"cannot read panel: {exc}")
-
-
 def _require_rows(panel: np.ndarray, p: int) -> None:
     if panel.shape[0] < p + 2:
         raise PanelFormatError(f"panel has {panel.shape[0]} rows, need at least {p + 2}")
-
-
-def _load_model(path: str) -> dict:
-    try:
-        return load_model(path)
-    except OSError as exc:
-        raise ValueError(f"cannot read model: {exc}")
-    except ValueError as exc:
-        raise PanelFormatError(f"cannot load model: {exc}")
 
 
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     cfg = _configured("solver", config, args)
     nnm_cfg = _configured("nnm", config, args)
-    _, panel = _read_panel(args.input)
+    _, panel = read_panel_csv(args.input)
     _require_rows(panel, args.p)
 
     n_train = panel.shape[0]
@@ -217,8 +201,8 @@ def _model_and_panel(
     ``--input`` in the model's units, only its last p rows with
     ``lags_only``; the variable count is checked first. A panel that is not
     finite in the model's units is a data error."""
-    model = _load_model(args.model)
-    names, panel = _read_panel(args.input)
+    model = load_model(args.model)
+    names, panel = read_panel_csv(args.input)
     w, scaler = tucker_reconstruct(model["factors"]), model["scaler"]
     if panel.shape[1] != w.shape[0]:
         raise ValueError(f"panel has {panel.shape[1]} variables, model expects {w.shape[0]}")
@@ -250,8 +234,8 @@ def cmd_eval(args) -> int:
     flags = ("truth", "pred", "model", "input", "train_fraction")
     given = ["--" + flag.replace("_", "-") for flag in flags if getattr(args, flag) is not None]
     if given == ["--truth", "--pred"]:
-        _, truth = _read_panel(args.truth)
-        _, pred = _read_panel(args.pred)
+        _, truth = read_panel_csv(args.truth)
+        _, pred = read_panel_csv(args.pred)
         value = mse(truth, pred)
         detail = {"mse": value, "n_test": int(truth.shape[0])}
     elif given[:2] == ["--model", "--input"]:
@@ -273,7 +257,7 @@ def cmd_eval(args) -> int:
 
 def cmd_rank_select(args) -> int:
     nnm_cfg = _configured("nnm", _load_config(args.config), args)
-    _, panel = _read_panel(args.input)
+    _, panel = read_panel_csv(args.input)
     _require_rows(panel, args.p)
     design = build_design(panel, args.p)
     result = nnm_estimate(design, nnm_cfg)
@@ -381,7 +365,7 @@ def main(argv=None) -> int:
     except PanelFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a file that cannot be opened or written
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -6,7 +6,7 @@ padded with spaces or tabs, quoted, or use ``_`` between digits (anything
 Python's ``float`` accepts), blank lines are skipped, and NaN, infinities,
 empty cells and comment lines are rejected. The whole panel is parsed in one
 ``np.loadtxt`` call; a file that call cannot return as a valid panel is
-rescanned row by row only to name the bad row. A bad panel is a
+rescanned row by row only to name the bad row. A bad panel or model is a
 ``PanelFormatError``, which ``var`` defines and raises for a panel too large.
 
 ``write_panel_csv`` writes only panels that ``read_panel_csv`` returns
@@ -34,7 +34,8 @@ only in the diagnostics JSONL, built from a ``FitReport`` alone, so a
 library fit writes the same record as ``tuckervar fit``. Version-1 files,
 which stored the Laplacians and the solver's outcome too, still load. The
 truth file of a simulated panel holds its scenario and the transition tensor
-drawn, flattened like a model's arrays. All writes are whole-file atomic.
+drawn, flattened like a model's arrays. All writes are whole-file atomic,
+with the mode ``open`` gives; a failed one names the path, not the temp file.
 """
 
 from __future__ import annotations
@@ -89,17 +90,24 @@ def atomic_write_text(path: str, text: str) -> None:
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
-    """A binary handle on a temp file beside ``path``: renamed over ``path``
-    when the block succeeds, deleted when it raises."""
+    """A binary handle on a temp file beside ``path``, with the mode ``open``
+    gives: renamed over ``path`` when the block succeeds, deleted when it
+    raises. An ``OSError`` is raised again with ``path`` as its filename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as handle:
+            umask = os.umask(0)  # mkstemp makes the file 0600; read the umask, restore it
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield handle
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -481,41 +489,46 @@ def load_model(path: str) -> dict:
     with ``scaler`` None when the file has none. Keys that are not read, such
     as the config echo or a version-1 file's Laplacians, are ignored.
 
-    Raises ``ValueError`` naming the key when one that is read is missing or
-    mistyped, or when ``m``, ``p``, ``ranks`` or the scaler disagrees with
-    the arrays."""
+    Raises ``PanelFormatError`` for a file that is not JSON text, that lacks
+    or mistypes a key that is read (naming it), or whose ``m``, ``p``,
+    ``ranks`` or scaler disagrees with the arrays."""
     with open(path) as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except (ValueError, RecursionError) as exc:  # not JSON text, or nested too deep
+            raise PanelFormatError(f"{path}: not a {MODEL_FORMAT} file: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+        raise PanelFormatError(f"{path}: not a {MODEL_FORMAT} file")
     core = _stored_array(path, doc, "core")
     if core.ndim != 3:
-        raise ValueError(f"{path}: 'core' must be a third-order tensor")
+        raise PanelFormatError(f"{path}: 'core' must be a third-order tensor")
     factors = [_stored_array(path, doc, key) for key in ("a1", "a2", "a3")]
     m, p = factors[0].shape[0], factors[2].shape[0]
     if factors[1].shape[0] != m:
-        raise ValueError(f"{path}: 'a1' and 'a2' must have the same number of rows")
+        raise PanelFormatError(f"{path}: 'a1' and 'a2' must have the same number of rows")
     for k, a in enumerate(factors, start=1):
         if a.shape[1] != core.shape[k - 1]:
-            raise ValueError(
+            raise PanelFormatError(
                 f"{path}: 'a{k}' has {a.shape[1]} columns, core dim {k} is {core.shape[k - 1]}"
             )
     # compared as JSON text, so that 2.0 or true does not pass for 2
     for key, want in (("m", m), ("p", p), ("ranks", list(core.shape))):
         if key not in doc or json.dumps(doc[key]) != json.dumps(want):
-            raise ValueError(
+            raise PanelFormatError(
                 f"{path}: '{key}' must be {want}, as the arrays give, got {doc.get(key)!r}"
             )
     scaler = None
     if "scaler" in doc:
         if not isinstance(doc["scaler"], dict):
-            raise ValueError(f"{path}: 'scaler' must be an object with fields 'mean' and 'std'")
+            raise PanelFormatError(
+                f"{path}: 'scaler' must be an object with fields 'mean' and 'std'"
+            )
         scaler = {key: _finite_floats(doc["scaler"].get(key)) for key in ("mean", "std")}
         for key, values in scaler.items():
             if values is None or values.size != m:
-                raise ValueError(f"{path}: 'scaler.{key}' must hold {m} finite numbers")
+                raise PanelFormatError(f"{path}: 'scaler.{key}' must hold {m} finite numbers")
         if scaler["std"].min() <= 0:
-            raise ValueError(f"{path}: 'scaler.std' must be positive")
+            raise PanelFormatError(f"{path}: 'scaler.std' must be positive")
     return {
         "factors": TuckerFactors(core=core, a1=factors[0], a2=factors[1], a3=factors[2]),
         "scaler": scaler,
@@ -537,22 +550,22 @@ def _finite_floats(values) -> np.ndarray | None:
 def _stored_array(path: str, doc: dict, key: str) -> np.ndarray:
     """The array that a model file stores under ``doc[key]``: a flat
     ``values`` list in i1-fastest order and its shape, the field ``dims`` for
-    the core and ``rows`` and ``cols`` for a factor. Raises ``ValueError``
+    the core and ``rows`` and ``cols`` for a factor. Raises ``PanelFormatError``
     naming the key when a field is missing, mistyped or inconsistent."""
     shape_keys = ("dims",) if key == "core" else ("rows", "cols")
     spec = doc.get(key)
     if not isinstance(spec, dict) or not all(k in spec for k in shape_keys + ("values",)):
-        raise ValueError(
+        raise PanelFormatError(
             f"{path}: '{key}' must be an object with fields {list(shape_keys)} and 'values'"
         )
     shape = spec["dims"] if key == "core" else [spec["rows"], spec["cols"]]
     if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
-        raise ValueError(
+        raise PanelFormatError(
             f"{path}: the shape of '{key}' must be positive integers, got {shape!r}"
         )
     values = _finite_floats(spec["values"])
     if values is None or values.size != math.prod(shape):
-        raise ValueError(
+        raise PanelFormatError(
             f"{path}: '{key}' must hold {math.prod(shape)} finite numbers for its shape {shape}"
         )
     return values.reshape(shape, order="F")

@@ -36,7 +36,7 @@ PRNG_ALGORITHM = "pcg64"
 
 
 class PanelFormatError(ValueError):
-    """Raised for a panel CSV that cannot be parsed or a panel too large to use."""
+    """Raised for a data file, panel or model, that cannot be used."""
 
 
 def _require_panel(panel: np.ndarray) -> np.ndarray:

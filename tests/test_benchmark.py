@@ -62,6 +62,15 @@ class TestMakeScenario:
         with pytest.raises(ValueError, match="superdiag"):
             make_scenario(small_spec(superdiag=(1e300, 1e300)), 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None], ids=repr)
+    def test_bad_seed_is_a_value_error_naming_it(self, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            make_scenario(small_spec(), seed)
+
+    def test_numpy_integer_seed_draws_as_the_int(self):
+        spec = small_spec()
+        assert make_scenario(spec, np.int64(7)).w.tobytes() == make_scenario(spec, 7).w.tobytes()
+
     def test_covariance_is_the_scaled_identity(self):
         np.testing.assert_array_equal(small_spec(noise_scale=0.5).covariance, 0.25 * np.eye(6))
 

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -116,6 +117,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--output", str(out), "--seed", "0"]) == EXIT_OK
         _, panel = read_panel_csv(str(out))
         assert not panel.any()
+
+    def test_negative_seed_is_a_usage_error_naming_the_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", scenario=small_scenario())
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "p.csv"), "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: seed must be finite and >= 0, got -1\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_roundtrip_full_precision(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", scenario=small_scenario())
@@ -403,7 +410,7 @@ class TestForecastCommand:
         ):
             assert main(argv) == EXIT_USAGE
             err = capsys.readouterr().err
-            assert err.startswith("usage error: cannot read model") and missing in err
+            assert err == f"usage error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {missing!r}\n"
             assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -530,8 +537,30 @@ class TestModelFileChecks:
         for argv in (forecast, evaluate):
             assert main(argv) == EXIT_DATA
             err = capsys.readouterr().err
-            assert err.startswith("data error: cannot load model") and named in err
+            assert err.startswith(f"data error: {model}: ") and named in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("dotted,value,named", BAD_MODELS)
+    def test_load_model_raises_a_panel_format_error(self, tmp_path, dotted, value, named):
+        with pytest.raises(PanelFormatError, match=re.escape(named)):
+            load_model(self.write(tmp_path, dotted, value))
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"y1,y2\n1.0,2.0\n3.0,4.0\n", b'{"format": "tuckervar-model\xff"}', b"[" * 100000],
+        ids=["panel-csv", "not-utf-8", "nested-past-the-recursion-limit"],
+    )
+    def test_file_that_is_not_a_model_is_a_data_error(self, tmp_path, capsys, content):
+        model = tmp_path / "bad.json"
+        model.write_bytes(content)
+        with pytest.raises(PanelFormatError, match="not a tuckervar-model file"):
+            load_model(str(model))
+        panel = tmp_path / "p.csv"
+        write_panel_csv(str(panel), np.ones((5, 2)))
+        out = tmp_path / "out.csv"
+        assert main(["forecast", "--model", str(model), "--input", str(panel), "--output", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {model}: not a tuckervar-model file")
+        assert not out.exists()
 
     @pytest.mark.parametrize("shape", [[[1, 2]], 5, "model"])
     def test_non_object_document_rejected(self, tmp_path, shape):
@@ -765,6 +794,120 @@ class TestErrorPaths:
         write_panel_csv(str(panel), np.random.default_rng(0).standard_normal((30, 2)))
         code = main(["fit", "--input", str(panel), "--output", str(tmp_path / "m.json"), "--p", "1", "--ranks", "1,2"])
         assert code == EXIT_USAGE
+
+
+def file_tree(root):
+    """Every file and directory under ``root``, hidden ones included."""
+    return sorted(
+        os.path.relpath(os.path.join(top, name), root)
+        for top, dirs, files in os.walk(root)
+        for name in dirs + files
+    )
+
+
+def writer_inputs(tmp_path):
+    """A scenario config, a 40 x 2 panel and an identity model (m = 2, p = 1)
+    that every writing subcommand accepts."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    panel = str(inputs / "p.csv")
+    write_panel_csv(panel, np.random.default_rng(0).standard_normal((40, 2)))
+    return {
+        "config": write_config(inputs / "cfg.json", scenario=dict(SWEEP_SCENARIO)),
+        "panel": panel,
+        "model": identity_model(inputs),
+    }
+
+
+WRITERS = {
+    "simulate": lambda i: ["simulate", "--config", i["config"]],
+    "fit": lambda i: ["fit", "--input", i["panel"], "--p", "1"],
+    "forecast": lambda i: ["forecast", "--model", i["model"], "--input", i["panel"]],
+    "eval": lambda i: ["eval", "--model", i["model"], "--input", i["panel"]],
+    "rank-select": lambda i: ["rank-select", "--input", i["panel"], "--p", "1"],
+    "bench": lambda i: ["bench", "--config", i["config"]],
+}
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written, in a missing directory or an
+    existing directory itself, is a usage error (exit 64): one line on
+    stderr that names the path given, never the temp file, nothing on
+    stdout, and no file written or left behind."""
+
+    @pytest.mark.parametrize(
+        "where,code",
+        [("missing/out", errno.ENOENT), ("taken", errno.EISDIR)],
+        ids=["missing-directory", "is-a-directory"],
+    )
+    @pytest.mark.parametrize("command", list(WRITERS))
+    def test_usage_error_naming_the_output(self, tmp_path, capsys, command, where, code):
+        inputs = writer_inputs(tmp_path)
+        (tmp_path / "taken").mkdir()
+        out = str(tmp_path / where)
+        before = file_tree(tmp_path)
+        assert main(WRITERS[command](inputs) + ["--output", out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"usage error: [Errno {code}] {os.strerror(code)}: {out!r}"]
+        assert ".tmp-" not in captured.err and captured.out == ""
+        assert file_tree(tmp_path) == before
+
+
+class TestMissingInput:
+    """An input panel or config that does not exist is a usage error
+    (exit 64) whose one line names its path (a missing model: see
+    TestForecastCommand)."""
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("fit", "--input"),
+            ("fit", "--config"),
+            ("forecast", "--input"),
+            ("rank-select", "--input"),
+            ("simulate", "--config"),
+            ("bench", "--config"),
+        ],
+    )
+    def test_usage_error_naming_the_input(self, tmp_path, capsys, command, flag):
+        argv = WRITERS[command](writer_inputs(tmp_path)) + ["--output", str(tmp_path / "out")]
+        missing = str(tmp_path / "missing")
+        if flag in argv:
+            argv[argv.index(flag) + 1] = missing
+        else:
+            argv += [flag, missing]
+        assert main(argv) == EXIT_USAGE
+        code = errno.ENOENT
+        assert capsys.readouterr().err == f"usage error: [Errno {code}] {os.strerror(code)}: {missing!r}\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestFileModes:
+    """Every file that simulate and fit write gets the mode that ``open``
+    gives a new file in the same directory, whatever the umask."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_written_files_have_the_mode_of_open(self, tmp_path, umask):
+        cfg = write_config(tmp_path / "cfg.json", scenario=small_scenario())
+        written = tmp_path / "out"
+        written.mkdir()
+        previous = os.umask(umask)
+        try:
+            panel, model = str(written / "p.csv"), str(written / "m.json")
+            assert main(["simulate", "--config", cfg, "--output", panel]) == EXIT_OK
+            assert main(["fit", "--input", panel, "--output", model, "--p", "2"]) in (EXIT_OK, EXIT_MAX_ITER)
+            with open(tmp_path / "reference", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        names = sorted(os.listdir(written))
+        assert names == [
+            "m.json", "m.json.diagnostics.jsonl", "p.csv", "p.csv.truth.json", "p.csv.tvcache"
+        ]
+        want = (tmp_path / "reference").stat().st_mode
+        assert {name: oct((written / name).stat().st_mode) for name in names} == {
+            name: oct(want) for name in names
+        }
 
 
 class TestConfigsFromDataclasses:
@@ -1181,7 +1324,7 @@ class TestBandwidthSetting:
                      "--epsilon", "nan"])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
-        assert "epsilon" in err and "cannot read panel" not in err
+        assert "epsilon" in err and missing not in err
 
 
 # 10**400 is an integer beyond the float range

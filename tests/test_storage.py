@@ -6,6 +6,7 @@ bytes of one whole-panel join, leave earlier files intact when it fails, and
 hold only about one block beyond the array."""
 
 import csv
+import errno
 import hashlib
 import io
 import locale
@@ -628,6 +629,52 @@ class TestInterruptedWrite:
             write_panel_csv(str(path), panel, names=["x", "y"])
         assert any(name.startswith(".tmp-") and name.endswith("~") for name in failing.seen)
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+class FullDisk(io.FileIO):
+    """A file handle whose second write fails as a full disk would."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+
+class TestUnwritablePath:
+    """A write that fails with an OSError raises it again naming the path
+    given, never the temp file, and leaves no temp file behind."""
+
+    def test_missing_directory(self, tmp_path):
+        path = str(tmp_path / "missing" / "p.csv")
+        with pytest.raises(FileNotFoundError) as caught:
+            write_panel_csv(path, np.ones((2, 2)))
+        assert caught.value.filename == path and caught.value.filename2 is None
+        assert os.listdir(tmp_path) == []
+
+    def test_path_that_is_a_directory(self, tmp_path):
+        path = str(tmp_path / "taken")
+        os.mkdir(path)
+        with pytest.raises(IsADirectoryError) as caught:
+            storage.atomic_write_text(path, "text\n")
+        assert caught.value.filename == path and caught.value.filename2 is None
+        assert os.listdir(tmp_path) == ["taken"] and os.listdir(path) == []
+
+    def test_failed_write(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "p.csv")
+        opened = []
+
+        def fdopen(fd, mode):
+            opened.append(FullDisk(fd, mode))
+            return opened[-1]
+
+        monkeypatch.setattr(storage.os, "fdopen", fdopen)
+        with pytest.raises(OSError) as caught:
+            write_panel_csv(path, np.ones((2, 2)))
+        assert (caught.value.errno, caught.value.filename) == (errno.ENOSPC, path)
+        assert len(opened) == 1 and os.listdir(tmp_path) == []
 
 
 class TestBlockwiseHash:
