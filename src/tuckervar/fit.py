@@ -2,8 +2,8 @@
 
 Order of operations: nuclear-norm initial estimate, ridge-ratio rank
 selection (when ranks are "auto"), truncated HOSVD at those ranks, graph
-Laplacians from the initial factor rows, then the block-cyclic solver.
-"""
+Laplacians from the initial factor rows, then the block-cyclic solver. Rank
+selection and the HOSVD share one Gram eigendecomposition per unfolding."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import numpy as np
 from .initialization import (
     NnmConfig,
     NnmResult,
+    _unfolding_spectra,
     build_laplacians,
     hosvd,
     nnm_estimate,
@@ -57,11 +58,13 @@ def fit_design(
         raise ValueError("rank selection needs at least 2 samples (p + 2 panel rows)")
 
     nnm = nnm_estimate(design, nnm_cfg)
+    spectra = _unfolding_spectra(nnm.w)
     if selected:
-        ranks = select_ranks(nnm.w, ridge_constant(design.m, design.p, design.n_samples))
+        c_bar = ridge_constant(design.m, design.p, design.n_samples)
+        ranks = select_ranks(nnm.w, c_bar, spectra=spectra)
     else:
         ranks = cfg.ranks
-    init = hosvd(nnm.w, ranks)
+    init = hosvd(nnm.w, ranks, spectra=spectra)
     result = solve(design, build_laplacians(init, cfg.epsilon), cfg, init)
     return FitReport(result=result, ranks=ranks, ranks_selected=selected, nnm=nnm)
 

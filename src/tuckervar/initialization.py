@@ -6,10 +6,10 @@ majorizer of the nuclear norm in closed form, then monotone accelerated
 proximal gradient with singular value thresholding, adaptive momentum
 restart and a scale-free stationarity stop; all of it runs in the eigenbasis
 of X^T X, so that an iteration costs one m x m eigendecomposition and a
-column scaling by the eigenvalues),
-truncated higher-order SVD of the initial tensor,
-ridge-ratio rank selection on its unfoldings, and Gaussian-kernel graph
-Laplacians built from factor rows.
+column scaling by the eigenvalues), ridge-ratio rank selection and the
+truncated higher-order SVD of the initial tensor, which a fit takes from one
+eigendecomposition of each unfolding's Gram matrix, and Gaussian-kernel
+graph Laplacians built from factor rows.
 
 The iteration loops take reductions through ndarray methods and Frobenius
 norms through ``tensor._frobenius``, which returns what ``np.linalg.norm``
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import TuckerFactors, _frobenius, _require_tensor3, fold, mode_product, unfold
-from .var import DesignPair, _require_number
+from .var import DesignPair, _require_number, _require_ranks
 
 __all__ = [
     "svt",
@@ -322,32 +322,32 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive (first
     such index on ties); makes the SVD-based factors deterministic."""
-    u = u.copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-    return u
+    return u * np.where(u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
-def hosvd(w: np.ndarray, ranks: tuple[int, int, int]) -> TuckerFactors:
+def _unfolding_spectra(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Singular values (descending) and left singular vectors of the three
+    unfoldings of w, from the eigendecomposition of each n_i x n_i Gram."""
+    return [(s[::-1], u[:, ::-1]) for s, u in (_gram_singular(unfold(w, i)) for i in (1, 2, 3))]
+
+
+def hosvd(w: np.ndarray, ranks: tuple[int, int, int], *, spectra=None) -> TuckerFactors:
     """Truncated higher-order SVD at the given multilinear ranks.
 
-    Factor i holds the leading left singular vectors of the mode-i unfolding
-    (thin SVD, deterministic sign convention); the core is the tensor
-    multiplied by the factor transposes.
+    Factor i holds the leading r_i left singular vectors of the mode-i
+    unfolding, the eigenvectors of its n_i x n_i Gram matrix (sign fixed);
+    the core is the tensor times the factor transposes. A tall mode, whose
+    unfolding has fewer columns than r_i, is completed by the Gram's null
+    eigenvectors, orthonormal columns whose core slices are zero.
+    ``spectra``, ``_unfolding_spectra(w)``, lets a fit share them.
     """
     w = _require_tensor3(w)
-    if np.ndim(ranks) != 1 or len(ranks) != 3:
-        raise ValueError(f"ranks must be three positive integers, got {ranks!r}")
-    ranks = tuple(_require_number("ranks", r, 1, closed=True, integer=True) for r in ranks)
+    ranks = _require_ranks(ranks)
     for i, r in enumerate(ranks):
         if r > w.shape[i]:
             raise ValueError(f"rank {r} exceeds mode-{i + 1} dimension {w.shape[i]}")
-    factors = [
-        _fix_column_signs(np.linalg.svd(unfold(w, i), full_matrices=False)[0][:, :r])
-        for i, r in enumerate(ranks, start=1)
-    ]
+    spectra = _unfolding_spectra(w) if spectra is None else spectra
+    factors = [_fix_column_signs(u[:, :r]) for (_, u), r in zip(spectra, ranks)]
     core = w
     for i, a in enumerate(factors, start=1):
         core = mode_product(core, a.T, i)
@@ -361,26 +361,20 @@ def ridge_constant(m: int, p: int, T: int) -> float:
     return math.sqrt(m * p * math.log(T) / (50.0 * T))
 
 
-def select_ranks(w_init: np.ndarray, c_bar: float) -> tuple[int, int, int]:
-    """Ridge-type ratio rank selector.
-
-    Per mode i, returns the j in 1..n_i-1 minimizing
-    (sigma_{j+1} + c_bar) / (sigma_j + c_bar) over the singular values of the
-    mode-i unfolding (smallest j on ties), and 1 for a mode of size n_i = 1.
-    """
+def select_ranks(w_init: np.ndarray, c_bar: float, *, spectra=None) -> tuple[int, int, int]:
+    """Ridge-type ratio rank selector: per mode i, the j in 1..n_i-1 minimizing
+    (sigma_{j+1} + c_bar) / (sigma_j + c_bar) over the mode-i unfolding's n_i
+    singular values (smallest j on ties), or 1 when n_i = 1. They come from
+    its Gram, as in :func:`hosvd` (and ``spectra`` as there), resolved to
+    about sqrt(eps) sigma_1 as in :func:`svt`: far below c_bar (0.02 to 0.2
+    at the benchmark's sizes)."""
     _require_number("c_bar", c_bar, 0)
     w_init = _require_tensor3(w_init)
-    ranks = []
-    for i, n_i in enumerate(w_init.shape, start=1):
-        if n_i == 1:
-            ranks.append(1)
-            continue
-        sigma = np.linalg.svd(unfold(w_init, i), compute_uv=False)
-        if sigma.size < n_i:
-            sigma = np.concatenate([sigma, np.zeros(n_i - sigma.size)])
-        ratios = (sigma[1:n_i] + c_bar) / (sigma[: n_i - 1] + c_bar)
-        ranks.append(int(np.argmin(ratios)) + 1)
-    return tuple(ranks)
+    spectra = _unfolding_spectra(w_init) if spectra is None else spectra
+    return tuple(
+        int(np.argmin((s[1:] + c_bar) / (s[:-1] + c_bar))) + 1 if s.size > 1 else 1
+        for s, _ in spectra
+    )
 
 
 def laplacian_from_rows(a: np.ndarray, epsilon: float) -> np.ndarray:

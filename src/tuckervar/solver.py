@@ -79,7 +79,7 @@ from .tensor import (
     tucker_reconstruct,
     unfold,
 )
-from .var import DesignPair, _require_number
+from .var import DesignPair, _require_number, _require_ranks
 
 __all__ = ["StdgrConfig", "FitResult", "solve"]
 
@@ -131,12 +131,8 @@ class StdgrConfig:
         if isinstance(self.ranks, str):
             if self.ranks != "auto":
                 raise ValueError(f'ranks must be "auto" or three positive integers, got {self.ranks!r}')
-        elif np.ndim(self.ranks) != 1 or len(self.ranks) != 3:
-            raise ValueError(f"ranks must be three positive integers, got {self.ranks!r}")
         else:
-            self.ranks = tuple(
-                _require_number("ranks", r, 1, closed=True, integer=True) for r in self.ranks
-            )
+            self.ranks = _require_ranks(self.ranks)
 
 
 @dataclass

@@ -66,6 +66,13 @@ def _require_number(name: str, value, low=-math.inf, closed=False, integer=False
     return int(value) if integer else value
 
 
+def _require_ranks(ranks) -> tuple[int, int, int]:
+    """``ranks`` as three positive ints, or a ValueError naming ``ranks``."""
+    if np.ndim(ranks) != 1 or len(ranks) != 3:
+        raise ValueError(f"ranks must be three positive integers, got {ranks!r}")
+    return tuple(_require_number("ranks", r, 1, closed=True, integer=True) for r in ranks)
+
+
 def _require_transition(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 3 or w.shape[0] != w.shape[1] or w.size == 0:
@@ -292,21 +299,20 @@ def spectral_radius(w: np.ndarray) -> float:
     radius is max |eig(B)| (0 when r = 0). The singular values dropped are
     no larger than the backward error of ``eigvals`` on C itself. Q is the
     leading left singular vectors when r < m and the identity when r = m,
-    where B is C. A tensor of mode-1 rank r costs a QR of W_(1)^T, SVDs of
+    where B is C. A tensor of mode-1 rank r costs a QR of W_(1)^T, one SVD of
     its m x m triangle and an (rp)-square eigvals, not the (mp)-square one.
     """
     w = _require_transition(w)
     m, _, p = w.shape
     top = unfold(w, 1)
     # W_(1)^T = Q_t R, so W_(1) = R^T Q_t^T has the singular values and left
-    # singular vectors of the (m x m) R^T; the vectors are needed only at r < m
-    rt = np.linalg.qr(top.T, mode="r").T
-    sigma = np.linalg.svd(rt, compute_uv=False)
+    # singular vectors of the (m x m) R^T
+    u, sigma, _ = np.linalg.svd(np.linalg.qr(top.T, mode="r").T)
     r = int(np.count_nonzero(sigma > sigma[0] * m * p * np.finfo(float).eps))
     if r == 0:
         return 0.0
     if r < m:
-        q = np.linalg.svd(rt)[0][:, :r]
+        q = u[:, :r]
         # block i of the top row is Q^T W_{i+1} Q; W_{i+1} is columns i*m .. (i+1)*m
         top = ((q.T @ top).reshape(r, p, m) @ q).reshape(r, r * p)
     return float(np.max(np.abs(np.linalg.eigvals(_companion(top, p)))))

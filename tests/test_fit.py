@@ -27,7 +27,9 @@ from tuckervar import (
     select_ranks,
     simulate,
     solve,
+    unfold,
 )
+from tuckervar import initialization
 from tuckervar.cli import EXIT_MAX_ITER, EXIT_OK, EXIT_USAGE, main
 from tuckervar.storage import write_panel_csv
 
@@ -99,6 +101,28 @@ class TestStagesFromReport:
         np.testing.assert_array_equal(again.w_hat, report.w_hat)
         np.testing.assert_array_equal(again.objective_trace, report.result.objective_trace)
 
+    def test_each_unfolding_is_decomposed_once(self, panel, monkeypatch):
+        """Rank selection and the HOSVD share one Gram eigendecomposition of
+        each unfolding of the nuclear-norm estimate, and take no SVD of it."""
+        calls = {"gram": [], "svd": []}
+
+        def spy(kind, fn):
+            return lambda a, *args, **kwargs: calls[kind].append(a.copy()) or fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(
+            initialization, "_gram_singular", spy("gram", initialization._gram_singular)
+        )
+        monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+        report = fit_panel(panel, self.P, StdgrConfig(c=2.0))
+        assert report.ranks_selected
+
+        def count(kind, target):
+            return sum(a.shape == target.shape and np.array_equal(a, target) for a in calls[kind])
+
+        for mode in (1, 2, 3):
+            unfolding = unfold(report.nnm.w, mode)
+            assert (count("gram", unfolding), count("svd", unfolding)) == (1, 0)
+
     def test_laplacians_take_the_config_bandwidth(self, panel):
         cfg = StdgrConfig(c=2.0, ranks=(3, 2, 1), epsilon=0.5)
         report = fit_panel(panel, self.P, cfg)
@@ -111,6 +135,21 @@ class TestStagesFromReport:
 
         np.testing.assert_array_equal(trace(cfg.epsilon), report.result.objective_trace)
         assert not np.array_equal(trace(0.2), report.result.objective_trace)
+
+
+@pytest.mark.parametrize(
+    "m, p, ranks", [(2, 9, (2, 2, 5)), (2, 9, (2, 2, 9)), (1, 3, (1, 1, 3)), (3, 1, (3, 3, 1))]
+)
+def test_fit_has_the_ranks_it_reports(m, p, ranks):
+    """A mode whose rank exceeds the product of the other two dimensions (a
+    tall unfolding) still gets as many factor columns as asked."""
+    panel = np.random.default_rng(30).standard_normal((300, m))
+    report = fit_panel(panel, p, StdgrConfig(ranks=ranks))
+    f = report.result.factors
+    assert report.ranks == ranks
+    assert f.core.shape == ranks
+    assert (f.a1.shape, f.a2.shape, f.a3.shape) == tuple((n, r) for n, r in zip((m, m, p), ranks))
+    assert f.orthonormality_defect() <= 1e-10
 
 
 class TestExtremeSettings:

@@ -15,6 +15,7 @@ from tuckervar import (
     hosvd,
     laplacian_from_rows,
     make_scenario,
+    mode_product,
     nnm_estimate,
     ridge_constant,
     select_ranks,
@@ -700,6 +701,78 @@ class TestHosvd:
         with pytest.raises(ValueError):
             hosvd(np.zeros((3, 3, 2)), (4, 1, 1))
 
+    @pytest.mark.parametrize("shape, ranks", [((2, 2, 9), (2, 2, 5)), ((1, 1, 3), (1, 1, 3))])
+    def test_tall_mode_gets_every_column(self, shape, ranks):
+        # the mode-3 unfolding has 4 (or 1) columns, fewer than its rank
+        w = np.random.default_rng(17).standard_normal(shape)
+        f = hosvd(w, ranks)
+        assert f.core.shape == ranks
+        assert [a.shape for a in (f.a1, f.a2, f.a3)] == [(n, r) for n, r in zip(shape, ranks)]
+        assert f.orthonormality_defect() <= 1e-12
+        assert np.linalg.norm(tucker_reconstruct(f) - w) <= 1e-12 * np.linalg.norm(w)
+
+
+def hosvd_cases():
+    """(name, tensor, ranks): an (80, 80, 5) tensor shaped like the
+    nuclear-norm estimate at (m, p) = (80, 5) (a rank-(2, 2, 2) signal plus
+    small noise), a (5, 5, 3) Gaussian tensor, a tall mode (its unfolding
+    has fewer columns than rows) and a tensor of multilinear rank (2, 2, 1)."""
+    rng = np.random.default_rng(18)
+    signal = TestHosvd()._exact_tucker(rng, (80, 80, 5), (2, 2, 2))
+    nnm_like = signal + 1e-3 * rng.standard_normal((80, 80, 5))
+    gaussian = rng.standard_normal((5, 5, 3))
+    tall = rng.standard_normal((2, 2, 9))
+    deficient = TestHosvd()._exact_tucker(rng, (6, 6, 4), (2, 2, 1))
+    return [
+        ("nnm_like", nnm_like, (2, 2, 2)),
+        ("nnm_like", nnm_like, (5, 7, 3)),
+        ("nnm_like", nnm_like, (80, 80, 5)),
+        ("gaussian", gaussian, (2, 3, 1)),
+        ("gaussian", gaussian, (5, 5, 3)),
+        ("tall", tall, (2, 2, 4)),
+        ("tall", tall, (2, 2, 7)),
+        ("deficient", deficient, (2, 2, 1)),
+        ("deficient", deficient, (4, 3, 3)),
+    ]
+
+
+HOSVD_CASES = hosvd_cases()
+
+
+class TestHosvdAgainstSvd:
+    """The Gram-based HOSVD against one built from ``np.linalg.svd``: the
+    reconstructions agree to 1e-12 ||W||, and each factor spans the same
+    subspace to ||sin Theta|| <= 1e-10 wherever the spectrum has a gap
+    sigma_r - sigma_{r+1} >= 1e-3 sigma_1 (elsewhere the subspace is not
+    determined)."""
+
+    @staticmethod
+    def reference(w, ranks):
+        # full U only for a tall unfolding, whose thin SVD has too few columns
+        unfoldings = [unfold(w, i) for i in (1, 2, 3)]
+        factors = [
+            np.linalg.svd(u, full_matrices=u.shape[0] > u.shape[1])[0][:, :r]
+            for u, r in zip(unfoldings, ranks)
+        ]
+        core = w
+        for i, a in enumerate(factors, start=1):
+            core = mode_product(core, a.T, i)
+        return factors, tucker_reconstruct(TuckerFactors(core, *factors))
+
+    @pytest.mark.parametrize(
+        "name, w, ranks", HOSVD_CASES, ids=[f"{c[0]}{c[2]}" for c in HOSVD_CASES]
+    )
+    def test_matches_svd_reference(self, name, w, ranks):
+        f = hosvd(w, ranks)
+        factors, expected = self.reference(w, ranks)
+        assert np.linalg.norm(tucker_reconstruct(f) - expected) <= 1e-12 * np.linalg.norm(w)
+        for i, (a, b, r) in enumerate(zip((f.a1, f.a2, f.a3), factors, ranks), start=1):
+            sigma = np.linalg.svd(unfold(w, i), compute_uv=False)
+            sigma = np.concatenate([sigma, np.zeros(w.shape[i - 1] + 1 - sigma.size)])
+            if sigma[r - 1] - sigma[r] >= 1e-3 * sigma[0]:
+                sin_theta = np.linalg.norm(a - b @ (b.T @ a), 2)
+                assert sin_theta <= 1e-10, (i, sin_theta)
+
 
 class TestSelectRanks:
     def _tensor_with_mode1_singular_values(self, rng, sigma, m, p):
@@ -774,6 +847,48 @@ class TestSelectRanks:
             assert 1 <= r <= max(n_i - 1, 1)
             if n_i == 1:
                 assert r == 1
+
+    @staticmethod
+    def ratio_rule(w, c_bar):
+        """The selector on np.linalg.svd's singular values, zero-padded to n_i."""
+        ranks = []
+        for i, n_i in enumerate(w.shape, start=1):
+            sigma = np.linalg.svd(unfold(w, i), compute_uv=False)
+            sigma = np.concatenate([sigma, np.zeros(n_i - sigma.size)])
+            ratios = (sigma[1:] + c_bar) / (sigma[:-1] + c_bar)
+            ranks.append(int(np.argmin(ratios)) + 1 if n_i > 1 else 1)
+        return tuple(ranks)
+
+    def test_seeded_cases_match_the_exact_ratio_rule(self):
+        rng = np.random.default_rng(11)
+        cases = [
+            (self._tensor_with_mode1_singular_values(rng, [5.0, 4.9, 0.001, 0.0005], 6, 2), 0.01),
+            (fold(np.hstack([2.0 * np.eye(4), np.zeros((4, 4))]), 1, (4, 4, 2)), 0.01),
+            (np.random.default_rng(14).standard_normal((5, 5, 3)), 0.05),
+        ]
+        rng = np.random.default_rng(12)
+        factors = TuckerFactors(
+            rng.standard_normal((3, 3, 2)),
+            random_orthonormal(rng, 7, 3),
+            random_orthonormal(rng, 7, 3),
+            random_orthonormal(rng, 4, 2),
+        )
+        cases.append((tucker_reconstruct(factors), 1e-6))
+        for shape in [(5, 5, 1), (1, 1, 3), (1, 1, 1), (2, 2, 9)]:
+            cases.append((np.random.default_rng(15).standard_normal(shape), 0.05))
+        for w, c_bar in cases:
+            assert select_ranks(w, c_bar) == self.ratio_rule(w, c_bar)
+
+    @pytest.mark.parametrize("length", [200, 400, 800])
+    def test_nnm_estimates_match_the_exact_ratio_rule(self, length):
+        spec = ScenarioSpec(m=12, p=3, ranks=(2, 2, 2), superdiag=(2.0, 2.0), noise_scale=0.5)
+        for truth in range(4):
+            w = make_scenario(spec, truth).w
+            panel = simulate(w, 0.25 * np.eye(12), length=length, seed=1000 + truth)
+            design = build_design(panel, 3)
+            estimate = nnm_estimate(design).w
+            c_bar = ridge_constant(12, 3, design.n_samples)
+            assert select_ranks(estimate, c_bar) == self.ratio_rule(estimate, c_bar)
 
     @pytest.mark.parametrize("m, p", [(4, 1), (1, 3), (1, 1)])
     def test_fit_with_size_one_modes(self, m, p):
