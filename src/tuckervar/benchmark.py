@@ -19,10 +19,10 @@ from .var import (
     _require_number,
     _standardized,
     build_design,
+    held_out_mse,
     is_stable,
-    mse,
-    one_step_predictions,
     simulate,
+    train_rows,
     train_scaler,
 )
 
@@ -266,31 +266,27 @@ def rolling_eval(
     nnm_cfg: NnmConfig | None = None,
     standardize: bool = False,
 ) -> RollingReport:
-    """Fit on the leading fraction of the panel and score one-step forecasts
-    over the held-out tail, using the true lagged values at each test time;
-    the fit is :func:`fit_panel`'s, with ``cfg`` (its ``epsilon`` included).
+    """Fit on the :func:`train_rows` split of the panel and score one-step
+    forecasts over the held-out tail from the true lagged values at each test
+    time (:func:`held_out_mse`, as ``tuckervar eval`` does); the fit is
+    :func:`fit_panel`'s, with ``cfg`` (its ``epsilon`` included).
 
     With ``standardize`` the per-variable mean and standard deviation are
     estimated on the training split only and applied to the whole panel;
-    the reported MSE is in standardized units. A panel too large to
-    standardize, fit or score is a ``PanelFormatError``, a ValueError.
+    the reported MSE is in standardized units. A split short of p + 1 rows,
+    or a panel too large to standardize, fit or score, is a
+    ``PanelFormatError``, a ValueError.
     """
     panel = np.asarray(panel, dtype=float)
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must lie in (0, 1)")
-    length = panel.shape[0]
-    n_train = int(train_fraction * length)
-    if n_train < p + 1:
-        raise ValueError("training split too short for the lag order")
-
+    n_train = train_rows(panel.shape[0], p, train_fraction)
     if standardize:
         panel = _standardized(panel, *train_scaler(panel[:n_train]))
 
     report = fit_panel(panel[:n_train], p, cfg, nnm_cfg)
     return RollingReport(
-        mse=mse(panel[n_train:], one_step_predictions(report.w_hat, panel, n_train)),
+        mse=held_out_mse(report.w_hat, panel, n_train),
         n_train=n_train,
-        n_test=length - n_train,
+        n_test=panel.shape[0] - n_train,
         converged=report.result.converged,
         standardized=standardize,
     )

@@ -8,8 +8,9 @@ cannot be opened or written is a usage error named by its path),
 ``PanelFormatError`` to 65 and ``RuntimeError`` to 70; ``storage`` builds
 every file, the fit record and the truth file included. The library raises
 ``PanelFormatError`` for a panel or model it cannot use (one that does not
-parse or check, or too large to standardize, fit or score), so the CLI
-wraps no read and re-checks nothing.
+parse or check, short of p + 1 rows, or too large to standardize, fit or
+score), so the CLI wraps no read and re-checks nothing: ``fit`` and ``eval``
+split a panel by ``var.train_rows``, and ``eval`` scores by ``var.held_out_mse``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from .var import (
     _standardized,
     build_design,
     forecast,
+    held_out_mse,
     mse,
-    one_step_predictions,
     simulate,
+    train_rows,
     train_scaler,
 )
 
@@ -144,26 +146,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _require_rows(panel: np.ndarray, p: int) -> None:
-    if panel.shape[0] < p + 2:
-        raise PanelFormatError(f"panel has {panel.shape[0]} rows, need at least {p + 2}")
-
-
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     cfg = _configured("solver", config, args)
     nnm_cfg = _configured("nnm", config, args)
-    _, panel = read_panel_csv(args.input)
-    _require_rows(panel, args.p)
-
-    n_train = panel.shape[0]
+    _, train = read_panel_csv(args.input)
     if args.train_fraction is not None:
-        if not 0 < args.train_fraction <= 1:
-            raise ValueError("train-fraction must lie in (0, 1]")
-        n_train = int(args.train_fraction * panel.shape[0])
-        if n_train < args.p + 2:
-            raise PanelFormatError("training split too short for the lag order")
-    train = panel[:n_train]
+        train = train[: train_rows(train.shape[0], args.p, args.train_fraction)]
 
     scaler = None
     if args.standardize:
@@ -173,7 +162,7 @@ def cmd_fit(args) -> int:
 
     report = fit_panel(train, args.p, cfg, nnm_cfg)
     save_model(args.output, model_document(report.result.factors, cfg, scaler))
-    save_diagnostics(args.output + ".diagnostics.jsonl", report, n_train)
+    save_diagnostics(args.output + ".diagnostics.jsonl", report, train.shape[0])
     nnm = report.nnm
     if not nnm.converged:
         cause = f"without converging (nnm.max_iter={nnm_cfg.max_iter})"
@@ -241,14 +230,9 @@ def cmd_eval(args) -> int:
     elif given[:2] == ["--model", "--input"]:
         w, _, _, scaled = _model_and_panel(args)
         fraction = args.train_fraction if args.train_fraction is not None else 0.6
-        if not 0 < fraction < 1:
-            raise ValueError("train-fraction must lie in (0, 1)")
-        n_train = int(fraction * scaled.shape[0])
-        if n_train < w.shape[2]:
-            raise ValueError("training split shorter than the lag order")
-        preds = one_step_predictions(w, scaled, n_train)
-        value = mse(scaled[n_train:], preds)
-        detail = {"mse": value, "n_test": int(preds.shape[0]), "n_train": n_train}
+        n_train = train_rows(scaled.shape[0], w.shape[2], fraction)
+        value = held_out_mse(w, scaled, n_train)
+        detail = {"mse": value, "n_test": scaled.shape[0] - n_train, "n_train": n_train}
     else:
         named = " ".join(given) or "none"
         raise ValueError(f"eval needs --truth and --pred, or --model and --input; given: {named}")
@@ -258,10 +242,9 @@ def cmd_eval(args) -> int:
 def cmd_rank_select(args) -> int:
     nnm_cfg = _configured("nnm", _load_config(args.config), args)
     _, panel = read_panel_csv(args.input)
-    _require_rows(panel, args.p)
     design = build_design(panel, args.p)
-    result = nnm_estimate(design, nnm_cfg)
     c_bar = ridge_constant(design.m, design.p, design.n_samples)
+    result = nnm_estimate(design, nnm_cfg)
     ranks = select_ranks(result.w, c_bar)
     detail = {"ranks": list(ranks), "c_bar": c_bar, "nnm_converged": result.converged}
     return _report(detail, args.output)
@@ -306,6 +289,7 @@ def _add_solver_flags(parser) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tuckervar", description=__doc__)
+    fraction_help = "share of leading rows in the training split, in (0, 1); default: "
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate a synthetic panel")
@@ -320,7 +304,7 @@ def build_parser() -> _Parser:
     fit.add_argument("--config", help="JSON config file")
     fit.add_argument("--p", type=int, required=True, help="lag order")
     fit.add_argument("--standardize", action="store_true")
-    fit.add_argument("--train-fraction", dest="train_fraction", type=float)
+    fit.add_argument("--train-fraction", type=float, help=fraction_help + "all rows")
     _add_solver_flags(fit)
     fit.set_defaults(func=cmd_fit)
 
@@ -336,7 +320,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--pred", help="prediction panel CSV")
     ev.add_argument("--model", help="fitted model file")
     ev.add_argument("--input", help="panel CSV for held-out evaluation")
-    ev.add_argument("--train-fraction", dest="train_fraction", type=float)
+    ev.add_argument("--train-fraction", type=float, help=fraction_help + "0.6")
     ev.add_argument("--output", help="write the JSON report here as well")
     ev.set_defaults(func=cmd_eval)
 

@@ -51,19 +51,13 @@ def fit_design(
 ) -> FitReport:
     """Fit the transition tensor from a prepared (X, Y) regression pair; the
     Laplacians are built with the bandwidth ``cfg.epsilon``. Ranks "auto"
-    need at least 2 samples: the ridge constant is 0 at T = 1."""
+    take :func:`ridge_constant` first: it refuses T < 2 before the NNM runs."""
     cfg = cfg or StdgrConfig()
     selected = cfg.ranks == "auto"
-    if selected and design.n_samples < 2:
-        raise ValueError("rank selection needs at least 2 samples (p + 2 panel rows)")
-
+    c_bar = ridge_constant(design.m, design.p, design.n_samples) if selected else None
     nnm = nnm_estimate(design, nnm_cfg)
     spectra = _unfolding_spectra(nnm.w)
-    if selected:
-        c_bar = ridge_constant(design.m, design.p, design.n_samples)
-        ranks = select_ranks(nnm.w, c_bar, spectra=spectra)
-    else:
-        ranks = cfg.ranks
+    ranks = select_ranks(nnm.w, c_bar, spectra=spectra) if selected else cfg.ranks
     init = hosvd(nnm.w, ranks, spectra=spectra)
     result = solve(design, build_laplacians(init, cfg.epsilon), cfg, init)
     return FitReport(result=result, ranks=ranks, ranks_selected=selected, nnm=nnm)

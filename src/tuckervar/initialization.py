@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import TuckerFactors, _frobenius, _require_tensor3, fold, mode_product, unfold
-from .var import DesignPair, _require_number, _require_ranks
+from .var import DesignPair, PanelFormatError, _require_number, _require_ranks
 
 __all__ = [
     "svt",
@@ -355,9 +355,12 @@ def hosvd(w: np.ndarray, ranks: tuple[int, int, int], *, spectra=None) -> Tucker
 
 
 def ridge_constant(m: int, p: int, T: int) -> float:
-    """Ridge offset sqrt(m p log(T) / (50 T)) used by the rank selector."""
+    """Ridge offset sqrt(m p log(T) / (50 T)) used by the rank selector. It
+    is 0 at T = 1, so T < 2 samples is a PanelFormatError."""
     for name, value in (("m", m), ("p", p), ("T", T)):
         _require_number(name, value, 1, closed=True, integer=True)
+    if T < 2:
+        raise PanelFormatError("rank selection needs at least 2 samples (p + 2 panel rows)")
     return math.sqrt(m * p * math.log(T) / (50.0 * T))
 
 

@@ -21,6 +21,8 @@ __all__ = [
     "DesignPair",
     "build_design",
     "one_step_predictions",
+    "train_rows",
+    "held_out_mse",
     "train_scaler",
     "spectral_radius",
     "is_stable",
@@ -208,18 +210,23 @@ def _require_moment_scale(panel: np.ndarray) -> None:
         )
 
 
+def _require_rows(length: int, p: int) -> int:
+    """``length``, or a PanelFormatError when it is short of one VAR(p) sample."""
+    if length < p + 1:
+        raise PanelFormatError(f"a VAR({p}) fit needs at least {p + 1} rows, got {length}")
+    return length
+
+
 def build_design(panel: np.ndarray, p: int) -> LaggedDesign:
     """The regression pair of a VAR(p) fit to a panel, backed by the panel
     (see :class:`LaggedDesign`): its moments come from p + 1 lagged products
     of the panel, ``x`` is built only when read, and the panel must not be
-    modified afterwards. A panel too large for its moments to stay finite
-    is a :class:`PanelFormatError`."""
+    modified afterwards. A panel of fewer than p + 1 rows, or too large for
+    its moments to stay finite, is a :class:`PanelFormatError`."""
     panel = _require_panel(panel)
     if p < 1:
         raise ValueError("lag order p must be >= 1")
-    length = panel.shape[0]
-    if length < p + 1:
-        raise ValueError(f"panel of length {length} is too short for lag order {p}")
+    _require_rows(panel.shape[0], p)
     _require_moment_scale(panel)
     return LaggedDesign(panel, p)
 
@@ -252,6 +259,20 @@ def one_step_predictions(w: np.ndarray, panel: np.ndarray, start: int) -> np.nda
     if panel.shape[1] != m:
         raise ValueError(f"panel has {panel.shape[1]} variables, transition tensor expects {m}")
     return LaggedDesign(panel[start - p :], p).x @ unfold(w, 1).T
+
+
+def train_rows(length: int, p: int, fraction: float) -> int:
+    """The int(fraction * length) leading rows of a panel that a VAR(p) fit
+    trains on, the tail held out: a ValueError unless 0 < fraction < 1, and
+    a PanelFormatError when short of p + 1 rows, as in :func:`build_design`."""
+    if not 0 < fraction < 1:
+        raise ValueError(f"train fraction must lie in (0, 1), got {fraction!r}")
+    return _require_rows(int(fraction * length), p)
+
+
+def held_out_mse(w: np.ndarray, panel: np.ndarray, n_train: int) -> float:
+    """The :func:`mse` of the :func:`one_step_predictions` of rows ``n_train:``."""
+    return mse(panel[n_train:], one_step_predictions(w, panel, n_train))
 
 
 def train_scaler(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

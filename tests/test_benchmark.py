@@ -14,6 +14,7 @@ from tuckervar import (
     upsilon,
 )
 from tuckervar.benchmark import curve_csv_lines
+from tuckervar.var import PanelFormatError
 
 
 def small_spec(**overrides):
@@ -268,7 +269,7 @@ class TestRollingEval:
     def test_too_few_test_rows_rejected(self):
         # 9 training rows leave no full lag window for p = 9
         rng = np.random.default_rng(4)
-        with pytest.raises(ValueError, match="training split too short"):
+        with pytest.raises(PanelFormatError, match=r"^a VAR\(9\) fit needs at least 10 rows, got 9$"):
             rolling_eval(rng.standard_normal((10, 2)), 0.99, p=9)
 
 

@@ -661,7 +661,7 @@ class TestEvalCommand:
         reported = json.loads(capsys.readouterr().out)["mse"]
         _, panel = read_panel_csv(str(path))
         library = rolling_eval(panel, 0.7, p=2, cfg=StdgrConfig(ranks=(2, 2, 1)), standardize=True)
-        assert reported == pytest.approx(library.mse, rel=1e-12)
+        assert reported == library.mse
 
     def test_requires_a_mode(self, tmp_path):
         assert main(["eval"]) == EXIT_USAGE
@@ -706,9 +706,9 @@ class TestEvalCommand:
 
     def test_split_shorter_than_the_lag_order(self, tmp_path, capsys):
         model, fits, _ = self.panels(tmp_path)
-        # int(0.04 * 40) = 1 training row for p = 2
-        assert main(["eval", "--model", model, "--input", fits, "--train-fraction", "0.04"]) == EXIT_USAGE
-        assert "training split shorter than the lag order" in capsys.readouterr().err
+        # int(0.04 * 40) = 1 training row for p = 2: the split's row minimum, a data error
+        assert main(["eval", "--model", model, "--input", fits, "--train-fraction", "0.04"]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: a VAR(2) fit needs at least 3 rows, got 1\n"
 
     def test_truth_and_pred_shapes_must_agree(self, tmp_path, capsys):
         truth, pred = tmp_path / "t.csv", tmp_path / "p.csv"
@@ -1147,6 +1147,118 @@ class TestDataErrorsFromTheLibrary:
             else:
                 assert (code, out) == (EXIT_DATA, "")
                 assert err.startswith("data error: mean squared error overflows")
+
+
+class TestOneSplitAndRowMinimum:
+    """One split and one row minimum, in the CLI and the library. At p = 2 a
+    panel, or a training split, of p + 1 = 3 rows fits at fixed ranks; 2 rows
+    are a PanelFormatError (exit 65) with one message in every caller, and
+    ranks "auto" need 2 samples (p + 2 rows), refused before the initializer
+    runs. A split of n rows is the leading int((n + 0.5) / 40 * 40) = n rows
+    of a 40-row panel; the fraction lies in (0, 1) for every caller."""
+
+    CALLERS = [
+        "fit", "fit --train-fraction", "fit --ranks auto", "rank-select", "eval --model",
+        "rolling_eval", "fit_panel", "fit_panel auto",
+    ]
+    NEED_TWO_SAMPLES = {"fit --ranks auto", "rank-select", "fit_panel auto"}
+
+    def argv(self, tmp_path, caller, rows, fraction=None):
+        whole = caller in ("fit", "fit --ranks auto", "rank-select")
+        panel, model = str(tmp_path / "panel.csv"), str(tmp_path / "m.json")
+        write_panel_csv(panel, np.random.default_rng(rows).standard_normal((rows if whole else 40, 3)))
+        split = ["--train-fraction", str((rows + 0.5) / 40 if fraction is None else fraction)]
+        fit = ["fit", "--input", panel, "--output", model, "--p", "2", "--ranks", "1,1,1"]
+        if caller == "eval --model":
+            save_model(model, lag_two_model_doc())
+        return {
+            "fit": fit,
+            "fit --train-fraction": fit + split,
+            "fit --ranks auto": fit + ["--ranks", "auto"],
+            "rank-select": ["rank-select", "--input", panel, "--p", "2"],
+            "eval --model": ["eval", "--model", model, "--input", panel] + split,
+        }[caller]
+
+    def library(self, caller, rows, fraction=None):
+        rng = np.random.default_rng(rows)
+        fixed = StdgrConfig(ranks=(1, 1, 1))
+        if caller == "rolling_eval":
+            fraction = (rows + 0.5) / 40 if fraction is None else fraction
+            return rolling_eval(rng.standard_normal((40, 3)), fraction, 2, fixed).mse
+        cfg = fixed if caller == "fit_panel" else StdgrConfig(ranks="auto")
+        return fit_panel(rng.standard_normal((rows, 3)), 2, cfg).w_hat
+
+    @pytest.mark.parametrize("rows", [2, 3, 4])
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_one_rule_in_every_caller(self, tmp_path, capsys, monkeypatch, caller, rows):
+        message = None
+        if rows == 2:
+            message = "a VAR(2) fit needs at least 3 rows, got 2"
+        elif rows == 3 and caller in self.NEED_TWO_SAMPLES:
+            message = "rank selection needs at least 2 samples (p + 2 panel rows)"
+
+            def initializer(*args):
+                raise AssertionError("the initializer ran before the sample count was checked")
+
+            for module in (tuckervar.fit, tuckervar.cli):
+                monkeypatch.setattr(module, "nnm_estimate", initializer)
+        if caller in ("rolling_eval", "fit_panel", "fit_panel auto"):
+            if message is None:
+                assert np.isfinite(self.library(caller, rows)).all()
+            else:
+                with pytest.raises(PanelFormatError) as caught:
+                    self.library(caller, rows)
+                assert str(caught.value) == message
+            return
+        code = main(self.argv(tmp_path, caller, rows))
+        err = capsys.readouterr().err
+        if message is None:
+            assert code in (EXIT_OK, EXIT_MAX_ITER), err
+        else:
+            assert (code, err) == (EXIT_DATA, f"data error: {message}\n")
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, float("nan")])
+    @pytest.mark.parametrize("caller", ["fit --train-fraction", "eval --model", "rolling_eval"])
+    def test_one_fraction_range(self, tmp_path, capsys, caller, fraction):
+        # fit trains on every row when the flag is left out, so 1 is refused too
+        message = f"train fraction must lie in (0, 1), got {fraction!r}"
+        if caller == "rolling_eval":
+            with pytest.raises(ValueError) as caught:
+                self.library(caller, 20, fraction)
+            assert (type(caught.value), str(caught.value)) == (ValueError, message)
+        else:
+            assert main(self.argv(tmp_path, caller, 20, fraction)) == EXIT_USAGE
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_each_command_splits_once_and_scores_at_most_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(name, function):
+            def recorded(*args):
+                calls.append(name)
+                return function(*args)
+
+            return recorded
+
+        # every binding counts; each module must bind both names
+        for name in ("train_rows", "held_out_mse"):
+            recorded = spy(name, getattr(tuckervar.var, name))
+            for module in (tuckervar.var, tuckervar.cli, tuckervar.benchmark):
+                monkeypatch.setattr(module, name, recorded)
+        assert not hasattr(tuckervar.cli, "_require_rows")
+        expected = {
+            "fit": [],
+            "fit --train-fraction": ["train_rows"],
+            "eval --model": ["train_rows", "held_out_mse"],
+            "rolling_eval": ["train_rows", "held_out_mse"],
+        }
+        for caller, names in expected.items():
+            calls.clear()
+            if caller == "rolling_eval":
+                self.library(caller, 20)
+            else:
+                assert main(self.argv(tmp_path, caller, 20)) in (EXIT_OK, EXIT_MAX_ITER)
+            assert calls == names, caller
 
 
 class TestOversizedCell:

@@ -26,6 +26,7 @@ from tuckervar import (
 )
 from tuckervar.initialization import _gram_singular
 from tuckervar.tensor import TuckerFactors
+from tuckervar.var import PanelFormatError
 
 
 def random_orthonormal(rng, n, r):
@@ -838,6 +839,13 @@ class TestSelectRanks:
     def test_ridge_constant_names_the_bad_argument(self, args, name):
         with pytest.raises(ValueError, match=rf"^{name} must be"):
             ridge_constant(*args)
+
+    def test_ridge_constant_needs_two_samples(self):
+        # the constant is 0 at T = 1, where select_ranks would refuse c_bar
+        assert ridge_constant(20, 4, 2) > 0
+        with pytest.raises(PanelFormatError) as caught:
+            ridge_constant(20, 4, 1)
+        assert str(caught.value) == "rank selection needs at least 2 samples (p + 2 panel rows)"
 
     @pytest.mark.parametrize("shape", [(5, 5, 1), (1, 1, 3), (1, 1, 1)])
     def test_size_one_modes_get_rank_one(self, shape):

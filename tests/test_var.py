@@ -27,7 +27,13 @@ from tuckervar import (
 )
 import tuckervar.var
 from tuckervar import StdgrConfig, benchmark, fit_panel
-from tuckervar.var import PanelFormatError, _psd_factor, predict_one_step
+from tuckervar.var import (
+    PanelFormatError,
+    _psd_factor,
+    held_out_mse,
+    predict_one_step,
+    train_rows,
+)
 from solver_references import companion_matrix
 
 
@@ -149,6 +155,32 @@ class TestOneStepPredictions:
         with pytest.raises(ValueError, match="standardize"):
             build_design(panel, 1)
         np.testing.assert_array_equal(one_step_predictions(w, panel, 20), 0.5 * panel[19:-1])
+
+
+class TestTrainRows:
+    @pytest.mark.parametrize("length, fraction, n_train", [(40, 0.7, 28), (10, 0.35, 3), (7, 0.99, 6)])
+    def test_leading_rows_of_the_fraction(self, length, fraction, n_train):
+        assert train_rows(length, 2, fraction) == n_train == int(fraction * length)
+
+    @pytest.mark.parametrize("fraction", [0, 1, 0.0, 1.0, -0.1, 2.0, np.nan, np.inf, True])
+    def test_fraction_outside_the_open_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match=r"^train fraction must lie in \(0, 1\), got ") as caught:
+            train_rows(40, 2, fraction)
+        assert not isinstance(caught.value, PanelFormatError)
+
+    def test_split_short_of_one_sample_as_build_design_says(self):
+        # 0.09 * 30 leaves 2 rows for p = 2, the rows build_design refuses
+        with pytest.raises(PanelFormatError) as split:
+            train_rows(30, 2, 0.09)
+        with pytest.raises(PanelFormatError) as panel:
+            build_design(np.zeros((2, 3)), 2)
+        assert str(split.value) == str(panel.value) == "a VAR(2) fit needs at least 3 rows, got 2"
+
+    def test_held_out_mse_scores_the_tail(self):
+        rng = np.random.default_rng(8)
+        w, panel = rng.standard_normal((3, 3, 2)), rng.standard_normal((20, 3))
+        expected = mse(panel[12:], one_step_predictions(w, panel, 12))
+        assert held_out_mse(w, panel, 12) == expected
 
 
 class TestTrainScaler:
