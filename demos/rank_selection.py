@@ -9,16 +9,8 @@ Run with: python3 demos/rank_selection.py
 
 import numpy as np
 
-from tuckervar import (
-    ScenarioSpec,
-    build_design,
-    make_scenario,
-    nnm_estimate,
-    ridge_constant,
-    select_ranks,
-    simulate,
-    unfold,
-)
+from tuckervar import ScenarioSpec, build_design, make_scenario, simulate, unfold
+from tuckervar.initialization import initialize
 
 spec = ScenarioSpec(
     m=12, p=4, ranks=(3, 3, 3), superdiag=(1.5, 1.2, 0.9),
@@ -30,9 +22,8 @@ print("true ranks:", spec.ranks)
 for length in (150, 500, 2000):
     panel = simulate(scenario.w, 0.09 * np.eye(12), length=length + 4, seed=1)
     design = build_design(panel, 4)
-    estimate = nnm_estimate(design)
-    c_bar = ridge_constant(12, 4, design.n_samples)
-    ranks = select_ranks(estimate.w, c_bar)
+    # the start of a fit: c_bar, the nuclear-norm estimate, its ranks, HOSVD
+    estimate, ranks, c_bar, _ = initialize(design, "auto")
     sigma = np.linalg.svd(unfold(estimate.w, 1), compute_uv=False)
     print(
         f"T={design.n_samples:5d}  c_bar={c_bar:.4f}  selected {ranks}  "

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import benchmark
 from .fit import fit_panel
-from .initialization import NnmConfig, nnm_estimate, ridge_constant, select_ranks
+from .initialization import NnmConfig, initialize
 from .solver import StdgrConfig
 from .storage import (
     PanelFormatError,
@@ -166,7 +166,7 @@ def cmd_fit(args) -> int:
     nnm = report.nnm
     if not nnm.converged:
         cause = f"without converging (nnm.max_iter={nnm_cfg.max_iter})"
-        if nnm.iterations < nnm_cfg.max_iter:  # a plain step stopped lowering the objective
+        if nnm.stop == "rounding":
             cause = f"short of nnm.tol={nnm_cfg.tol}: rounding hid any further decrease"
         print(
             f"warning: the nuclear-norm initializer stopped after {nnm.iterations}"
@@ -242,11 +242,8 @@ def cmd_eval(args) -> int:
 def cmd_rank_select(args) -> int:
     nnm_cfg = _configured("nnm", _load_config(args.config), args)
     _, panel = read_panel_csv(args.input)
-    design = build_design(panel, args.p)
-    c_bar = ridge_constant(design.m, design.p, design.n_samples)
-    result = nnm_estimate(design, nnm_cfg)
-    ranks = select_ranks(result.w, c_bar)
-    detail = {"ranks": list(ranks), "c_bar": c_bar, "nnm_converged": result.converged}
+    nnm, ranks, c_bar, _ = initialize(build_design(panel, args.p), "auto", nnm_cfg)
+    detail = {"ranks": list(ranks), "c_bar": c_bar, "nnm_converged": nnm.converged}
     return _report(detail, args.output)
 
 

@@ -1,9 +1,8 @@
 """End-to-end estimation pipeline.
 
-Order of operations: nuclear-norm initial estimate, ridge-ratio rank
-selection (when ranks are "auto"), truncated HOSVD at those ranks, graph
-Laplacians from the initial factor rows, then the block-cyclic solver. Rank
-selection and the HOSVD share one Gram eigendecomposition per unfolding."""
+Order of operations: ``initialization.initialize`` (nuclear-norm estimate,
+rank selection when ranks are "auto", truncated HOSVD), graph Laplacians
+from the initial factor rows, then the block-cyclic solver."""
 
 from __future__ import annotations
 
@@ -11,16 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initialization import (
-    NnmConfig,
-    NnmResult,
-    _unfolding_spectra,
-    build_laplacians,
-    hosvd,
-    nnm_estimate,
-    ridge_constant,
-    select_ranks,
-)
+from .initialization import NnmConfig, NnmResult, build_laplacians, initialize
 from .solver import FitResult, StdgrConfig, solve
 from .var import DesignPair, build_design
 
@@ -49,18 +39,12 @@ def fit_design(
     cfg: StdgrConfig | None = None,
     nnm_cfg: NnmConfig | None = None,
 ) -> FitReport:
-    """Fit the transition tensor from a prepared (X, Y) regression pair; the
-    Laplacians are built with the bandwidth ``cfg.epsilon``. Ranks "auto"
-    take :func:`ridge_constant` first: it refuses T < 2 before the NNM runs."""
+    """Fit the transition tensor from a prepared (X, Y) regression pair: the
+    solver starts from :func:`initialize`, with Laplacians at ``cfg.epsilon``."""
     cfg = cfg or StdgrConfig()
-    selected = cfg.ranks == "auto"
-    c_bar = ridge_constant(design.m, design.p, design.n_samples) if selected else None
-    nnm = nnm_estimate(design, nnm_cfg)
-    spectra = _unfolding_spectra(nnm.w)
-    ranks = select_ranks(nnm.w, c_bar, spectra=spectra) if selected else cfg.ranks
-    init = hosvd(nnm.w, ranks, spectra=spectra)
+    nnm, ranks, c_bar, init = initialize(design, cfg.ranks, nnm_cfg)
     result = solve(design, build_laplacians(init, cfg.epsilon), cfg, init)
-    return FitReport(result=result, ranks=ranks, ranks_selected=selected, nnm=nnm)
+    return FitReport(result=result, ranks=ranks, ranks_selected=c_bar is not None, nnm=nnm)
 
 
 def fit_panel(

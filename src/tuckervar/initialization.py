@@ -7,9 +7,9 @@ proximal gradient with singular value thresholding, adaptive momentum
 restart and a scale-free stationarity stop; all of it runs in the eigenbasis
 of X^T X, so that an iteration costs one m x m eigendecomposition and a
 column scaling by the eigenvalues), ridge-ratio rank selection and the
-truncated higher-order SVD of the initial tensor, which a fit takes from one
-eigendecomposition of each unfolding's Gram matrix, and Gaussian-kernel
-graph Laplacians built from factor rows.
+truncated higher-order SVD of the initial tensor, which :func:`initialize`
+runs in a fit's order for ``fit_design`` and ``rank-select`` alike, and
+Gaussian-kernel graph Laplacians built from factor rows.
 
 The iteration loops take reductions through ndarray methods and Frobenius
 norms through ``tensor._frobenius``, which returns what ``np.linalg.norm``
@@ -35,6 +35,7 @@ __all__ = [
     "hosvd",
     "ridge_constant",
     "select_ranks",
+    "initialize",
     "laplacian_from_rows",
     "build_laplacians",
 ]
@@ -120,12 +121,22 @@ class NnmConfig:
 
 @dataclass
 class NnmResult:
+    """:func:`nnm_estimate`'s best iterate ``w``, folded to (m, m, p), and
+    ``stop``, the exit that ended the run: "tol" (the only one that sets
+    ``converged``), "max_iter" or "rounding" (a plain FISTA step that rounding
+    kept from lowering F). ``iterations`` counts the steps of both phases and
+    ``reweighted_steps`` those of the first, one ``objective_trace`` entry each."""
+
     w: np.ndarray
-    converged: bool
+    stop: str
     iterations: int
     objective_trace: np.ndarray
     lambda_nn: float
     reweighted_steps: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "tol"
 
 
 def _linearized_start(
@@ -196,15 +207,8 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     the product with X^T X is the column scaling by ev, and singular values
     come from the m x m Gram matrix: a step of either kind costs one m x m
     eigendecomposition, three products of an m x m with an m x mp matrix
-    and elementwise work.
-
-    Returns the folded (m, m, p) tensor, the best iterate. ``iterations``
-    counts the steps of both phases against ``max_iter``, and
-    ``reweighted_steps`` those of the first; each step adds one entry to
-    ``objective_trace``. ``converged`` is False when the iteration cap is
-    hit first, or when a plain FISTA step from W fails to lower F because
-    rounding hides the decrease (a ``tol`` below working precision); the
-    run then stops, as the step would repeat.
+    and elementwise work. The run also ends at ``max_iter``, and at a plain
+    FISTA step that rounding keeps from lowering F, as it would repeat.
     """
     cfg = cfg or NnmConfig()
     m, p, n = design.m, design.p, design.n_samples
@@ -220,7 +224,7 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
         # all-zero design: the prox of the nuclear norm at 0 is 0
         return NnmResult(
             w=np.zeros((m, m, p)),
-            converged=True,
+            stop="tol",
             iterations=0,
             objective_trace=np.array([yty / n]),
             lambda_nn=lam,
@@ -281,7 +285,7 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
     reweighted_steps = iterations
     y = w
     t = 1.0
-    converged = False
+    stop = "max_iter"
     for k in range(reweighted_steps, cfg.max_iter):
         z, s_z = svt(y * shrink + push, tau)
         f_z = objective(z, float(s_z.sum()))
@@ -301,17 +305,18 @@ def nnm_estimate(design: DesignPair, cfg: NnmConfig | None = None) -> NnmResult:
         # a small step makes Z near-stationary; a rejected Z leaves a W
         # that is better still
         if rel <= cfg.tol:
-            converged = True
+            stop = "tol"
             break
         if not accepted:
             if t == 1.0:
                 # Y was W, and a plain step cannot raise F: rounding in F
                 # hides any further decrease, and the step would repeat
+                stop = "rounding"
                 break
             y, t = w, 1.0
     return NnmResult(
         w=fold(w @ q.T, 1, (m, m, p)),
-        converged=converged,
+        stop=stop,
         iterations=iterations,
         objective_trace=np.asarray(trace),
         lambda_nn=lam,
@@ -331,6 +336,15 @@ def _unfolding_spectra(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(s[::-1], u[:, ::-1]) for s, u in (_gram_singular(unfold(w, i)) for i in (1, 2, 3))]
 
 
+def _require_ranks_within(ranks, dims: tuple[int, int, int]) -> tuple[int, int, int]:
+    """``ranks`` as three positive ints, none above its mode's dimension."""
+    ranks = _require_ranks(ranks)
+    for i, (r, n) in enumerate(zip(ranks, dims)):
+        if r > n:
+            raise ValueError(f"rank {r} exceeds mode-{i + 1} dimension {n}")
+    return ranks
+
+
 def hosvd(w: np.ndarray, ranks: tuple[int, int, int], *, spectra=None) -> TuckerFactors:
     """Truncated higher-order SVD at the given multilinear ranks.
 
@@ -342,10 +356,7 @@ def hosvd(w: np.ndarray, ranks: tuple[int, int, int], *, spectra=None) -> Tucker
     ``spectra``, ``_unfolding_spectra(w)``, lets a fit share them.
     """
     w = _require_tensor3(w)
-    ranks = _require_ranks(ranks)
-    for i, r in enumerate(ranks):
-        if r > w.shape[i]:
-            raise ValueError(f"rank {r} exceeds mode-{i + 1} dimension {w.shape[i]}")
+    ranks = _require_ranks_within(ranks, w.shape)
     spectra = _unfolding_spectra(w) if spectra is None else spectra
     factors = [_fix_column_signs(u[:, :r]) for (_, u), r in zip(spectra, ranks)]
     core = w
@@ -378,6 +389,23 @@ def select_ranks(w_init: np.ndarray, c_bar: float, *, spectra=None) -> tuple[int
         int(np.argmin((s[1:] + c_bar) / (s[:-1] + c_bar))) + 1 if s.size > 1 else 1
         for s, _ in spectra
     )
+
+
+def initialize(
+    design: DesignPair, ranks: tuple[int, int, int] | str, nnm_cfg: NnmConfig | None = None
+) -> tuple[NnmResult, tuple[int, int, int], float | None, TuckerFactors]:
+    """The start of a fit, ``(nnm, ranks, c_bar, init)``. Ranks "auto" take
+    c_bar = :func:`ridge_constant`, and a fixed triple (c_bar None) must fit in
+    (m, m, p), before :func:`nnm_estimate` runs; :func:`select_ranks` and the
+    :func:`hosvd` ``init`` share one Gram eigendecomposition per unfolding."""
+    auto = isinstance(ranks, str) and ranks == "auto"
+    c_bar = ridge_constant(design.m, design.p, design.n_samples) if auto else None
+    ranks = ranks if auto else _require_ranks_within(ranks, (design.m, design.m, design.p))
+    nnm = nnm_estimate(design, nnm_cfg)
+    spectra = _unfolding_spectra(nnm.w)
+    if auto:
+        ranks = select_ranks(nnm.w, c_bar, spectra=spectra)
+    return nnm, ranks, c_bar, hosvd(nnm.w, ranks, spectra=spectra)
 
 
 def laplacian_from_rows(a: np.ndarray, epsilon: float) -> np.ndarray:

@@ -1200,8 +1200,7 @@ class TestOneSplitAndRowMinimum:
             def initializer(*args):
                 raise AssertionError("the initializer ran before the sample count was checked")
 
-            for module in (tuckervar.fit, tuckervar.cli):
-                monkeypatch.setattr(module, "nnm_estimate", initializer)
+            monkeypatch.setattr(tuckervar.initialization, "nnm_estimate", initializer)
         if caller in ("rolling_eval", "fit_panel", "fit_panel auto"):
             if message is None:
                 assert np.isfinite(self.library(caller, rows)).all()

@@ -3,6 +3,8 @@ estimate or raises a ValueError that tuckervar itself raised, with a message;
 no numpy error or warning escapes. A fit runs the public stage functions:
 its ranks and its solver start can be rebuilt from the report."""
 
+import json
+import sys
 import traceback
 import warnings
 from pathlib import Path
@@ -199,3 +201,112 @@ class TestExtremeSettings:
         else:
             assert code == EXIT_USAGE
             assert refused in capsys.readouterr().err
+
+
+def every_binding(monkeypatch, module, name, replace):
+    """Patch ``name`` on every tuckervar module that binds ``module.name``,
+    with ``replace(original)``; returns the original."""
+    original = getattr(module, name)
+    patched = replace(original)
+    for other in list(sys.modules.values()):
+        if other is not None and other.__name__.startswith("tuckervar"):
+            if getattr(other, name, None) is original:
+                monkeypatch.setattr(other, name, patched)
+    return original
+
+
+class TestOneInitializerStage:
+    """``fit_design`` and ``rank-select`` start through the one
+    ``initialization.initialize``: the same checks before the NNM, the same
+    ranks, one decomposition of each unfolding."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        spec = ScenarioSpec(m=8, p=2, ranks=(2, 2, 2), superdiag=(2.0, 1.5), noise_scale=0.5)
+        return simulate(make_scenario(spec, 0).w, 0.25 * np.eye(8), length=400, seed=3)
+
+    @pytest.mark.parametrize("ranks", ["auto", (3, 2, 1), [3, 2, 1], np.array([3, 2, 1])])
+    def test_initialize_returns_the_stages(self, panel, ranks):
+        design = build_design(panel, 2)
+        nnm, chosen, c_bar, init = initialization.initialize(design, ranks)
+        np.testing.assert_array_equal(nnm.w, initialization.nnm_estimate(design).w)
+        if isinstance(ranks, str):
+            assert c_bar == ridge_constant(8, 2, design.n_samples)
+            assert chosen == select_ranks(nnm.w, c_bar)
+        else:
+            assert (chosen, c_bar) == ((3, 2, 1), None)
+        again = hosvd(nnm.w, chosen)
+        for name in ("core", "a1", "a2", "a3"):
+            np.testing.assert_array_equal(getattr(init, name), getattr(again, name))
+
+    @pytest.mark.parametrize("ranks", [(9, 2, 2), (2, 9, 2), (2, 2, 3), (81, 2, 2)])
+    def test_rank_above_its_dimension_is_refused_before_the_nnm(
+        self, panel, tmp_path, capsys, monkeypatch, ranks
+    ):
+        with pytest.raises(ValueError) as from_hosvd:
+            hosvd(np.zeros((8, 8, 2)), ranks)
+
+        def refused(original):
+            def nnm(*args):
+                raise AssertionError("the initializer ran before the ranks were checked")
+
+            return nnm
+
+        every_binding(monkeypatch, initialization, "nnm_estimate", refused)
+        with pytest.raises(ValueError) as caught:
+            fit_panel(panel, 2, StdgrConfig(ranks=ranks))
+        assert str(caught.value) == str(from_hosvd.value)
+
+        path = str(tmp_path / "panel.csv")
+        write_panel_csv(path, panel)
+        argv = ["fit", "--input", path, "--output", str(tmp_path / "m.json"), "--p", "2"]
+        assert main(argv + ["--ranks", ",".join(map(str, ranks))]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {from_hosvd.value}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("caller", ["fit_panel", "rank-select"])
+    def test_each_caller_initializes_once(self, panel, tmp_path, capsys, monkeypatch, caller):
+        """One ``initialize`` call per fit or rank selection, and one Gram
+        eigendecomposition of each unfolding of its NNM estimate."""
+        starts, grams = [], []
+
+        def spy_start(original):
+            return lambda *args: starts.append(original(*args)) or starts[-1]
+
+        def spy_gram(original):
+            return lambda a: grams.append(a.copy()) or original(a)
+
+        every_binding(monkeypatch, initialization, "initialize", spy_start)
+        every_binding(monkeypatch, initialization, "_gram_singular", spy_gram)
+        if caller == "fit_panel":
+            report = fit_panel(panel, 2, StdgrConfig(c=2.0))
+            assert report.ranks == starts[0][1]
+        else:
+            path = str(tmp_path / "panel.csv")
+            write_panel_csv(path, panel)
+            assert main(["rank-select", "--input", path, "--p", "2"]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["ranks"] == list(starts[0][1])
+        assert len(starts) == 1
+        nnm = starts[0][0]
+        for mode in (1, 2, 3):
+            unfolding = unfold(nnm.w, mode)
+            same = [a.shape == unfolding.shape and np.array_equal(a, unfolding) for a in grams]
+            assert sum(same) == 1
+
+    @pytest.mark.parametrize("m, p, length", [(12, 3, 200), (15, 3, 400)])
+    @pytest.mark.parametrize("truth", [0, 1, 2, 3])
+    def test_rank_select_reports_the_fit_ranks(self, tmp_path, capsys, m, p, length, truth):
+        spec = ScenarioSpec(m=m, p=p, ranks=(2, 2, 2), superdiag=(2.0, 2.0), noise_scale=0.5)
+        panel = simulate(
+            make_scenario(spec, truth).w, 0.25 * np.eye(m), length=length, seed=1000 + truth
+        )
+        report = fit_panel(panel, p, StdgrConfig(ranks="auto"))
+        path = str(tmp_path / "panel.csv")
+        write_panel_csv(path, panel)
+        assert main(["rank-select", "--input", path, "--p", str(p)]) == EXIT_OK
+        design = build_design(panel, p)
+        assert json.loads(capsys.readouterr().out) == {
+            "ranks": list(report.ranks),
+            "c_bar": ridge_constant(m, p, design.n_samples),
+            "nnm_converged": report.nnm.converged,
+        }

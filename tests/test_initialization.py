@@ -643,6 +643,33 @@ class TestAcceleratedNnm:
         assert abs(design.yty - expected) <= 1e-14 * expected
 
 
+class TestNnmStop:
+    """``stop`` names the exit that ended the run, and ``converged`` reads it."""
+
+    @pytest.mark.parametrize(
+        "case, cfg, stop",
+        [
+            ("scenario", NnmConfig(), "tol"),
+            ("scenario", NnmConfig(max_iter=1), "max_iter"),  # in the reweighted phase
+            ("scenario", NnmConfig(max_iter=6, tol=1e-14), "max_iter"),  # in FISTA
+            ("small", NnmConfig(max_iter=20000, tol=1e-16), "rounding"),
+            ("zero", NnmConfig(), "tol"),
+        ],
+    )
+    def test_stop_names_the_exit(self, case, cfg, stop):
+        design = {
+            "scenario": scenario_design,
+            "small": lambda: scenario_design(m=6, p=2, T=300, seed=0),
+            "zero": lambda: DesignPair(x=np.zeros((6, 4)), y=np.ones((6, 2))),
+        }[case]()
+        result = nnm_estimate(design, cfg)
+        assert (result.stop, result.converged) == (stop, stop == "tol")
+        if stop == "max_iter":
+            assert result.iterations == cfg.max_iter
+        if stop == "rounding":
+            assert result.iterations < cfg.max_iter
+
+
 class TestHosvd:
     def _exact_tucker(self, rng, dims, ranks):
         core = rng.standard_normal(ranks)

@@ -61,3 +61,29 @@ def test_a_traced_fit_records_every_stage():
     )
     assert report.nnm.reweighted_steps > 0
     assert metric["initialization.nnm_iters"] == report.nnm.iterations
+
+
+def test_a_traced_rank_select_records_the_initializer(tmp_path, capsys):
+    """``rank-select`` runs the fit's start: its NNM, rank selection and
+    HOSVD each record a span."""
+    tracing = load_tracing()
+    tv = importlib.import_module("tuckervar")
+    cli = importlib.import_module("tuckervar.cli")
+    layers = [importlib.import_module(f"tuckervar.{layer}") for layer in tracing.TARGETS]
+    modules = [tv, cli] + layers
+    spec = tv.ScenarioSpec(m=8, p=2, ranks=(2, 2, 2), superdiag=(2.0, 1.5), noise_scale=0.5)
+    panel = tv.simulate(tv.make_scenario(spec, 0).w, 0.25 * np.eye(8), length=400, seed=3)
+    path = str(tmp_path / "panel.csv")
+    tv.storage.write_panel_csv(path, panel)
+
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer, modules)
+    try:
+        with tracer.recording(0):
+            assert cli.main(["rank-select", "--input", path, "--p", "2"]) == cli.EXIT_OK
+    finally:
+        restore()
+
+    recorded = [span[1] for span in tracer.spans]
+    stages = ("nnm_estimate", "select_ranks", "hosvd")
+    assert [recorded.count(f"initialization.{name}") for name in stages] == [1, 1, 1]
