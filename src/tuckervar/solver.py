@@ -108,7 +108,8 @@ class StdgrConfig:
     ridge-ratio selector run on the initial estimate. ``epsilon`` is the
     bandwidth of the Gaussian kernel behind the graph Laplacians; ``gamma``
     is the coupling weight that, with ``alpha``, sets the graph penalty
-    Lt = alpha gamma L (2 alpha L + gamma I)^{-1}.
+    Lt = alpha gamma L (2 alpha L + gamma I)^{-1}. ``beta`` = 0 fits the
+    model without the core's l1 penalty.
     """
 
     beta: float = 1e-3
@@ -123,10 +124,10 @@ class StdgrConfig:
     def __post_init__(self) -> None:
         self.alpha = _triple("alpha", self.alpha, 0, closed=True)
         self.gamma = _triple("gamma", self.gamma, 0, closed=False)
-        for name, low in (
-            ("beta", 0), ("c", 0), ("tol", 0), ("epsilon", 0)
-        ):
-            _require_number(name, getattr(self, name), low)
+        # at beta = 0 the core's prox map is the box clip
+        _require_number("beta", self.beta, 0, closed=True)
+        for name in ("c", "tol", "epsilon"):
+            _require_number(name, getattr(self, name), 0)
         self.max_iter = _require_number("max_iter", self.max_iter, 1, closed=True, integer=True)
         if isinstance(self.ranks, str):
             if self.ranks != "auto":

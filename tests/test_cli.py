@@ -144,6 +144,15 @@ class TestFitCommand:
         main(["simulate", "--config", cfg, "--output", str(out), "--seed", str(seed)])
         return str(out)
 
+    def test_fit_without_sparsity(self, tmp_path):
+        # --beta 0 drops the core's l1 penalty; the solver's in-run checks
+        # still hold, so the fit ends converged or at its sweep cap
+        panel = self._panel(tmp_path)
+        model = tmp_path / "model.json"
+        code = main(["fit", "--input", panel, "--output", str(model), "--p", "2", "--beta", "0"])
+        assert code in (EXIT_OK, EXIT_MAX_ITER)
+        assert np.count_nonzero(load_model(str(model))["factors"].core) > 0
+
     def test_fit_writes_model_and_diagnostics(self, tmp_path):
         panel = self._panel(tmp_path)
         model = tmp_path / "model.json"
@@ -994,6 +1003,12 @@ class TestBadHyperparameters:
             "--lambda-nn": "lambda_nn",
         }
         assert field.get(flag, flag[2:]) in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_negative_beta_rejected(self, tmp_path, capsys):
+        code, model = self.fit(tmp_path, ["--beta=-1e-3"])
+        assert code == EXIT_USAGE
+        assert "beta must be finite and >= 0" in capsys.readouterr().err
         assert not model.exists()
 
     @pytest.mark.parametrize(

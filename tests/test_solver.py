@@ -710,6 +710,43 @@ def unrolled_palm_step(state, design, eigs, cfg, steps):
     return TuckerFactors(core=core, a1=a1, a2=a2, a3=a3)
 
 
+class TestNoSparsity:
+    """beta = 0 fits the model without the l1 penalty: the core's prox map is
+    then the box clip, and the fit keeps the solver's in-run checks."""
+
+    def test_core_update_is_the_box_clip_of_the_gradient_step(self):
+        from tuckervar.solver import _block_gradient
+
+        cfg = StdgrConfig(ranks=(2, 2, 2), c=0.5, beta=0)
+        design, state, lap, cfg, _ = random_problem(31, cfg=cfg)
+        steps = compute_step_sizes(design, cfg, cfg.ranks)
+        new = palm_step(
+            state, design, cfg, steps, gram_b_at(state, design),
+            solver._penalty_gradients(state, eigenpairs(lap), cfg),
+        )
+        step = state.core - _block_gradient(0, state.core, state.a1, state.a2, state.a3, design) / steps.rho[0]
+        # the clip binds on some entries and leaves others as they are
+        assert (np.abs(step) > cfg.c).any() and (np.abs(step) < cfg.c).any()
+        assert np.array_equal(new.core, np.clip(step, -cfg.c, cfg.c))
+
+    def test_fit_passes_the_in_run_checks(self):
+        rng = np.random.default_rng(32)
+        design, w = noise_free_problem(32)
+        design = DesignPair(x=design.x, y=design.y + 0.3 * rng.standard_normal(design.y.shape))
+        init = hosvd(w, (2, 2, 2))
+        cfg = StdgrConfig(ranks=(2, 2, 2), beta=0.0, max_iter=50)
+        # solve raises at the first sweep that leaves the box, loses
+        # orthonormality or falls short of the certified decrease
+        result = solve(design, build_laplacians(init, 0.2), cfg, init)
+        assert np.all(np.diff(result.objective_trace) <= 0)
+        assert np.count_nonzero(result.factors.core) == result.factors.core.size
+
+    @pytest.mark.parametrize("bad", [-1e-300, -1.0])
+    def test_negative_beta_refused(self, bad):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            StdgrConfig(beta=bad)
+
+
 class TestSweepMatchesUnrolled:
     """palm_step steps along the partial gradients that grad_partials returns
     (test_coupling_gradient_value ties 2 alpha L U* to the dense 2 Lt A);

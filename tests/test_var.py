@@ -79,7 +79,9 @@ class TestBuildDesign:
                 call()
             assert isinstance(caught.value, ValueError)
 
-    @pytest.mark.parametrize("shape", [(10, 1, 1), (60, 3, 1), (40, 2, 3), (100, 5, 10), (200, 1, 40)])
+    @pytest.mark.parametrize(
+        "shape", [(10, 1, 1), (60, 3, 1), (40, 2, 3), (100, 5, 10), (200, 1, 40), (16384, 8, 3)]
+    )
     @pytest.mark.parametrize("kind", ["gaussian", "constant", "spike"])
     def test_largest_panel_accepted_fits_without_a_warning(self, shape, kind):
         length, m, p = shape
@@ -89,7 +91,8 @@ class TestBuildDesign:
             "constant": np.ones((length, m)),
             "spike": np.eye(length, m, -(length // 2)) + 1e-3 * rng.standard_normal((length, m)),
         }[kind]
-        # scaled to the largest sum of squares the check lets through
+        # scaled to the largest sum of squares the check lets through; the
+        # last shape's lagged products are summed from folded blocks
         panel *= np.sqrt(tuckervar.var._MOMENT_ROOM / np.sum(panel**2)) * (1 - 1e-12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -677,12 +680,22 @@ def assert_same_design(panel, p):
     assert ours.x.tobytes() == ref.x.tobytes() and ours.x.shape == ref.x.shape
 
 
+# panels of at least this many entries and 2048 rows have their lagged
+# products folded (var._fold_steps)
+FOLDED_ENTRIES = 2**17
+
+
 @st.composite
 def lagged_panels(draw):
-    """(panel, p) with L from p + 1 (one sample) past 3 mp, some columns
-    constant or zero, and amplitudes far from 1."""
+    """(panel, p) with L from p + 1 (one sample) past 3 mp, or long enough
+    for the lagged products to be folded (any L mod q), some columns constant
+    or zero, and amplitudes far from 1."""
     m, p = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    length = draw(st.integers(p + 1, 3 * m * p + p + 1))
+    if draw(st.booleans()):
+        length = draw(st.integers(p + 1, 3 * m * p + p + 1))
+    else:
+        shortest = max(2048, -(-FOLDED_ENTRIES // m))
+        length = draw(st.integers(shortest, shortest + 4 * p))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     panel = rng.standard_normal((length, m)) * draw(st.sampled_from([1.0, 1e-6, 1e6]))
     for column in draw(st.sets(st.integers(0, m - 1))):
@@ -711,20 +724,70 @@ class TestLaggedMoments:
         panel[:, -1] = 3.0
         assert_same_design(panel, p)
 
+    @pytest.mark.parametrize(
+        "length,m,p",
+        [(2, 1, 1), (3, 1, 2), (5, 2, 4), (9, 3, 4), (10, 4, 1), (17, 3, 2), (24, 2, 3), (61, 5, 4), (101, 1, 3)],
+        ids=["L=p+1,m=p=1", "m=1,L=p+1", "L=p+1", "L<q", "p=1", "L%q", "L%q=0", "n>ceil(p/q)", "m=1"],
+    )
+    def test_folded_products_match_the_lagged_products(self, length, m, p):
+        """For every q in 1..2p+1, including q > L (no folded row), q with
+        L mod q > 0, and n = L // q from 0 past ceil(p/q) + 1."""
+        z = np.random.default_rng(length * m + p).standard_normal((length, m))
+        z[:, 0] *= 1e3
+        for q in range(1, 2 * p + 2):
+            got = tuckervar.var._lagged_products(z, p, q)
+            assert len(got) == p + 1
+            for k, f_k in enumerate(got):
+                want = z[k:].T @ z[: length - k]
+                assert f_k.shape == (m, m)
+                assert np.linalg.norm(f_k - want) <= 1e-13 * np.linalg.norm(z) ** 2, (q, k)
+
+    def test_fold_rule(self):
+        fold = tuckervar.var._fold_steps
+        wide = np.zeros((50004, 30))
+        assert fold(wide, 4) == 6 and fold(wide, 1) == 2
+        assert fold(np.zeros((100000, 5)), 2) == 4
+        # short, one-variable, wide or non-contiguous panels keep q = 1
+        for panel, p in [
+            (np.zeros((1500, 80)), 5),
+            (np.zeros((4096, 30)), 4),
+            (np.zeros((300000, 1)), 3),
+            (np.zeros((5000, 200)), 2),
+            (np.asfortranarray(wide), 4),
+            (np.zeros((50004, 60))[:, ::2], 4),
+        ]:
+            assert fold(panel, p) == 1
+
     def test_moments_are_read_only(self):
         design = build_design(np.random.default_rng(1).standard_normal((20, 3)), 2)
         for moment in (design.gram, design.cross):
             with pytest.raises(ValueError):
                 moment[0, 0] = 1.0
 
-    def test_moments_do_not_form_the_lag_matrix(self):
-        m, p, t = 30, 4, 20000
-        panel = np.random.default_rng(2).standard_normal((t + p, m))
+    M, P, T = 30, 4, 20000
+
+    def moments_within_the_bound(self, panel):
+        """The design's moments, checked against the stacked design's, after
+        forming them under a peak allocation of a quarter of the lag matrix
+        (a panel of this shape folds its lagged products six steps a row)."""
         tracemalloc.start()
         try:
-            design = build_design(panel, p)
+            design = build_design(panel, self.P)
             design.gram, design.cross
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < t * m * p * 8 / 4
+        assert peak < self.T * self.M * self.P * 8 / 4
+        ref = stacked_design(np.ascontiguousarray(panel), self.P)
+        for got, want in ((design.gram, ref.gram), (design.cross, ref.cross)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_moments_do_not_form_the_lag_matrix(self):
+        self.moments_within_the_bound(np.random.default_rng(2).standard_normal((self.T + self.P, self.M)))
+
+    @pytest.mark.parametrize("layout", ["F", "column-strided"])
+    def test_panel_of_any_layout_is_not_copied(self, layout):
+        """A panel that the fold's reshape would copy keeps q = 1."""
+        wide = np.random.default_rng(3).standard_normal((self.T + self.P, 2 * self.M))
+        panel = np.asfortranarray(wide[:, ::2]) if layout == "F" else wide[:, ::2]
+        self.moments_within_the_bound(panel)
