@@ -4,11 +4,11 @@ A transition tensor is an (m, m, p) array whose frontal slice ``w[:, :, i]``
 is the lag-(i+1) coefficient matrix. A panel is a (T, m) array with one time
 step per row.
 
-A fit sees its panel only through the design's moments X^T X, Y^T X and
-tr(Y^T Y), its one pass over the samples. :class:`LaggedDesign` forms them
-from the p + 1 lagged products of the panel, which a long panel gets from
-its rows folded q steps at a time into one wide symmetric product and
-ceil(p/q) more (:func:`_lagged_products`, q from :func:`_fold_steps`).
+A fit sees its panel only through the design's moment matrix
+M = [Y, X]^T [Y, X], which :func:`build_design` forms in its one pass over
+the panel, from p + 1 lagged products (a long panel's from its rows folded q
+steps at a time: :func:`_lagged_products`, :func:`_fold_steps`); the trace
+of the lag-0 product, the panel's sum of squares, checks the panel too.
 """
 
 from __future__ import annotations
@@ -47,10 +47,15 @@ class PanelFormatError(ValueError):
     """Raised for a data file, panel or model, that cannot be used."""
 
 
-def _require_panel(panel: np.ndarray) -> np.ndarray:
+def _as_panel(panel: np.ndarray) -> np.ndarray:
     panel = np.asarray(panel, dtype=float)
     if panel.ndim != 2:
         raise ValueError("panel must be a (T, m) array")
+    return panel
+
+
+def _require_panel(panel: np.ndarray) -> np.ndarray:
+    panel = _as_panel(panel)
     if not np.isfinite(panel).all():
         raise ValueError("panel contains non-finite entries")
     return panel
@@ -90,23 +95,19 @@ def _require_transition(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 class DesignPair:
     """Stacked regression form of a VAR(p) fit.
 
     Row t of ``x`` is the lag vector (y_{t-1}, ..., y_{t-p}) and row t of
     ``y`` is the response y_t, for T samples.
 
-    The least-squares loss sees the data only through the moments ``gram``
-    (X^T X), ``cross`` (Y^T X) and ``yty`` (tr(Y^T Y)). Each is computed on
-    first use and then kept, so ``x`` and ``y`` must not be modified after
-    that; the cached arrays are read-only. This class forms the moments from
-    ``x`` and ``y``; :func:`build_design` returns a :class:`LaggedDesign`,
-    which forms them from the panel without building ``x``.
+    The least-squares loss sees the data only through the moment matrix
+    M = [Y, X]^T [Y, X], formed on first use and then kept read-only:
+    ``gram`` (X^T X) and ``cross`` (Y^T X) are views of it and ``yty``
+    (tr(Y^T Y)) is the trace of its (0, 0) block, so ``x`` and ``y`` must not
+    be modified once it is formed. This class forms M from ``x`` and ``y``
+    stacked; :func:`build_design` returns a :class:`LaggedDesign`, which
+    forms it from the panel without building ``x``.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
@@ -114,19 +115,30 @@ class DesignPair:
         self.y = y
 
     @cached_property
+    def _moments(self) -> np.ndarray:
+        """M = [Y, X]^T [Y, X], ((p+1) m, (p+1) m), read-only."""
+        moments = self._form_moments()
+        moments.flags.writeable = False
+        return moments
+
+    def _form_moments(self) -> np.ndarray:
+        stacked = np.hstack([self.y, self.x])
+        return stacked.T @ stacked
+
+    @property
     def gram(self) -> np.ndarray:
         """X^T X, (mp, mp)."""
-        return _read_only(self.x.T @ self.x)
+        return self._moments[self.m :, self.m :]
 
-    @cached_property
+    @property
     def cross(self) -> np.ndarray:
         """Y^T X, (m, mp)."""
-        return _read_only(self.y.T @ self.x)
+        return self._moments[: self.m, self.m :]
 
-    @cached_property
+    @property
     def yty(self) -> float:
         """tr(Y^T Y), the sum of squared responses."""
-        return float(np.einsum("ij,ij->", self.y, self.y))
+        return float(np.trace(self._moments[: self.m, : self.m]))
 
     @property
     def n_samples(self) -> int:
@@ -191,21 +203,21 @@ def _lagged_products(z: np.ndarray, p: int, q: int) -> list[np.ndarray]:
 class LaggedDesign(DesignPair):
     """The design of a VAR(p) fit to a (L, m) panel Z, backed by the panel.
 
-    ``y`` is the view ``Z[p:]``; ``x`` is built only when read. The moments
-    come from the p + 1 lagged products F_k = Z[k:]^T Z[:L-k]: block (i, j),
-    i <= j, of the moment matrix of the lag-embedded panel [Y, X] sums
-    z_{s+k} z_s^T, k = j - i, over s = p-j .. L-1-j, which is F_k less its
-    first p - j and last i terms:
+    ``y`` is the view ``Z[p:]``; ``x`` is built only when read. M comes from
+    the p + 1 lagged products F_k = Z[k:]^T Z[:L-k]: its block (i, j), i <= j,
+    sums z_{s+k} z_s^T, k = j - i, over s = p-j .. L-1-j, which is F_k less
+    its first p - j and last i terms:
 
         F_k - Z[k : p-i]^T Z[:p-j] - Z[L-i:]^T Z[L-j : L-k]
 
-    Blocks (0, j >= 1) form ``cross`` and blocks (i, j >= 1) form ``gram``,
     in O((p+1) L m^2) without any T x mp array. The F_k come from the panel
     folded into rows of q consecutive steps (:func:`_lagged_products`), a
     free view, so that one wide symmetric product and ceil(p/q) more replace
     p + 1 products m wide; :func:`_fold_steps` sets q from (m, p, L), and
-    q = 1 on short or wide panels is the p + 1 products. The panel must not
-    be modified after the design is built.
+    q = 1 on short or wide panels is the p + 1 products. Before anything is
+    formed from the F_k, a panel whose sum of squares tr(F_0) is not within
+    ``_MOMENT_ROOM`` is refused: a ValueError when an entry is not finite,
+    else a PanelFormatError. The panel must not be modified afterwards.
     """
 
     def __init__(self, panel: np.ndarray, p: int) -> None:
@@ -223,13 +235,21 @@ class LaggedDesign(DesignPair):
         length = self.panel.shape[0]
         return np.hstack([self.panel[self.p - lag : length - lag] for lag in range(1, self.p + 1)])
 
-    @cached_property
-    def _moments(self) -> np.ndarray:
-        """[Y, X]^T [Y, X], ((p+1) m, (p+1) m), from the lagged products."""
+    def _form_moments(self) -> np.ndarray:
         z, p, m = self.panel, self.p, self.m
         length = z.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # such a panel is refused below
+            products = _lagged_products(z, p, _fold_steps(z, p))
+            squares = float(np.trace(products[0]))
+        if not squares <= _MOMENT_ROOM:
+            _require_panel(z)
+            raise PanelFormatError(
+                f"panel entries too large for the moments of a VAR fit: their sum of squares"
+                f" {squares:.3g} exceeds {_MOMENT_ROOM:.3g}; standardize them first, as"
+                " tuckervar fit --standardize does"
+            )
         out = np.empty(((p + 1) * m, (p + 1) * m))
-        for k, f_k in enumerate(_lagged_products(z, p, _fold_steps(z, p))):
+        for k, f_k in enumerate(products):
             for i in range(p + 1 - k):
                 j = i + k
                 head = z[k : p - i].T @ z[: p - j]
@@ -237,60 +257,37 @@ class LaggedDesign(DesignPair):
                 block = f_k - head - tail
                 out[j * m : (j + 1) * m, i * m : (i + 1) * m] = block.T
                 out[i * m : (i + 1) * m, j * m : (j + 1) * m] = block
-        return _read_only(out)
-
-    @property
-    def gram(self) -> np.ndarray:
-        return self._moments[self.m :, self.m :]
-
-    @property
-    def cross(self) -> np.ndarray:
-        return self._moments[: self.m, self.m :]
+        return out
 
 
-# Room for a panel's sum of squares S, which bounds every entry of its
-# moments: the sums of up to 2**16 of them that a fit forms stay finite. S
-# bounds the folded blocks that _lagged_products adds up too, and each of
-# their running sums: each sums z_{s+k,i} z_{s,j} over a set of s, so
-# Cauchy-Schwarz bounds it by S, as it bounds the edge terms subtracted.
+# Room for a panel's sum of squares S = tr(F_0), which bounds every entry of
+# its moments: the sums of up to 2**16 of them that a fit forms stay finite.
+# Nothing is summed past the F_k before S is checked, and S bounds their
+# folded blocks and running sums too: each sums z_{s+k,i} z_{s,j} over a set
+# of s, so Cauchy-Schwarz bounds it by S, as it bounds the edge terms.
 _MOMENT_ROOM = 2.0**-16 * np.finfo(float).max
 
 
-def _require_moment_scale(panel: np.ndarray) -> None:
-    """A PanelFormatError for a panel whose sum of squares exceeds ``_MOMENT_ROOM``."""
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        # einsum reads a panel of any layout in place, where a flattened
-        # copy of a non-contiguous one would double the memory held
-        squares = float(np.einsum("ij,ij->", panel, panel))
-    if not squares <= _MOMENT_ROOM:
-        raise PanelFormatError(
-            f"panel entries too large for the moments of a VAR fit: their sum of squares"
-            f" {squares:.3g} exceeds {_MOMENT_ROOM:.3g}; standardize them first, as"
-            " tuckervar fit --standardize does"
-        )
-
-
-def _require_rows(length: int, p: int) -> int:
-    """``length``, or a PanelFormatError when it is short of one VAR(p) sample."""
+def _require_rows(length: int, p) -> int:
+    """``p`` as an int >= 1 (else a ValueError), for ``length`` rows that hold
+    a VAR(p) sample (else a PanelFormatError)."""
+    p = _require_number("lag order p", p, 1, closed=True, integer=True)
     if length < p + 1:
         raise PanelFormatError(f"a VAR({p}) fit needs at least {p + 1} rows, got {length}")
-    return length
+    return p
 
 
 def build_design(panel: np.ndarray, p: int) -> LaggedDesign:
     """The regression pair of a VAR(p) fit to a panel, backed by the panel
-    (see :class:`LaggedDesign`): its moments come from p + 1 lagged products
-    of the panel, taken from its rows folded q steps at a time when it is
-    long (q from m, p and L; see :func:`_fold_steps`), ``x`` is built only
-    when read, and the panel must not be modified afterwards. A panel of
+    (see :class:`LaggedDesign`), with its moment matrix formed in the one
+    pass over the panel; ``x`` is built only when read, and the panel must
+    not be modified afterwards. A non-finite panel is a ValueError; one of
     fewer than p + 1 rows, or too large for its moments to stay finite, is a
     :class:`PanelFormatError`."""
-    panel = _require_panel(panel)
-    if p < 1:
-        raise ValueError("lag order p must be >= 1")
-    _require_rows(panel.shape[0], p)
-    _require_moment_scale(panel)
-    return LaggedDesign(panel, p)
+    panel = _as_panel(panel)
+    design = LaggedDesign(panel, _require_rows(panel.shape[0], p))
+    design._moments  # the one pass over the panel, which checks it
+    return design
 
 
 def predict_one_step(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -313,6 +310,7 @@ def one_step_predictions(w: np.ndarray, panel: np.ndarray, start: int) -> np.nda
     of any scale."""
     w = _require_transition(w)
     m, _, p = w.shape
+    start = _require_number("first predicted row", start, integer=True)
     if start < p:
         raise ValueError(f"first predicted row {start} precedes the lag order {p}")
     panel = _require_panel(panel)
@@ -329,7 +327,8 @@ def train_rows(length: int, p: int, fraction: float) -> int:
     a PanelFormatError when short of p + 1 rows, as in :func:`build_design`."""
     if not 0 < fraction < 1:
         raise ValueError(f"train fraction must lie in (0, 1), got {fraction!r}")
-    return _require_rows(int(fraction * length), p)
+    _require_rows(n_train := int(fraction * length), p)
+    return n_train
 
 
 def held_out_mse(w: np.ndarray, panel: np.ndarray, n_train: int) -> float:

@@ -1107,20 +1107,20 @@ class TestDataErrorsFromTheLibrary:
         assert tuckervar.storage.PanelFormatError is PanelFormatError
         assert issubclass(PanelFormatError, ValueError)
 
-    def test_moment_scale_is_checked_once_per_command(self, tmp_path, capsys, monkeypatch):
+    def test_lagged_products_are_formed_once_per_command(self, tmp_path, capsys, monkeypatch):
+        """Forming the moments is the one pass a fit makes over its panel,
+        and checks the panel's scale on the way."""
         cfg = write_config(tmp_path / "sim.json", scenario=small_scenario())
         panel = str(tmp_path / "panel.csv")
         assert main(["simulate", "--config", cfg, "--output", panel, "--seed", "0"]) == EXIT_OK
         calls = []
-        check = tuckervar.var._require_moment_scale
+        products = tuckervar.var._lagged_products
 
-        def spy(values):
+        def spy(values, p, q):
             calls.append(values.shape)
-            return check(values)
+            return products(values, p, q)
 
-        # every binding of the check counts, the CLI's own included
-        monkeypatch.setattr(tuckervar.var, "_require_moment_scale", spy)
-        monkeypatch.setattr(tuckervar.cli, "_require_moment_scale", spy, raising=False)
+        monkeypatch.setattr(tuckervar.var, "_lagged_products", spy)
         model = str(tmp_path / "m.json")
         fit = ["fit", "--input", panel, "--output", model, "--p", "2", "--ranks", "2,2,2"]
         for argv in (fit, fit + ["--standardize"], ["rank-select", "--input", panel, "--p", "2"]):

@@ -4,6 +4,7 @@ the function the tracer wraps, or its per-layer metric would read 0."""
 
 import importlib
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,35 @@ def test_a_traced_fit_records_every_stage():
     )
     assert report.nnm.reweighted_steps > 0
     assert metric["initialization.nnm_iters"] == report.nnm.iterations
+
+
+def test_the_lag_moments_are_formed_inside_build_design(monkeypatch):
+    """``var.build_design_s`` holds the one pass over the panel, so the
+    initializer's spans hold none of it."""
+    tracing = load_tracing()
+    tv = importlib.import_module("tuckervar")
+    var = importlib.import_module("tuckervar.var")
+    modules = [tv] + [importlib.import_module(f"tuckervar.{layer}") for layer in tracing.TARGETS]
+    spec = tv.ScenarioSpec(m=8, p=2, ranks=(2, 2, 2), superdiag=(2.0, 1.5), noise_scale=0.5)
+    panel = tv.simulate(tv.make_scenario(spec, 0).w, 0.25 * np.eye(8), length=400, seed=3)
+    times, products = [], var._lagged_products
+
+    def spy(*args):
+        times.append(time.perf_counter())
+        return products(*args)
+
+    monkeypatch.setattr(var, "_lagged_products", spy)
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer, modules)
+    try:
+        with tracer.recording(0):
+            tv.fit_panel(panel, 2, tv.StdgrConfig(c=2.0))
+    finally:
+        restore()
+
+    spans = [span for span in tracer.spans if span[1] == "var.build_design"]
+    assert len(spans) == 1 and len(times) == 1
+    assert spans[0][2] <= times[0] <= spans[0][3]
 
 
 def test_a_traced_rank_select_records_the_initializer(tmp_path, capsys):

@@ -102,6 +102,86 @@ class TestBuildDesign:
         with pytest.raises(ValueError, match="standardize"):
             build_design(1.001 * panel, p)
 
+    # (4501, 30) folds four steps a row at p = 2, so its last row lies past
+    # the last whole fold; the Fortran-ordered copy and the short panel are
+    # not folded
+    LAYOUTS = {
+        "folded": lambda: np.random.default_rng(5).standard_normal((4501, 30)),
+        "unfolded": lambda: np.random.default_rng(6).standard_normal((61, 3)),
+        "fortran": lambda: np.asfortranarray(np.random.default_rng(5).standard_normal((4501, 30))),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_a_finite_panel_is_read_only_to_form_its_moments(self, layout, monkeypatch):
+        panel = self.LAYOUTS[layout]()
+        panel_sized, calls, products = [], [], tuckervar.var._lagged_products
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                if any(np.size(a) >= panel.size for a in args if isinstance(a, np.ndarray)):
+                    panel_sized.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("isfinite", "einsum", "sum"):
+            monkeypatch.setattr(np, name, spy(name, getattr(np, name)))
+        monkeypatch.setattr(tuckervar.var, "_lagged_products", lambda *a: calls.append(1) or products(*a))
+        design = build_design(panel, 2)
+        assert panel_sized == [] and len(calls) == 1
+        assert "x" not in vars(design)
+        design.gram, design.cross, design.yty
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("place", ["head", "middle", "past the folds"])
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (np.nan, ValueError, "^panel contains non-finite entries$"),
+            (np.inf, ValueError, "^panel contains non-finite entries$"),
+            (-np.inf, ValueError, "^panel contains non-finite entries$"),
+            (1e160, PanelFormatError, "sum of squares inf exceeds .*; standardize them first"),
+            (-1.7e308, PanelFormatError, "sum of squares inf exceeds .*; standardize them first"),
+        ],
+    )
+    def test_a_bad_entry_anywhere_is_refused(self, layout, place, value, error, message):
+        panel = self.LAYOUTS[layout]()
+        length = panel.shape[0]
+        # row 0 enters only the lags, the last row only the responses
+        row = {"head": 0, "middle": length // 2, "past the folds": length - 1}[place]
+        panel[row, panel.shape[1] // 2] = value
+        if layout == "folded":
+            q = tuckervar.var._fold_steps(panel, 2)
+            assert q > 1 and length % q == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: build_design(panel, 2), lambda: fit_panel(panel, 2)):
+                with pytest.raises(error, match=message) as caught:
+                    call()
+                assert type(caught.value) is error
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, "2", None, True, np.float64(1.0), 0, -1])
+    def test_lag_order_must_be_a_positive_integer(self, p):
+        panel = np.random.default_rng(7).standard_normal((40, 2))
+        calls = [
+            lambda: build_design(panel, p),
+            lambda: fit_panel(panel, p),
+            lambda: benchmark.rolling_eval(panel, 0.7, p),
+            lambda: train_rows(40, p, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^lag order p must be ") as caught:
+                call()
+            assert not isinstance(caught.value, PanelFormatError)
+
+    def test_numpy_integer_lag_order_fits(self):
+        panel = np.random.default_rng(8).standard_normal((40, 2))
+        design = build_design(panel, np.int64(2))
+        assert design.p == 2 and type(design.p) is int
+        assert fit_panel(panel, np.int64(2), StdgrConfig(ranks=(1, 1, 1))).w_hat.shape == (2, 2, 2)
+        assert train_rows(40, np.int64(2), 0.5) == 20
+
 
 class TestPredictOneStep:
     def test_zero_tensor(self):
@@ -146,6 +226,15 @@ class TestOneStepPredictions:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="variables"):
             one_step_predictions(np.zeros((2, 2, 1)), np.zeros((10, 3)), 5)
+
+    @pytest.mark.parametrize("start", [5.0, 5.5, "5", None, True])
+    def test_first_row_must_be_an_integer(self, start):
+        with pytest.raises(ValueError, match="^first predicted row must be an integer"):
+            one_step_predictions(np.zeros((2, 2, 1)), np.zeros((10, 2)), start)
+
+    def test_numpy_integer_first_row(self):
+        w, panel = 0.5 * np.eye(2)[:, :, None], np.random.default_rng(9).standard_normal((10, 2))
+        np.testing.assert_array_equal(one_step_predictions(w, panel, np.int64(5)), 0.5 * panel[4:-1])
 
     def test_first_row_past_the_panel_rejected(self):
         with pytest.raises(ValueError, match="past the panel"):
