@@ -98,7 +98,7 @@ def _auto_nuclear_weight(design: DesignPair) -> float:
     series and leaves large-amplitude ones effectively unpenalized.
     """
     m, p, n = design.m, design.p, design.n_samples
-    scale = design.yty / design.y.size
+    scale = design.yty / (n * m)
     return max(scale, 1e-12) * math.sqrt(math.log(m * m * p) / n)
 
 

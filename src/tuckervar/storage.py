@@ -590,6 +590,7 @@ def diagnostics_lines(report: FitReport, n_train: int) -> list[str]:
         "nnm_iterations": nnm.iterations,
         "nnm_reweighted_steps": nnm.reweighted_steps,
         "nnm_converged": nnm.converged,
+        "nnm_stop": nnm.stop,
         "lambda_nn": nnm.lambda_nn,
         "spectral_radius": spectral_radius(report.w_hat),
     }

@@ -352,7 +352,8 @@ def train_scaler(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _standardized(panel: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     """(panel - mean) / std, or a PanelFormatError when an entry overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = (panel - mean) / std
+        scaled = panel - mean
+        np.divide(scaled, std, out=scaled)
     if not np.isfinite(scaled).all():
         raise PanelFormatError("panel entries overflow when scaled to standard units")
     return scaled
@@ -456,26 +457,43 @@ def _psd_factor(covariance: np.ndarray) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def _recursion(w1: np.ndarray, lags: np.ndarray, shocks: np.ndarray) -> np.ndarray:
-    """The chain y_t = W_(1) (y_{t-1}, ..., y_{t-p}) + shock_t from the (p, m)
-    stack ``lags`` (most recent first), one step per row of ``shocks``, in
-    reverse time: row i < steps is step steps - 1 - i, and the p rows below
-    it are its lag stack, one contiguous run of mp numbers.
+_BLOCK_ENTRIES = 2**15  # a block of the recursion holds about this many entries
 
-    Those runs are the windows of one read-only view, taken m numbers apart,
-    so a step is one BLAS matrix-vector product written into its row and one
-    add of its shock in place, with no slice, copy or temporary. The product
-    has the operands of :func:`predict_one_step`'s ``W_(1) @ x``, so each
-    step has its bits."""
-    steps, (p, m) = shocks.shape[0], lags.shape
-    chain = np.empty((steps + p, m))
-    chain[steps:] = lags
+
+def _recursion(w1: np.ndarray, lags: np.ndarray, out: np.ndarray, steps: int, shocks) -> np.ndarray:
+    """Run ``steps`` steps of the chain y_t = W_(1) (y_{t-1}, ..., y_{t-p}) +
+    shock_t from the (p, m) stack ``lags`` (most recent first) and write the
+    last ``len(out)`` forward into ``out``, in blocks of B = max(1, 2**15 // m)
+    steps, the last B to 2B - 1 (all of them when fewer than B); ``shocks(b)``
+    returns a block's (b, m) shocks.
+
+    A block runs in reverse time in a buffer of the last block plus p rows:
+    row i < b is step b - 1 - i, and the p rows below it are its lag stack,
+    one contiguous run of mp numbers; the newest p rows are carried below the
+    next block. Those runs are the windows of one read-only view, taken m
+    numbers apart, so a step is one BLAS matrix-vector product written into
+    its row and one add of its shock in place, with no slice, copy or
+    temporary. The product has the operands of :func:`predict_one_step`'s
+    ``W_(1) @ x``, so each step has its bits."""
+    p, m = lags.shape
+    rows = max(1, _BLOCK_ENTRIES // m)
+    n = max(1, steps // rows)
+    last = steps - (n - 1) * rows
+    chain = np.empty((last + p, m))
     stacks = sliding_window_view(chain.reshape(-1)[m:], m * p)[::m]
     dot, add = w1.dot, np.add
-    for row, stack, shock in zip(chain[steps - 1 :: -1], stacks[::-1], shocks):
-        dot(stack, out=row)
-        add(row, shock, out=row)
-    return chain
+    start = len(out) - steps  # where the block's first step goes in out
+    for b in [rows] * (n - 1) + [last]:
+        chain[b : b + p] = lags
+        for row, stack, shock in zip(chain[b - 1 :: -1], stacks[b - 1 :: -1], shocks(b)):
+            dot(stack, out=row)
+            add(row, shock, out=row)
+        del shock  # this block's shocks, freed before the next are drawn
+        kept = min(b, start + b)  # the block's last steps, the ones out takes
+        if kept > 0:
+            out[start + b - kept : start + b] = chain[kept - 1 :: -1]
+        lags, start = chain[:p], start + b
+    return out
 
 
 def simulate(
@@ -495,6 +513,12 @@ def simulate(
     recursion is :func:`forecast`'s, fed noise in place of zeros: each step
     is one BLAS matrix-vector product and one add of its shock, with the
     bits of :func:`predict_one_step` plus that shock.
+
+    The noise is drawn in :func:`_recursion`'s blocks, burn-in included, as
+    ``rng.standard_normal((b, m)) @ L.T`` per block of b steps (L the
+    covariance's factor): the normals are one draw's stream, but the BLAS
+    may round the product differently with its row count. Only the panel
+    and O(B m) work arrays are held.
     """
     w = _require_transition(w)
     m, _, p = w.shape
@@ -513,12 +537,10 @@ def simulate(
         raise ValueError("initial lag stack entries must be finite")
 
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((burn_in + length, m)) @ factor.T
-    # the chain is allocated after the noise, and the noise freed before the
-    # forward copy, so that at most two (burn_in + length, m) arrays are held
-    chain = _recursion(unfold(w, 1), lags, noise)
-    del noise
-    return chain[length - 1 :: -1].copy()
+    return _recursion(
+        unfold(w, 1), lags, np.empty((length, m)), burn_in + length,
+        lambda b: rng.standard_normal((b, m)) @ factor.T,
+    )
 
 
 def forecast(w: np.ndarray, panel: np.ndarray, horizon: int) -> np.ndarray:
@@ -526,7 +548,8 @@ def forecast(w: np.ndarray, panel: np.ndarray, horizon: int) -> np.ndarray:
     rows: :func:`simulate`'s recursion fed zeros, one BLAS matrix-vector
     product per step, each with the bits of :func:`predict_one_step` on the
     rows before it. Forecasts that overflow (an unstable ``w``) are inf or
-    NaN, without a numpy warning."""
+    NaN, without a numpy warning. The zeros come in :func:`simulate`'s
+    blocks, so only the returned forecasts and O(B m) work arrays are held."""
     w = _require_transition(w)
     m, _, p = w.shape
     horizon = _require_number("horizon", horizon, 1, closed=True, integer=True)
@@ -536,8 +559,9 @@ def forecast(w: np.ndarray, panel: np.ndarray, horizon: int) -> np.ndarray:
     if panel.shape[0] < p:
         raise ValueError(f"panel needs at least {p} rows to seed the forecast")
     with np.errstate(over="ignore", invalid="ignore"):
-        chain = _recursion(unfold(w, 1), panel[-p:][::-1], np.zeros((horizon, m)))
-    return chain[horizon - 1 :: -1].copy()
+        return _recursion(
+            unfold(w, 1), panel[-p:][::-1], np.empty((horizon, m)), horizon, lambda b: np.zeros((b, m))
+        )
 
 
 def mse(truth: np.ndarray, pred: np.ndarray) -> float:

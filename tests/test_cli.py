@@ -203,6 +203,7 @@ class TestFitCommand:
         lines = (tmp_path / "m.json.diagnostics.jsonl").read_text().splitlines()
         meta = json.loads(lines[0])
         assert meta["nnm_converged"] is True
+        assert meta["nnm_stop"] == "tol"
         assert 1 <= meta["nnm_iterations"] < 500
         assert 1 <= meta["nnm_reweighted_steps"] < meta["nnm_iterations"]
         assert meta["lambda_nn"] > 0
@@ -232,6 +233,7 @@ class TestFitCommand:
         assert "initializer did not converge" in captured.out
         meta = json.loads((tmp_path / "m.json.diagnostics.jsonl").read_text().splitlines()[0])
         assert meta["nnm_converged"] is False
+        assert meta["nnm_stop"] == "max_iter"
         assert meta["nnm_iterations"] == 2
 
     def test_initializer_stall_names_the_tolerance(self, tmp_path, capsys):
@@ -251,6 +253,7 @@ class TestFitCommand:
         assert "max_iter" not in warnings[0]
         meta = json.loads((tmp_path / "m.json.diagnostics.jsonl").read_text().splitlines()[0])
         assert meta["nnm_converged"] is False
+        assert meta["nnm_stop"] == "rounding"
         assert meta["nnm_iterations"] < NnmConfig().max_iter
 
     @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])

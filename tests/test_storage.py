@@ -11,7 +11,6 @@ import hashlib
 import io
 import locale
 import os
-import tracemalloc
 import types
 import warnings
 
@@ -32,6 +31,7 @@ from tuckervar.storage import (
     read_panel_csv,
     write_panel_csv,
 )
+from traced_memory import traced_peak
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -694,16 +694,6 @@ class TestBlockwiseHash:
         edited_read = outcome(read_panel_csv, path)
         assert edited_read == outcome(_read_panel_rows, path)
         assert edited_read[3] != panel.tobytes()
-
-
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, result
 
 
 class TestBoundedMemory:

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -35,6 +34,7 @@ from tuckervar.var import (
     train_rows,
 )
 from solver_references import companion_matrix
+from traced_memory import traced_peak
 
 
 def random_stable(rng, m, p, radius=0.8):
@@ -490,6 +490,30 @@ class TestReducedCompanion:
             spectral_radius(np.zeros(shape))
 
 
+def noise_blocks(steps, m, entries=2**15):
+    """The blocks in which simulate draws its noise: B = max(1, entries // m)
+    steps each, the last taking the remainder (B to 2B - 1 steps), or one
+    block when there are fewer than B."""
+    b = max(1, entries // m)
+    n = max(1, steps // b)
+    return [b] * (n - 1) + [steps - (n - 1) * b]
+
+
+def one_step_chain(w, covariance, burn_in, length, seed, initial=None, entries=2**15):
+    """The panel simulate returns, stepped by predict_one_step, with the noise
+    drawn block by block as simulate draws it."""
+    m, _, p = w.shape
+    rng, factor = np.random.default_rng(seed), _psd_factor(covariance)
+    noise = [rng.standard_normal((b, m)) @ factor.T for b in noise_blocks(burn_in + length, m, entries)]
+    lags = np.zeros((p, m)) if initial is None else initial.copy()
+    rows = []
+    for shock in np.concatenate(noise):
+        y = predict_one_step(w, lags) + shock
+        rows.append(y)
+        lags = np.vstack([y, lags[:-1]])
+    return np.array(rows[burn_in:])
+
+
 class TestSimulate:
     def test_zero_noise_zero_init_is_zero(self):
         rng = np.random.default_rng(4)
@@ -613,8 +637,11 @@ class TestSimulate:
             simulate(np.zeros((2, 2, 1)), covariance, length=3, seed=0)
 
     # (m, p, burn_in, length): the m = 4 cases are named by p alone; the
-    # others are the bench cell at T = 800 (1303 steps) and a 30-variable
-    # panel of 2000 steps, as the CLI simulates
+    # next two are the bench cell at T = 800 (1303 steps) and a 30-variable
+    # panel of 2000 steps, as the CLI simulates, each one block of noise.
+    # The rest run B - 1, B, B + 1, 2B - 1, 2B and 3B + 1 steps in blocks of
+    # B = 127 steps at m = 257, and 2B steps in blocks of B = 32768 at m = 1;
+    # some burn-ins end inside a block, or past a whole one
     @pytest.mark.parametrize(
         "m,p,burn_in,length",
         [
@@ -622,25 +649,34 @@ class TestSimulate:
             pytest.param(4, 3, 7, 30, id="3"),
             (12, 3, 500, 803),
             (30, 3, 500, 1500),
+            pytest.param(257, 1, 0, 126, id="m=257,B-1"),
+            pytest.param(257, 1, 27, 100, id="m=257,B"),
+            pytest.param(257, 1, 100, 28, id="m=257,B+1"),
+            pytest.param(257, 1, 200, 53, id="m=257,2B-1"),
+            pytest.param(257, 1, 187, 67, id="m=257,2B"),
+            pytest.param(257, 1, 190, 192, id="m=257,3B+1"),
+            pytest.param(1, 3, 30000, 35536, id="m=1,2B"),
         ],
     )
     @pytest.mark.parametrize("with_initial", [False, True])
     def test_same_bits_as_the_one_step_recursion(self, m, p, burn_in, length, with_initial):
         rng = np.random.default_rng(10 + p)
         w = random_stable(rng, m, p, radius=0.9)
-        covariance = np.cov(rng.standard_normal((m, 3 * m)))
+        covariance = np.atleast_2d(np.cov(rng.standard_normal((m, 3 * m))))
         initial = rng.standard_normal((p, m)) if with_initial else None
         panel = simulate(w, covariance, length=length, seed=3, burn_in=burn_in, initial=initial)
-        lags = np.zeros((p, m)) if initial is None else initial.copy()
-        noise = np.random.default_rng(3).standard_normal((burn_in + length, m)) @ _psd_factor(covariance).T
-        rows = []
-        for shock in noise:
-            y = predict_one_step(w, lags) + shock
-            rows.append(y)
-            lags = np.vstack([y, lags[:-1]])
-        expected = np.array(rows[burn_in:])
         assert panel.flags.c_contiguous
-        assert panel.tobytes() == expected.tobytes()
+        assert panel.tobytes() == one_step_chain(w, covariance, burn_in, length, 3, initial).tobytes()
+
+    def test_blocks_shorter_than_the_lag_order(self, monkeypatch):
+        """Blocks of 2 steps under a lag order of 3: the carried lag rows
+        overlap the rows they are copied to."""
+        monkeypatch.setattr(tuckervar.var, "_BLOCK_ENTRIES", 8)
+        rng = np.random.default_rng(12)
+        w = random_stable(rng, 4, 3, radius=0.9)
+        initial = rng.standard_normal((3, 4))
+        panel = simulate(w, np.eye(4), length=12, seed=5, burn_in=5, initial=initial)
+        assert panel.tobytes() == one_step_chain(w, np.eye(4), 5, 12, 5, initial, entries=8).tobytes()
 
     def test_noise_free_design_consistency(self):
         # a noise-free path satisfies the regression identity exactly
@@ -665,18 +701,28 @@ class TestForecast:
         "m,p,radius", [(30, 3, 0.9), (8, 2, 0.9), (1, 1, 0.5), (5, 1, 8.0), (12, 4, 0.95)]
     )
     def test_same_bits_as_the_one_step_recursion(self, m, p, radius):
+        self.assert_one_step_bits(m, p, radius, 500)
+
+    @pytest.mark.parametrize("m,p,radius", [(30, 3, 0.9), (5, 1, 8.0)])
+    def test_three_blocks_and_a_step(self, m, p, radius):
+        """3B + 1 steps in blocks of B = 2**15 // m, diverging in the
+        second model."""
+        self.assert_one_step_bits(m, p, radius, 3 * (2**15 // m) + 1)
+
+    @staticmethod
+    def assert_one_step_bits(m, p, radius, horizon):
         rng = np.random.default_rng(m + p)
         w = random_stable(rng, m, p, radius=radius)
         panel = rng.standard_normal((p + 5, m))
-        got = forecast(w, panel, 500)
+        got = forecast(w, panel, horizon)
         history, rows = [panel[-lag] for lag in range(1, p + 1)], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(500):
+            for _ in range(horizon):
                 y = predict_one_step(w, np.concatenate(history))
                 rows.append(y)
                 history = [y] + history[: p - 1]
         expected = np.asarray(rows)
-        assert got.shape == (500, m) and got.flags.c_contiguous
+        assert got.shape == (horizon, m) and got.flags.c_contiguous
         assert nan_as_one(got) == nan_as_one(expected)
         assert np.isfinite(got).all() == (radius < 1)
 
@@ -698,6 +744,31 @@ class TestForecast:
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="panel has 3 variables, transition tensor expects 2"):
             forecast(np.zeros((2, 2, 1)), np.ones((4, 3)), 1)
+
+
+class TestBoundedMemory:
+    """simulate and forecast hold their output and one block of work arrays,
+    and standardizing a panel holds one panel-sized array."""
+
+    def test_simulate_holds_the_panel_and_one_block(self):
+        w = random_stable(np.random.default_rng(20), 30, 4)
+        peak, panel = traced_peak(lambda: simulate(w, 0.25 * np.eye(30), length=50500, seed=1))
+        assert panel.shape == (50500, 30)
+        assert peak <= 1.15 * panel.nbytes
+
+    def test_forecast_holds_the_forecasts_and_one_block(self):
+        rng = np.random.default_rng(21)
+        w, panel = random_stable(rng, 30, 4), rng.standard_normal((9, 30))
+        peak, got = traced_peak(lambda: forecast(w, panel, 50000))
+        assert got.shape == (50000, 30)
+        assert peak <= 1.15 * got.nbytes
+
+    def test_standardizing_scales_in_place(self):
+        panel = np.random.default_rng(22).standard_normal((20000, 30)) * 3.0 + 1.0
+        mean, std = train_scaler(panel[:14000])
+        peak, scaled = traced_peak(lambda: tuckervar.var._standardized(panel, mean, std))
+        assert scaled.tobytes() == ((panel - mean) / std).tobytes()
+        assert peak <= 1.2 * panel.nbytes
 
 
 class TestMse:
@@ -859,13 +930,13 @@ class TestLaggedMoments:
         """The design's moments, checked against the stacked design's, after
         forming them under a peak allocation of a quarter of the lag matrix
         (a panel of this shape folds its lagged products six steps a row)."""
-        tracemalloc.start()
-        try:
+
+        def form():
             design = build_design(panel, self.P)
             design.gram, design.cross
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return design
+
+        peak, design = traced_peak(form)
         assert peak < self.T * self.M * self.P * 8 / 4
         ref = stacked_design(np.ascontiguousarray(panel), self.P)
         for got, want in ((design.gram, ref.gram), (design.cross, ref.cross)):
