@@ -273,18 +273,24 @@ def rolling_eval(
 
     With ``standardize`` the per-variable mean and standard deviation are
     estimated on the training split only and applied to the whole panel;
-    the reported MSE is in standardized units. A split short of p + 1 rows,
+    the reported MSE is in standardized units. The caller's panel is left as
+    it is: a standardized copy of the split is held for the fit and released
+    before the scored rows are copied, so about one split is held beyond the
+    panel. A split short of p + 1 rows,
     or a panel too large to standardize, fit or score, is a
     ``PanelFormatError``, a ValueError.
     """
     panel = np.asarray(panel, dtype=float)
     n_train = train_rows(panel.shape[0], p, train_fraction)
+    train, scored = panel[:n_train], panel[n_train - p :]
     if standardize:
-        panel = _standardized(panel, *train_scaler(panel[:n_train]))
-
-    report = fit_panel(panel[:n_train], p, cfg, nnm_cfg)
+        scaler = train_scaler(train)
+        report = fit_panel(_standardized(train, *scaler), p, cfg, nnm_cfg)
+        scored = _standardized(scored, *scaler)
+    else:
+        report = fit_panel(train, p, cfg, nnm_cfg)
     return RollingReport(
-        mse=held_out_mse(report.w_hat, panel, n_train),
+        mse=held_out_mse(report.w_hat, scored, p),
         n_train=n_train,
         n_test=panel.shape[0] - n_train,
         converged=report.result.converged,

@@ -157,7 +157,7 @@ def cmd_fit(args) -> int:
     scaler = None
     if args.standardize:
         mean, std = train_scaler(train)
-        train = _standardized(train, mean, std)
+        _standardized(train, mean, std, out=train)  # the panel read here is ours to scale
         scaler = {"mean": mean, "std": std}
 
     report = fit_panel(train, args.p, cfg, nnm_cfg)
@@ -198,7 +198,8 @@ def _model_and_panel(
     if lags_only:
         panel = panel[-w.shape[2] :]
     if scaler is not None:
-        panel = _standardized(panel, scaler["mean"], scaler["std"])
+        # in place, but for the lags: a copy of them frees the rest of the panel
+        panel = _standardized(panel, scaler["mean"], scaler["std"], out=None if lags_only else panel)
     return w, scaler, names, panel
 
 

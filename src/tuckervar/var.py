@@ -232,8 +232,7 @@ class LaggedDesign(DesignPair):
     @cached_property
     def x(self) -> np.ndarray:
         """The (T, mp) lag matrix, most recent lag first."""
-        length = self.panel.shape[0]
-        return np.hstack([self.panel[self.p - lag : length - lag] for lag in range(1, self.p + 1)])
+        return _lag_rows(self.panel, self.p)
 
     def _form_moments(self) -> np.ndarray:
         z, p, m = self.panel, self.p, self.m
@@ -258,6 +257,13 @@ class LaggedDesign(DesignPair):
                 out[j * m : (j + 1) * m, i * m : (i + 1) * m] = block.T
                 out[i * m : (i + 1) * m, j * m : (j + 1) * m] = block
         return out
+
+
+def _lag_rows(panel: np.ndarray, p: int) -> np.ndarray:
+    """The (L - p, mp) lag rows of a (L, m) panel: row t is (z_{t+p-1}, ...,
+    z_t), most recent first."""
+    length = panel.shape[0]
+    return np.hstack([panel[p - lag : length - lag] for lag in range(1, p + 1)])
 
 
 # Room for a panel's sum of squares S = tr(F_0), which bounds every entry of
@@ -307,7 +313,8 @@ def one_step_predictions(w: np.ndarray, panel: np.ndarray, start: int) -> np.nda
     """Noise-free one-step predictions of rows ``start:`` of the panel, each
     from its true lagged values: the design rows of that tail times W_(1)^T.
     No moments are formed, so unlike :func:`build_design` this takes a panel
-    of any scale."""
+    of any scale. Only the predictions and one block of lag rows (about
+    2**15 entries, in :func:`_recursion`'s blocks) are held."""
     w = _require_transition(w)
     m, _, p = w.shape
     start = _require_number("first predicted row", start, integer=True)
@@ -318,7 +325,13 @@ def one_step_predictions(w: np.ndarray, panel: np.ndarray, start: int) -> np.nda
         raise ValueError(f"first predicted row {start} lies past the panel's {panel.shape[0]} rows")
     if panel.shape[1] != m:
         raise ValueError(f"panel has {panel.shape[1]} variables, transition tensor expects {m}")
-    return LaggedDesign(panel[start - p :], p).x @ unfold(w, 1).T
+    w1t, out, done = unfold(w, 1).T, np.empty((panel.shape[0] - start, m)), 0
+    for b in _block_sizes(len(out), m * p):
+        window = panel[start + done - p : start + done + b]
+        # this block's lag rows are freed before the next block's are formed
+        np.matmul(_lag_rows(window, p), w1t, out=out[done : done + b])
+        done += b
+    return out
 
 
 def train_rows(length: int, p: int, fraction: float) -> int:
@@ -332,27 +345,34 @@ def train_rows(length: int, p: int, fraction: float) -> int:
 
 
 def held_out_mse(w: np.ndarray, panel: np.ndarray, n_train: int) -> float:
-    """The :func:`mse` of the :func:`one_step_predictions` of rows ``n_train:``."""
-    return mse(panel[n_train:], one_step_predictions(w, panel, n_train))
+    """The :func:`mse` of the :func:`one_step_predictions` of rows ``n_train:``,
+    scored in the predictions' array: it holds one array the size of that tail."""
+    pred = _require_panel(one_step_predictions(w, panel, n_train))
+    return _mean_square(panel[n_train:], pred, out=pred)
 
 
 def train_scaler(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-variable mean and standard deviation of a training split; a
     constant variable gets standard deviation 1, so scaling only centres it.
     Both are taken of each column divided by a power of two near its largest
-    magnitude (at most 2**1023), which is exact and keeps its squares finite."""
+    magnitude (at most 2**1023), which is exact and keeps its squares finite.
+    That one scaled copy is then centred and squared in place, numpy's own
+    ``std`` arithmetic, so only one array the size of the split is held."""
     train = _require_panel(train)
     peak = np.abs(train).max(axis=0, initial=0.0)
     unit = np.ldexp(1.0, np.minimum(np.frexp(peak)[1], 1023))
     scaled = train / unit
-    std = scaled.std(axis=0) * unit
-    return scaled.mean(axis=0) * unit, np.where(std > 0, std, 1.0)
+    mean = scaled.mean(axis=0)
+    np.square(np.subtract(scaled, mean, out=scaled), out=scaled)
+    std = np.sqrt(scaled.mean(axis=0)) * unit
+    return mean * unit, np.where(std > 0, std, 1.0)
 
 
-def _standardized(panel: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """(panel - mean) / std, or a PanelFormatError when an entry overflows."""
+def _standardized(panel: np.ndarray, mean: np.ndarray, std: np.ndarray, out=None) -> np.ndarray:
+    """(panel - mean) / std, written into ``out`` when given (which may be
+    ``panel`` itself), or a PanelFormatError when an entry overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = panel - mean
+        scaled = np.subtract(panel, mean, out=out)
         np.divide(scaled, std, out=scaled)
     if not np.isfinite(scaled).all():
         raise PanelFormatError("panel entries overflow when scaled to standard units")
@@ -460,6 +480,14 @@ def _psd_factor(covariance: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 2**15  # a block of the recursion holds about this many entries
 
 
+def _block_sizes(count: int, width: int) -> list[int]:
+    """``count`` rows of ``width`` entries in blocks of B = max(1,
+    _BLOCK_ENTRIES // width) rows, the last B to 2B - 1 (all when fewer)."""
+    rows = max(1, _BLOCK_ENTRIES // width)
+    n = max(1, count // rows)
+    return [rows] * (n - 1) + [count - (n - 1) * rows]
+
+
 def _recursion(w1: np.ndarray, lags: np.ndarray, out: np.ndarray, steps: int, shocks) -> np.ndarray:
     """Run ``steps`` steps of the chain y_t = W_(1) (y_{t-1}, ..., y_{t-p}) +
     shock_t from the (p, m) stack ``lags`` (most recent first) and write the
@@ -476,14 +504,12 @@ def _recursion(w1: np.ndarray, lags: np.ndarray, out: np.ndarray, steps: int, sh
     temporary. The product has the operands of :func:`predict_one_step`'s
     ``W_(1) @ x``, so each step has its bits."""
     p, m = lags.shape
-    rows = max(1, _BLOCK_ENTRIES // m)
-    n = max(1, steps // rows)
-    last = steps - (n - 1) * rows
-    chain = np.empty((last + p, m))
+    blocks = _block_sizes(steps, m)
+    chain = np.empty((blocks[-1] + p, m))
     stacks = sliding_window_view(chain.reshape(-1)[m:], m * p)[::m]
     dot, add = w1.dot, np.add
     start = len(out) - steps  # where the block's first step goes in out
-    for b in [rows] * (n - 1) + [last]:
+    for b in blocks:
         chain[b : b + p] = lags
         for row, stack, shock in zip(chain[b - 1 :: -1], stacks[b - 1 :: -1], shocks(b)):
             dot(stack, out=row)
@@ -566,16 +592,24 @@ def forecast(w: np.ndarray, panel: np.ndarray, horizon: int) -> np.ndarray:
 
 def mse(truth: np.ndarray, pred: np.ndarray) -> float:
     """Mean squared error (1 / (m T0)) sum_t ||truth_t - pred_t||^2 whenever it
-    is a finite double, even if single squares are not; else a PanelFormatError."""
+    is a finite double, even if single squares are not; else a PanelFormatError.
+    It holds one array of residuals, which it scales and squares in place."""
     truth = _require_panel(truth)
     pred = _require_panel(pred)
     if truth.shape != pred.shape:
         raise ValueError(f"panel shapes differ: {truth.shape} vs {pred.shape}")
-    # residuals over a power of two near the largest: exact, with finite squares
+    return _mean_square(truth, pred)
+
+
+def _mean_square(truth: np.ndarray, pred: np.ndarray, out=None) -> float:
+    """The mean of (truth - pred)**2, from residuals (in ``out``, which may be
+    ``pred``) divided in place by a power of two near the largest: exact, with
+    finite squares."""
     with np.errstate(over="ignore"):  # an overflow is refused below
-        resid = truth - pred
-        exp = np.frexp(np.abs(resid).max(initial=0.0))[1]
-        value = float(np.ldexp(np.mean(np.ldexp(resid, -exp) ** 2), 2 * exp))
+        resid = np.subtract(truth, pred, out=out)
+        exp = np.frexp(max(resid.max(initial=0.0), -resid.min(initial=0.0)))[1]
+        np.square(np.ldexp(resid, -exp, out=resid), out=resid)
+        value = float(np.ldexp(np.mean(resid), 2 * exp))
     if not math.isfinite(value):
         raise PanelFormatError(
             "mean squared error overflows the float range; compare standardized panels"

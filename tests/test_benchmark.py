@@ -13,8 +13,10 @@ from tuckervar import (
     simulate,
     upsilon,
 )
+import tuckervar.var
+from tuckervar import fit_panel, train_scaler
 from tuckervar.benchmark import curve_csv_lines
-from tuckervar.var import PanelFormatError
+from tuckervar.var import PanelFormatError, _standardized, held_out_mse
 
 
 def small_spec(**overrides):
@@ -261,6 +263,20 @@ class TestRollingEval:
         full_stats = manual(panel.mean(axis=0), panel.std(axis=0))
         assert reported == pytest.approx(train_stats, rel=1e-12)
         assert abs(reported - full_stats) > 1e-6
+
+    def test_standardized_score_is_the_whole_panel_formula(self, monkeypatch):
+        # the split and the scored rows are standardized apart: the score is
+        # the bits of the whole panel standardized at once, over several blocks
+        monkeypatch.setattr(tuckervar.var, "_BLOCK_ENTRIES", 24)
+        panel = np.random.default_rng(7).standard_normal((90, 3)) * 2.0 + 5.0
+        before = panel.copy()
+        cfg = StdgrConfig(ranks=(2, 2, 1), max_iter=20)
+        report = rolling_eval(panel, 0.7, p=2, cfg=cfg, standardize=True)
+        n_train = report.n_train
+        scaler = train_scaler(panel[:n_train])
+        w = fit_panel(_standardized(panel[:n_train], *scaler), 2, cfg).w_hat
+        assert report.mse == held_out_mse(w, _standardized(panel, *scaler), n_train)
+        assert panel.tobytes() == before.tobytes()
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,7 @@ from tuckervar.storage import (
     save_model,
     write_panel_csv,
 )
+from traced_memory import traced_cli
 
 
 def write_config(path, scenario=None, solver=None, nnm=None):
@@ -1100,6 +1101,46 @@ class TestHugePanels:
         assert "overflow when scaled" in capsys.readouterr().err and not model.exists()
         with pytest.raises(ValueError, match="overflow when scaled"):
             rolling_eval(panel, 0.7, 1, StdgrConfig(ranks=(1, 1, 1)), standardize=True)
+
+
+class TestBoundedMemory:
+    """Traced in process on a 20000 x 30 panel read through its companion:
+    fit --standardize holds the panel and one copy of its 14000-row split,
+    eval --model the panel and about one copy of the 6000-row tail it scores;
+    forecast and rank-select hold the panel and little more."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bounded")
+        panel = np.random.default_rng(30).standard_normal((20000, 30)) * 3.0 + 1.0
+        path, model = str(root / "panel.csv"), str(root / "model.json")
+        write_panel_csv(path, panel)
+        fit = ["fit", "--input", path, "--output", model, "--p", "3", "--standardize",
+               "--train-fraction", "0.7", "--ranks", "1,1,1", "--max-iter", "5"]
+        return panel, path, model, traced_cli(fit)
+
+    def test_fit_standardize_holds_the_panel_and_one_split(self, files):
+        panel, _, _, (peak, code, _) = files
+        assert code in (EXIT_OK, EXIT_MAX_ITER)
+        assert peak <= panel.nbytes + 1.15 * panel[:14000].nbytes
+
+    def test_eval_holds_the_panel_and_about_one_tail(self, files):
+        panel, path, model, _ = files
+        peak, code, printed = traced_cli(["eval", "--model", model, "--input", path, "--train-fraction", "0.7"])
+        assert code == EXIT_OK and json.loads(printed)["n_test"] == 6000
+        assert peak <= panel.nbytes + 1.5 * panel[14000:].nbytes
+
+    @pytest.mark.parametrize("command", ["forecast", "rank-select"])
+    def test_forecast_and_rank_select_hold_the_panel(self, files, tmp_path, command):
+        panel, path, model, _ = files
+        argv = {
+            "forecast": ["forecast", "--model", model, "--input", path, "--output",
+                         str(tmp_path / "fc.csv"), "--horizon", "500"],
+            "rank-select": ["rank-select", "--input", path, "--p", "3"],
+        }[command]
+        peak, code, _ = traced_cli(argv)
+        assert code == EXIT_OK
+        assert peak <= 1.2 * panel.nbytes
 
 
 class TestDataErrorsFromTheLibrary:

@@ -240,6 +240,15 @@ class TestOneStepPredictions:
         with pytest.raises(ValueError, match="past the panel"):
             one_step_predictions(np.zeros((2, 2, 1)), np.zeros((10, 2)), 10)
 
+    @pytest.mark.parametrize("blocks", [0.5, 1, 1.5, 2, 2.5, 3.25])
+    def test_blocks_match_the_per_row_loop(self, monkeypatch, blocks):
+        # 24 entries make blocks of B = 4 rows of 6 lag entries
+        monkeypatch.setattr(tuckervar.var, "_BLOCK_ENTRIES", 24)
+        rng = np.random.default_rng(4)
+        w, panel = rng.standard_normal((3, 3, 2)), rng.standard_normal((5 + int(4 * blocks), 3))
+        expected = [predict_one_step(w, panel[t - 2 : t][::-1].ravel()) for t in range(5, len(panel))]
+        np.testing.assert_allclose(one_step_predictions(w, panel, 5), expected, rtol=1e-12, atol=1e-12)
+
     def test_takes_a_panel_too_large_to_fit(self):
         # forming no moments, it predicts what build_design refuses to fit
         panel = np.random.default_rng(3).standard_normal((30, 2)) * 1e160
@@ -282,9 +291,16 @@ class TestTrainScaler:
         np.testing.assert_array_equal(mean, train.mean(axis=0))
         np.testing.assert_array_equal(std, [1.0, np.arange(10.0).std()])
 
+    # numpy sums one contiguous column pairwise and several columns row by
+    # row: the in-place statistics must follow the layout numpy's would
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "one variable", "every other row"])
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 7.0, 1e5])
-    def test_same_bits_as_the_plain_statistics(self, scale):
+    def test_same_bits_as_the_plain_statistics(self, scale, layout):
         train = np.random.default_rng(1).standard_normal((500, 4)) * scale + [0.0, 1.0, -3.0, 1e3]
+        train = {
+            "C": train, "Fortran": np.asfortranarray(train), "one variable": train[:, 3:],
+            "every other row": train[::2],
+        }[layout]
         mean, std = train_scaler(train)
         assert mean.tobytes() == train.mean(axis=0).tobytes()
         assert std.tobytes() == train.std(axis=0).tobytes()
@@ -747,8 +763,10 @@ class TestForecast:
 
 
 class TestBoundedMemory:
-    """simulate and forecast hold their output and one block of work arrays,
-    and standardizing a panel holds one panel-sized array."""
+    """simulate, forecast and one_step_predictions hold their output and one
+    block of work arrays; train_scaler holds one split-sized array,
+    _standardized one panel-sized array (none when it scales in place), and
+    held_out_mse and rolling_eval no more beyond those."""
 
     def test_simulate_holds_the_panel_and_one_block(self):
         w = random_stable(np.random.default_rng(20), 30, 4)
@@ -763,12 +781,52 @@ class TestBoundedMemory:
         assert got.shape == (50000, 30)
         assert peak <= 1.15 * got.nbytes
 
-    def test_standardizing_scales_in_place(self):
+    @staticmethod
+    def panel():
+        """A 20000 x 30 panel and its 14000-row training split."""
         panel = np.random.default_rng(22).standard_normal((20000, 30)) * 3.0 + 1.0
-        mean, std = train_scaler(panel[:14000])
+        return panel, panel[:14000]
+
+    def test_standardizing_scales_in_place(self):
+        panel, train = self.panel()
+        mean, std = train_scaler(train)
         peak, scaled = traced_peak(lambda: tuckervar.var._standardized(panel, mean, std))
         assert scaled.tobytes() == ((panel - mean) / std).tobytes()
         assert peak <= 1.2 * panel.nbytes
+        peak, same = traced_peak(lambda: tuckervar.var._standardized(panel, mean, std, out=panel))
+        assert same is panel and panel.tobytes() == scaled.tobytes()
+        assert peak <= 0.2 * panel.nbytes
+
+    def test_train_scaler_holds_one_split(self):
+        _, train = self.panel()
+        peak, (mean, std) = traced_peak(lambda: train_scaler(train))
+        assert mean.tobytes() == train.mean(axis=0).tobytes()
+        assert std.tobytes() == train.std(axis=0).tobytes()
+        assert peak <= 1.1 * train.nbytes
+
+    def test_one_step_predictions_hold_their_output_and_one_block(self):
+        panel, _ = self.panel()
+        w = random_stable(np.random.default_rng(23), 30, 3)
+        peak, got = traced_peak(lambda: one_step_predictions(w, panel, 14000))
+        assert got.shape == (6000, 30)
+        # the last block has up to 2B - 1 rows of about 2**15 lag entries
+        assert peak <= got.nbytes + 2 * tuckervar.var._BLOCK_ENTRIES * 8 + 2**14
+
+    def test_held_out_mse_scores_in_the_predictions(self):
+        panel, _ = self.panel()
+        w = random_stable(np.random.default_rng(24), 30, 3)
+        peak, value = traced_peak(lambda: held_out_mse(w, panel, 14000))
+        assert value == mse(panel[14000:], one_step_predictions(w, panel, 14000))
+        assert peak <= panel[14000:].nbytes + 2 * tuckervar.var._BLOCK_ENTRIES * 8 + 2**14
+
+    def test_standardized_rolling_eval_holds_one_split(self):
+        panel, train = self.panel()
+        before = panel.copy()
+        cfg = StdgrConfig(ranks=(1, 1, 1), max_iter=5)
+        peak, report = traced_peak(lambda: benchmark.rolling_eval(panel, 0.7, 3, cfg, standardize=True))
+        assert report.n_train == len(train)
+        assert peak <= 1.25 * train.nbytes
+        assert panel.tobytes() == before.tobytes()
 
 
 class TestMse:
